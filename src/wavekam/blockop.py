@@ -517,12 +517,6 @@ class PairedBlockOperator:
         scale = max(self.decay_norm(0.0), 1.0)
         return self.hamiltonian_residual(0.0) <= tol * scale
 
-    def apply_pair(self, u1, u2):
-        """Action on a pair of SpaceTimeFunctions (general pair, not only (u, conj u))."""
-        v1 = self.r1.apply(u1) + self.r2.conj().apply(u2)
-        v2 = self.r2.conj().apply(u1) + self.r1.conj().apply(u2)
-        return v1, v2
-
     def apply_pair_at_phi(self, c1, c2, phi):
         r2c = self.r2.conj()
         r1c = self.r1.conj()

@@ -364,8 +364,9 @@ def phase_pipeline(problem, omega, outdir, summary):
 
 def _kam_worker(payload):
     """Per-omega reduction + iteration: the regularization data depends on omega."""
-    problem, kcfg, omega = payload
-    reg = run_pipeline(problem, np.asarray(omega, float))
+    problem, kcfg, omega, reg = payload
+    if reg is None:  # not already computed for this omega
+        reg = run_pipeline(problem, np.asarray(omega, float))
     out = kam_run(
         reg.d_blocks(problem.lattice), reg.r4, np.asarray(omega, float),
         problem.lattice, kcfg,
@@ -373,9 +374,12 @@ def _kam_worker(payload):
     return reg, out
 
 
-def phase_kam(problem, cfg, omegas, outdir, summary, threads=1):
+def phase_kam(problem, cfg, omegas, outdir, summary, threads=1, reg=None):
+    """KAM per omega, reusing ``reg``, the pipeline at run.omega, there."""
     kcfg = kam_config_for(problem, cfg)
-    payloads = [(problem, kcfg, omega) for omega in omegas]
+    payloads = [(problem, kcfg, omega,
+                 reg if np.array_equal(omega, cfg["run"]["omega"]) else None)
+                for omega in omegas]
     if threads > 1 and len(payloads) > 1:
         # workers only compute; all files are written by the orchestrator
         from concurrent.futures import ProcessPoolExecutor
@@ -405,8 +409,7 @@ def phase_kam(problem, cfg, omegas, outdir, summary, threads=1):
     return results
 
 
-def phase_measure(problem, cfg, reg, outdir, summary, gamma_list=None,
-                  threads=1):
+def phase_measure(problem, cfg, reg, outdir, summary, gamma_list=None):
     run = cfg["run"]
     grid_spec = run.get("omega_grid")
     if grid_spec is None:
@@ -543,7 +546,7 @@ def cmd_run(args):
         if "kam" in phases:
             t0 = time.time()
             kam_results = phase_kam(problem, cfg, omegas, outdir,
-                                    summary, threads=args.threads)
+                                    summary, threads=args.threads, reg=reg)
             timings["kam"] = time.time() - t0
             for _, out in kam_results:
                 if out.verdict == "resonance":
@@ -551,13 +554,14 @@ def cmd_run(args):
         if "measure" in phases:
             t0 = time.time()
             phase_measure(problem, cfg, reg, outdir, summary,
-                          gamma_list=gamma_list, threads=args.threads)
+                          gamma_list=gamma_list)
             timings["measure"] = time.time() - t0
         if "dynamics" in phases:
             t0 = time.time()
             if kam_results is None:
                 kam_results = phase_kam(problem, cfg, omegas, outdir,
-                                        summary, threads=args.threads)
+                                        summary, threads=args.threads,
+                                        reg=reg)
             phase_dynamics(problem, cfg, kam_results, omegas, outdir,
                            summary, seed=seed)
             timings["dynamics"] = time.time() - t0

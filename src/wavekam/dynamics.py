@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .regularization import field_apply_at_phi
 
 __all__ = [
     "EvolutionRun",

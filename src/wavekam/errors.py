@@ -71,6 +71,20 @@ class ResonanceError(WavekamError):
         }
 
 
+class ResourceLimitError(WavekamError):
+    """A Melnikov scan would enumerate more ell than its cap allows.
+
+    Raised with (N_k, nu, ell count, cap); plain args pickle across workers.
+    """
+
+    def __str__(self):
+        return ("Melnikov scan at N_k = {}, nu = {} would enumerate {} ell, "
+                "above the cap {}".format(*self.args))
+
+    def certificate(self):
+        return dict(zip(("N_k", "nu", "n_ell", "cap"), self.args), kind="ell-cap")
+
+
 class FixedPointError(WavekamError):
     """Fixed-point inversion of the torus diffeomorphism did not converge."""
 

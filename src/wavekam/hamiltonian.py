@@ -89,12 +89,6 @@ class BlockMatrix2:
     def omega_dphi(self, omega):
         return BlockMatrix2(*(e.omega_dphi(omega) for e in self.entries()))
 
-    def apply_pair(self, u1, u2):
-        return (
-            self.a.apply(u1) + self.b.apply(u2),
-            self.c.apply(u1) + self.d.apply(u2),
-        )
-
     def hs_total(self):
         return math.sqrt(math.fsum(e.hs_total() ** 2 for e in self.entries()))
 

@@ -11,10 +11,10 @@ eigenbasis the solve is a division by omega.ell + lambda -+ mu, and the
 inverse norm is exactly 1/min|denominator|.  Dense Kronecker solves exist
 only in the test oracle.
 
-Melnikov verdicts compare those inverse norms against the thresholds
-alpha^dd beta^dd <ell>^tau / gamma (differences, excluding (0, a, a)) and
-<ell>^tau / (gamma (alpha+beta)) (sums); ties count as failure (closed
-condition).
+Melnikov verdicts (``resonance.divisor_check``, the classifier's kernel too)
+bound those denominators by gamma / (alpha^dd beta^dd <ell>^tau) (differences,
+excluding (0, a, a)) and gamma (alpha+beta) / <ell>^tau (sums) on the ball
+|ell| <= N_k; ties count as failure (closed condition).
 """
 
 import itertools
@@ -30,8 +30,10 @@ from .blockop import (
     operator_exponential,
     smoothing_projector,
 )
-from .errors import NonConvergenceError, ParameterError, ResonanceError
+from .errors import (NonConvergenceError, ParameterError, ResonanceError,
+                     ResourceLimitError)
 from .hamiltonian import ExpMap, push_forward
+from .resonance import divisor_check, sorted_combos
 from .spectrum import default_s0, diophantine_check
 
 __all__ = [
@@ -39,12 +41,16 @@ __all__ = [
     "KamState",
     "SylvesterOperator",
     "sylvester_solve",
-    "check_melnikov",
     "assemble_homological_solution",
     "kam_step",
     "kam_run",
     "final_eigenvalues",
 ]
+
+# Largest ell box one Melnikov scan may enumerate: ~100 MB of arrays for
+# nu = 2.  The desk problem's largest scan (N = 269) has 2.9e5, its next one
+# (N = 1117) would have 5e6.
+MAX_SCAN_ELLS = 10**6
 
 
 @dataclass
@@ -160,26 +166,16 @@ class SylvesterOperator:
             grid = la[:, None] + lb[None, :]
         return self.omega_ell + grid
 
-    def inverse_norm(self):
-        """||A^{-1}||_Op = 1 / min |omega.ell + lambda -+ mu|."""
-        dmin = float(np.min(np.abs(self.denominators())))
-        return math.inf if dmin == 0.0 else 1.0 / dmin
-
-    def min_denominator(self):
-        den = self.denominators()
-        k = np.unravel_index(np.argmin(np.abs(den)), den.shape)
-        return float(np.abs(den[k])), (int(k[0]), int(k[1]))
-
 
 def sylvester_solve(syl, rhs):
     """Solve A^sign X = -i rhs in the joint eigenbasis.
 
     Returns (X, inverse_norm).  A vanishing denominator raises
-    ResonanceError carrying the offending eigenpair.
+    ResonanceError carrying the offending mode.
     """
     la, ua, lb, ub = syl.eig()
     den = syl.denominators()
-    dmin, pair = syl.min_denominator()
+    dmin = float(np.min(np.abs(den)))
     if dmin == 0.0:
         raise ResonanceError(syl.ell, syl.a_sq, syl.b_sq, syl.sign, 0.0)
     rhs = np.asarray(rhs, dtype=complex)
@@ -188,78 +184,45 @@ def sylvester_solve(syl, rhs):
     return x, 1.0 / dmin
 
 
-def check_melnikov(state, lattice, config, omega, ell, a_sq, b_sq, kind):
-    """Verdict for one (ell, alpha, beta): inverse norm against the threshold.
-
-    Strict inequality required; kind '-' skips (0, alpha, alpha).
-    """
-    ell = tuple(int(x) for x in ell)
-    if kind == "-" and a_sq == b_sq and not any(ell):
-        return True, math.inf
-    syl = SylvesterOperator.from_state(state, lattice, ell, a_sq, b_sq, kind, omega)
-    inv = syl.inverse_norm()
-    bracket_ell = max(1.0, float(np.linalg.norm(ell)))
-    alpha = lattice.alpha(a_sq)
-    beta = lattice.alpha(b_sq)
-    if kind == "-":
-        thr = (alpha * beta) ** config.dd * bracket_ell**config.tau / config.gamma
-    else:
-        thr = bracket_ell**config.tau / (config.gamma * (alpha + beta))
-    margin = thr - inv
-    return inv < thr, margin
-
-
 def _melnikov_scan(state, lattice, config, omega, n_cut, nu):
-    """All verdicts for <ell, alpha, beta> <= N, vectorized per cluster pair."""
-    omega = np.asarray(omega, float)
-    ell_range = range(-min(n_cut, 10**6), min(n_cut, 10**6) + 1)
-    ells = [
-        ell
-        for ell in itertools.product(ell_range, repeat=nu)
-        if np.linalg.norm(ell) <= n_cut
-    ]
-    if not ells:
-        return True, None
-    ell_arr = np.array(ells, dtype=float)
-    omega_ell = ell_arr @ omega
-    bracket = np.maximum(1.0, np.linalg.norm(ell_arr, axis=1))
+    """First failing Melnikov condition for |ell| <= N and alpha, beta <= N.
+
+    Cluster pairs outer; per pair the difference condition over all ell,
+    then the sum condition, each one ``divisor_check`` (ties fail) on the
+    eigenvalues of D_a and of D_b (conj-permuted for the sum).  The ell box
+    |ell|_inf <= N is enumerated only up to MAX_SCAN_ELLS points.
+    """
+    n_box = (2 * n_cut + 1) ** nu
+    if n_box > MAX_SCAN_ELLS:
+        raise ResourceLimitError(n_cut, nu, n_box, MAX_SCAN_ELLS)
+    ells = np.indices((2 * n_cut + 1,) * nu).reshape(nu, -1).T - n_cut
+    ells = ells[np.sum(ells * ells, axis=1) <= n_cut * n_cut]
+    ell_arr = ells.astype(float)
+    omega_ell = ell_arr @ np.asarray(omega, float)
+    bracket_tau = np.maximum(1.0, np.linalg.norm(ell_arr, axis=1)) ** config.tau
+    order = np.argsort(omega_ell, kind="stable")
+    xs, bracket_tau = omega_ell[order], bracket_tau[order]
+    at_zero = ~ells[order].any(axis=1)
     eigs = state.eig_tables()
     eigs_conj = {}
     for a_sq, mat in state.d_blocks.items():
         perm = lattice.cluster(a_sq).neg_perm
         eigs_conj[a_sq] = np.linalg.eigvalsh(np.conj(mat[np.ix_(perm, perm)]))
-    for ca in lattice.clusters:
-        if ca.alpha > n_cut:
-            continue
-        for cb in lattice.clusters:
-            if cb.alpha > n_cut:
-                continue
-            a_sq, b_sq = ca.alpha_sq, cb.alpha_sq
-            diffs = (eigs[a_sq][:, None] - eigs[b_sq][None, :]).ravel()
-            sums = (eigs[a_sq][:, None] + eigs_conj[b_sq][None, :]).ravel()
-            dmin_minus = np.min(np.abs(omega_ell[:, None] + diffs[None, :]), axis=1)
-            dmin_plus = np.min(np.abs(omega_ell[:, None] + sums[None, :]), axis=1)
-            thr_minus = config.gamma / (
-                (ca.alpha * cb.alpha) ** config.dd * bracket**config.tau
-            )
-            thr_plus = config.gamma * (ca.alpha + cb.alpha) / bracket**config.tau
-            ok_minus = dmin_minus > thr_minus
-            if a_sq == b_sq:
-                zero_idx = np.nonzero(~ell_arr.any(axis=1))[0]
-                ok_minus[zero_idx] = True
-            ok_plus = dmin_plus > thr_plus
-            if not np.all(ok_minus):
-                k = int(np.nonzero(~ok_minus)[0][0])
-                return False, ResonanceError(
-                    ells[k], a_sq, b_sq, "-", float(dmin_minus[k]),
-                    float(thr_minus[k]),
-                )
-            if not np.all(ok_plus):
-                k = int(np.nonzero(~ok_plus)[0][0])
-                return False, ResonanceError(
-                    ells[k], a_sq, b_sq, "+", float(dmin_plus[k]),
-                    float(thr_plus[k]),
-                )
+    inside = [c for c in lattice.clusters if c.alpha <= n_cut]
+    for ca, cb in itertools.product(inside, inside):
+        a_sq, b_sq = ca.alpha_sq, cb.alpha_sq
+        thr_minus = config.gamma / ((ca.alpha * cb.alpha) ** config.dd * bracket_tau)
+        thr_plus = config.gamma * (ca.alpha + cb.alpha) / bracket_tau
+        for sign, right, thr in (("-", eigs[b_sq], thr_minus),
+                                 ("+", eigs_conj[b_sq], thr_plus)):
+            pos, gap, bad = divisor_check(
+                xs, sorted_combos(eigs[a_sq], right, sign), thr, closed=True)
+            if sign == "-" and a_sq == b_sq:
+                bad &= ~at_zero[pos]
+            if bad.any():  # report the first failing ell in lexicographic order
+                p = np.flatnonzero(bad)[np.argmin(order[pos[bad]])]
+                return False, ResonanceError(ells[order[pos[p]]], a_sq, b_sq,
+                                             sign, gap[p], thr[pos[p]])
     return True, None
 
 

@@ -288,11 +288,6 @@ class PairedMultiplier:
         scale = max(self.r1.norm(m=0.0, s=0.0), 1.0)
         return res <= tol * scale
 
-    def apply_pair(self, u1, u2):
-        v1 = self.r1.apply(u1) + self.r2.conj().apply(u2)
-        v2 = self.r2.conj().apply(u1) + self.r1.conj().apply(u2)
-        return v1, v2
-
     def apply_pair_at_phi(self, c1, c2, phi):
         """Frozen-angle action on x-coefficient dicts (j -> complex)."""
         t1 = self.r1.values_at_phi(phi)

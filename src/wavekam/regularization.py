@@ -146,12 +146,6 @@ class PairedRankTerm:
         self.left = left
         self.right = right
 
-    def apply_pair(self, u1, u2):
-        s = self.right[0].pairing(u1) + self.right[1].pairing(u2)
-        a, _ = self.left[0].mul_angle(s)
-        b, _ = self.left[1].mul_angle(s)
-        return a, b
-
     def conjugate(self, t_fwd, t_inv):
         """Replace the term by T^{-1} (term) T: left -> T^{-1} left, right -> T^T right."""
         tt = t_fwd.transpose()

@@ -8,16 +8,18 @@ A frequency is accepted when every eigenvalue-difference condition
 
     |omega.ell + lambda_k + lambda_j| >= 2 gamma (alpha + beta) / <ell>^tau
 
-holds on the truncation.  Lebesgue measure is approximated by the sample
-fraction on a declared grid; the analytic Fubini argument is replaced by this
-sampling, which is the honest numerical counterpart.
+holds for every ell in the box |ell|_inf <= ell_max (ties pass); the KAM
+Melnikov scan shares the kernel ``divisor_check``.  Lebesgue measure is
+approximated by the sample fraction on a declared grid; the analytic Fubini
+argument is replaced by this sampling, which is the honest numerical
+counterpart.
 
 Note alpha + beta >= 2 on the spectrum, so the bracketed and unbracketed
 forms of the sum threshold coincide; and the difference-certificates at
 (ell, alpha, alpha) with k = j subsume the Diophantine condition
 |omega.ell| >= gamma/|ell|^tau up to the scan box, since
-2 gamma / <ell>^tau >= gamma / |ell|^tau.  Verdicts are floating point with
-declared slack, not interval proofs.
+2 gamma / <ell>^tau >= gamma / |ell|^tau.  Verdicts are floating point, not
+interval proofs.
 """
 
 import itertools
@@ -33,7 +35,9 @@ __all__ = [
     "ResonanceReport",
     "classify_omega",
     "classify_grid",
+    "divisor_check",
     "measure_sweep",
+    "sorted_combos",
     "eigenvalue_lipschitz_audit",
 ]
 
@@ -90,160 +94,148 @@ class ResonanceReport:
         }
 
 
-def _ell_list(nu, ell_max):
-    return [
-        ell
-        for ell in itertools.product(range(-ell_max, ell_max + 1), repeat=nu)
-    ]
+def sorted_combos(la, lb, sign):
+    """The combinations la[k] - lb[j] (sign '-') or la[k] + lb[j] ('+'), sorted."""
+    grid = la[:, None] - lb[None, :] if sign == "-" else la[:, None] + lb[None, :]
+    return np.sort(grid.ravel())
 
 
-def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
-                   first_only=True, slack=0.0):
-    """Verdict for one frequency; certificates carry the failing inequality.
+def _windows(xs, d, thr_max):
+    """Index ranges [lo, hi) of the sorted xs that can fail against some d:
+    the half-width covers the rounding of x + d and of the window ends."""
+    reach = 2.0 * thr_max + 1e-15 * np.abs(d)
+    return (np.searchsorted(xs, -d - reach),
+            np.searchsorted(xs, -d + reach, side="right"))
+
+
+def divisor_check(xs, combos, thr, closed=False):
+    """The small-divisor kernel: which x fail min_d |x + d| against thr.
+
+    ``xs`` ascends, ``combos`` comes from ``sorted_combos`` and ``thr``
+    broadcasts against xs, with leading axes for several threshold sets.
+    Only the x in a window around some -d are read (sorted range queries);
+    their min_d |x + d| comes from the two neighbours of -x in combos, which
+    equals the dense minimum bit for bit because fl(x + d) is monotone in d.
+    Returns (pos, gap, bad): window positions in xs, their minima, and
+    bad[..., p] where pos[p] fails: not gap > thr when ``closed`` (ties fail,
+    the KAM rule), else not gap >= thr (ties pass, the classifier rule).
+    """
+    thr = np.asarray(thr, dtype=float)
+    lo, hi = _windows(xs, combos, np.max(thr, initial=0.0))
+    edges = (np.bincount(lo, minlength=xs.size + 1)
+             - np.bincount(hi, minlength=xs.size + 1))
+    pos = np.flatnonzero(np.cumsum(edges[:-1]))
+    x = xs[pos]
+    i = np.searchsorted(combos, -x)
+    gap = np.minimum(np.abs(x + combos[np.maximum(i - 1, 0)]),
+                     np.abs(x + combos[np.minimum(i, combos.size - 1)]))
+    t = np.broadcast_to(thr, thr.shape[:-1] + xs.shape)[..., pos]
+    return pos, gap, ~(gap > t) if closed else ~(gap >= t)
+
+
+def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
+    """Classifier failures over the box |ell|_inf <= ell_max, in scan order
+    (ell outer, then cluster pairs, 'R' before 'Q'): yields (ell, wl, pair,
+    kind, thr, g, s), sample s failing at gammas[g], thr[g] the thresholds.
 
     Pruning (validated against the full scan in tests): a difference
     condition can only fail when m|alpha-beta| <= |omega||ell| + 2 gamma
-    + 2 r_max, and a sum condition only when (m - small)(alpha+beta) <=
-    |omega||ell| + 2 r_max; the (0, alpha, beta != alpha) and (0, +)-sets are
-    empty for small gamma, which the same bounds detect.
+    + 2 r_max, and a sum condition only when (m - 2 gamma/<ell>^tau)
+    (alpha+beta) <= |omega||ell| + 2 r_max, with |omega| bounded over the
+    samples.
     """
-    omega = np.asarray(omega, dtype=float)
-    nu = omega.size
-    lat = eigen.lattice
-    m = eigen.m
-    r_max = eigen.correction_bound()
-    omega_norm = float(np.linalg.norm(omega))
-    certs = []
-    for ell in _ell_list(nu, ell_max):
-        wl = float(np.dot(omega, ell))
+    m, r_max = eigen.m, eigen.correction_bound()
+    omega_max = float(np.max(np.linalg.norm(samples, axis=1)))
+    pairs = [(ca, cb) for ca in eigen.lattice.clusters
+             for cb in eigen.lattice.clusters]
+    a = np.array([ca.alpha for ca, _ in pairs])
+    b = np.array([cb.alpha for _, cb in pairs])
+    ab_dd = np.array([(ca.alpha * cb.alpha) ** dd for ca, cb in pairs])
+    same = np.array([ca.alpha_sq == cb.alpha_sq for ca, cb in pairs])
+    combos = [sorted_combos(eigen.tables[ca.alpha_sq], eigen.tables[cb.alpha_sq],
+                            sign) for ca, cb in pairs for sign in "-+"]
+    every = np.concatenate(combos)
+    cond = np.repeat(np.arange(len(combos)), [d.size for d in combos])
+    g2 = 2.0 * np.asarray(gammas, dtype=float)[:, None]
+    for ell in itertools.product(range(-ell_max, ell_max + 1),
+                                 repeat=samples.shape[1]):
         ell_norm = float(np.linalg.norm(ell))
-        bracket = max(1.0, ell_norm)
-        budget = omega_norm * ell_norm + 2.0 * gamma + 2.0 * r_max
-        for ca in lat.clusters:
-            for cb in lat.clusters:
-                a, b = ca.alpha, cb.alpha
-                # difference condition
-                skip_diag = ca.alpha_sq == cb.alpha_sq and not any(ell)
-                if not skip_diag and (not prune or m * abs(a - b) <= budget):
-                    thr = 2.0 * gamma / (bracket**tau * (a * b) ** dd)
-                    la = eigen.tables[ca.alpha_sq]
-                    lb = eigen.tables[cb.alpha_sq]
-                    gap = np.abs(wl + la[:, None] - lb[None, :])
-                    kmin = np.unravel_index(np.argmin(gap), gap.shape)
-                    if gap[kmin] < thr - slack:
-                        certs.append(_certificate(
-                            "R", ell, ca, cb, kmin, float(gap[kmin]), thr
-                        ))
-                        if first_only:
-                            return ResonanceReport(omega, False, certs)
-                # sum condition
-                margin_m = m - 2.0 * gamma / bracket**tau
-                if not prune or margin_m * (a + b) <= omega_norm * ell_norm + 2.0 * r_max:
-                    thr = 2.0 * gamma * (a + b) / bracket**tau
-                    la = eigen.tables[ca.alpha_sq]
-                    lb = eigen.tables[cb.alpha_sq]
-                    gap = np.abs(wl + la[:, None] + lb[None, :])
-                    kmin = np.unravel_index(np.argmin(gap), gap.shape)
-                    if gap[kmin] < thr - slack:
-                        certs.append(_certificate(
-                            "Q", ell, ca, cb, kmin, float(gap[kmin]), thr
-                        ))
-                        if first_only:
-                            return ResonanceReport(omega, False, certs)
+        bracket_tau = max(1.0, ell_norm) ** tau
+        keep_r = ~(same & (ell_norm == 0.0))
+        keep_q = True
+        if prune:
+            keep_r = keep_r & (m * np.abs(a - b)
+                               <= omega_max * ell_norm + g2 + 2.0 * r_max)
+            keep_q = (m - g2 / bracket_tau) * (a + b) <= (
+                omega_max * ell_norm + 2.0 * r_max)
+        thr = np.stack([np.where(keep_r, g2 / (bracket_tau * ab_dd), -np.inf),
+                        np.where(keep_q, g2 * (a + b) / bracket_tau, -np.inf)],
+                       axis=2).reshape(len(gammas), len(combos))
+        wl = samples @ np.asarray(ell, dtype=float)
+        order = np.argsort(wl, kind="stable")
+        xs = wl[order]
+        # only conditions with a sample in one of their windows can fail
+        lo, hi = _windows(xs, every, np.max(thr, axis=0)[cond])
+        for c in np.flatnonzero(np.bincount(cond[lo < hi], minlength=len(combos))):
+            pos, _, bad = divisor_check(xs, combos[c], thr[:, c, None])
+            g, p = np.nonzero(bad)
+            if g.size:
+                yield (ell, wl, pairs[c // 2], "RQ"[c % 2], thr[:, c], g,
+                       order[pos[p]])
+
+
+def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
+                   first_only=True):
+    """Verdict for one frequency; certificates carry the failing inequality,
+    in scan order, each at the smallest entry (k, j) of its table
+    |omega.ell + lambda_k -+ lambda_j|."""
+    omega = np.asarray(omega, dtype=float)
+    certs = []
+    for ell, wl, (ca, cb), kind, thr, _, _ in _scan_box(
+            omega[None, :], eigen, [gamma], tau, dd, ell_max, prune):
+        la = eigen.tables[ca.alpha_sq][:, None]
+        lb = eigen.tables[cb.alpha_sq][None, :]
+        gap = np.abs(wl[0] + la - lb) if kind == "R" else np.abs(wl[0] + la + lb)
+        k, j = np.unravel_index(np.argmin(gap), gap.shape)
+        certs.append({"kind": kind, "ell": list(ell), "alpha_sq": ca.alpha_sq,
+                      "beta_sq": cb.alpha_sq, "k": int(k), "j": int(j),
+                      "value": float(gap[k, j]), "threshold": float(thr[0])})
+        if first_only:
+            break
     return ResonanceReport(omega, not certs, certs)
 
 
-def _certificate(kind, ell, ca, cb, kmin, value, thr):
-    return {
-        "kind": kind,
-        "ell": list(ell),
-        "alpha_sq": ca.alpha_sq,
-        "beta_sq": cb.alpha_sq,
-        "k": int(kmin[0]),
-        "j": int(kmin[1]),
-        "value": value,
-        "threshold": thr,
-    }
-
-
-def recheck_certificate(omega, eigen, cert):
-    """Re-evaluate the certificate inequality (reproducibility contract)."""
-    omega = np.asarray(omega, dtype=float)
-    wl = float(np.dot(omega, cert["ell"]))
-    la = eigen.tables[cert["alpha_sq"]][cert["k"]]
-    lb = eigen.tables[cert["beta_sq"]][cert["j"]]
-    value = abs(wl + la - lb) if cert["kind"] == "R" else abs(wl + la + lb)
-    return value < cert["threshold"], value
+def _grid_masks(samples, eigen, gammas, tau, dd, ell_max):
+    """Acceptance mask per gamma; each gap is computed once for all gammas."""
+    accepted = np.ones((len(gammas), samples.shape[0]), dtype=bool)
+    for *_, g, s in _scan_box(samples, eigen, gammas, tau, dd, ell_max):
+        accepted[g, s] = False
+    return accepted
 
 
 def classify_grid(samples, eigen, gamma, tau, dd, ell_max):
     """Vectorized verdicts for a whole sample array (pre-screen scale).
 
-    Returns a boolean acceptance mask.  Scans each (ell, alpha, beta) against
-    all samples at once; identical verdict family as classify_omega (tested).
+    Returns a boolean acceptance mask; identical verdict family as
+    classify_omega (tested), with pruning bounded by the largest sample norm.
     """
     samples = np.asarray(samples, dtype=float)
-    lat = eigen.lattice
-    m = eigen.m
-    r_max = eigen.correction_bound()
-    omega_max = float(np.max(np.linalg.norm(samples, axis=1)))
-    accepted = np.ones(samples.shape[0], dtype=bool)
-    nu = samples.shape[1]
-    clusters = lat.clusters
-    for ell in _ell_list(nu, ell_max):
-        ell_norm = float(np.linalg.norm(ell))
-        bracket = max(1.0, ell_norm)
-        wl = samples @ np.asarray(ell, dtype=float)
-        budget = omega_max * ell_norm + 2.0 * gamma + 2.0 * r_max
-        for ca in clusters:
-            for cb in clusters:
-                a, b = ca.alpha, cb.alpha
-                la = eigen.tables[ca.alpha_sq]
-                lb = eigen.tables[cb.alpha_sq]
-                skip_diag = ca.alpha_sq == cb.alpha_sq and not any(ell)
-                if not skip_diag and m * abs(a - b) <= budget:
-                    thr = 2.0 * gamma / (bracket**tau * (a * b) ** dd)
-                    diffs = (la[:, None] - lb[None, :]).ravel()
-                    gap = np.min(
-                        np.abs(wl[:, None] + diffs[None, :]), axis=1
-                    )
-                    accepted &= gap >= thr
-                margin_m = m - 2.0 * gamma / bracket**tau
-                if margin_m * (a + b) <= omega_max * ell_norm + 2.0 * r_max:
-                    thr = 2.0 * gamma * (a + b) / bracket**tau
-                    sums = (la[:, None] + lb[None, :]).ravel()
-                    gap = np.min(
-                        np.abs(wl[:, None] + sums[None, :]), axis=1
-                    )
-                    accepted &= gap >= thr
-    return accepted
+    return _grid_masks(samples, eigen, [gamma], tau, dd, ell_max)[0]
 
 
 def measure_sweep(samples, eigen, gamma_list, tau, dd, ell_max):
     """Excluded fraction per gamma plus the linear fit of fraction vs gamma.
 
-    Degenerate grids (single sample or zero spread in the fractions) are
-    flagged instead of fitted.
+    The masks equal classify_grid's at each gamma; every gap is computed once
+    for the whole list.  Degenerate grids (single sample or zero spread in
+    the fractions) are flagged instead of fitted.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ParameterError("samples must be an (n, nu) array")
-    rows = []
-    fractions = []
-    for gamma in gamma_list:
-        mask = classify_grid(samples, eigen, gamma, tau, dd, ell_max)
-        frac = float(np.mean(~mask))
-        fractions.append(frac)
-        rows.append(
-            {
-                "gamma": float(gamma),
-                "n_samples": int(samples.shape[0]),
-                "n_excluded": int(np.sum(~mask)),
-                "fraction": frac,
-            }
-        )
+    masks = _grid_masks(samples, eigen, gamma_list, tau, dd, ell_max)
+    fractions = np.mean(~masks, axis=1)
     gammas = np.asarray(gamma_list, dtype=float)
-    fractions = np.asarray(fractions)
     fit = {"degenerate": True, "slope": math.nan, "intercept": math.nan,
            "r2": math.nan}
     if samples.shape[0] > 1 and len(gammas) >= 2 and np.ptp(fractions) > 0:
@@ -257,9 +249,12 @@ def measure_sweep(samples, eigen, gamma_list, tau, dd, ell_max):
             "intercept": float(coeffs[1]),
             "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan,
         }
-    for row in rows:
-        row["fit_slope"] = fit["slope"]
-        row["fit_r2"] = fit["r2"]
+    rows = [
+        {"gamma": float(gamma), "n_samples": int(samples.shape[0]),
+         "n_excluded": int(np.sum(~mask)), "fraction": float(frac),
+         "fit_slope": fit["slope"], "fit_r2": fit["r2"]}
+        for gamma, mask, frac in zip(gamma_list, masks, fractions)
+    ]
     return rows, fit
 
 

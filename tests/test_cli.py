@@ -1,11 +1,13 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
 from wavekam.cli import main
+from wavekam.kam import MAX_SCAN_ELLS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src/wavekam/configs"
 
@@ -90,6 +92,26 @@ class TestRunVerb:
                            "--seed", str(seed)) == 0
             outs[seed] = (out / "r4_blocks.json").read_text()
         assert outs[1] != outs[2]
+
+
+class TestResourceLimits:
+    def test_huge_cutoff_exits_3_with_certificate(self, tmp_path, capsys):
+        # N_0 = 100000 would mean ~3e10 ell in the first Melnikov scan
+        cfg = yaml.safe_load((CONFIG_DIR / "kirchhoff-lin.yaml").read_text())
+        cfg["numerics"]["n0"] = 100000
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        t0 = time.monotonic()
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 3
+        assert time.monotonic() - t0 < 60.0
+        assert "numerical failure" in capsys.readouterr().err
+        payload = json.loads((out / "failure_certificate.json").read_text())
+        assert payload["error"] == "ResourceLimitError"
+        cert = payload["certificate"]
+        assert cert["kind"] == "ell-cap"
+        assert cert["N_k"] == 100000 and cert["nu"] == 2
+        assert cert["n_ell"] > cert["cap"] == MAX_SCAN_ELLS
 
 
 class TestOtherVerbs:

@@ -11,13 +11,14 @@ from wavekam.kam import (
     KamConfig,
     KamState,
     SylvesterOperator,
+    _melnikov_scan,
     assemble_homological_solution,
-    check_melnikov,
     final_eigenvalues,
     kam_run,
     kam_step,
     sylvester_solve,
 )
+from wavekam.resonance import divisor_check, sorted_combos
 
 from conftest import random_hamiltonian_paired, rng_for
 
@@ -118,31 +119,56 @@ class TestSylvester:
         assert err.value.kind == "-"
 
 
+def melnikov_condition(state, lat, cfg, omega, ell, a_sq, b_sq, kind):
+    """One KAM Melnikov condition through the kernel: (fails, gap, threshold),
+    gap None when omega.ell lies outside every window that could fail."""
+    eigs = state.eig_tables()
+    right = eigs[b_sq]
+    if kind == "+":
+        perm = lat.cluster(b_sq).neg_perm
+        right = np.linalg.eigvalsh(
+            np.conj(state.d_blocks[b_sq][np.ix_(perm, perm)])
+        )
+    x = np.asarray([ell], dtype=float) @ omega
+    bracket = max(1.0, float(np.linalg.norm(ell)))
+    a, b = lat.alpha(a_sq), lat.alpha(b_sq)
+    if kind == "-":
+        thr = cfg.gamma / ((a * b) ** cfg.dd * bracket**cfg.tau)
+    else:
+        thr = cfg.gamma * (a + b) / bracket**cfg.tau
+    _, gap, bad = divisor_check(x, sorted_combos(eigs[a_sq], right, kind), thr,
+                                closed=True)
+    return bool(bad.any()), (float(gap[0]) if gap.size else None), thr
+
+
 class TestMelnikov:
     def test_unperturbed_minus_condition(self):
         lat = toy_lattice()
         rem = PairedBlockOperator.zero(lat, 2, 3)
         state = toy_state(lat, rem)
         cfg = toy_config()
-        ok, margin = check_melnikov(
+        bad, _, thr = melnikov_condition(
             state, lat, cfg, OMEGA, (0, 0), 1, 4, "-"
         )
-        # inverse norm 1/(m|a-b|) = 1 against threshold (ab)^dd / gamma
-        assert ok and margin > 0
+        # smallest divisor m|a-b| = 1 against threshold gamma / (ab)^dd
+        assert thr < 1.0 and not bad
 
     def test_unperturbed_plus_condition(self):
         lat = toy_lattice()
         state = toy_state(lat, PairedBlockOperator.zero(lat, 2, 3))
         cfg = toy_config()
-        ok, _ = check_melnikov(state, lat, cfg, OMEGA, (0, 0), 1, 1, "+")
-        assert ok
+        bad, _, _ = melnikov_condition(state, lat, cfg, OMEGA, (0, 0), 1, 1, "+")
+        assert not bad
 
     def test_diagonal_exclusion(self):
+        # the divisor at (0, a, a) vanishes, yet the scan passes: it is excluded
         lat = toy_lattice()
         state = toy_state(lat, PairedBlockOperator.zero(lat, 2, 3))
         cfg = toy_config()
-        ok, margin = check_melnikov(state, lat, cfg, OMEGA, (0, 0), 2, 2, "-")
-        assert ok and margin == math.inf
+        bad, gap, _ = melnikov_condition(state, lat, cfg, OMEGA, (0, 0), 2, 2, "-")
+        assert gap == 0.0 and bad
+        ok, err = _melnikov_scan(state, lat, cfg, OMEGA, cfg.n_k(0), 2)
+        assert ok and err is None
 
     def test_engineered_near_resonance_fails(self):
         lat = toy_lattice()
@@ -151,8 +177,10 @@ class TestMelnikov:
         cfg = toy_config(gamma=gamma)
         # omega.ell ~ -(lambda_1 - lambda_2) = 1 within gamma/(1*2)^dd
         omega = np.array([1.0 + gamma / 64.0, GOLDEN])
-        ok, _ = check_melnikov(state, lat, cfg, omega, (1, 0), 1, 4, "-")
-        assert not ok
+        bad, _, _ = melnikov_condition(state, lat, cfg, omega, (1, 0), 1, 4, "-")
+        assert bad
+        ok, err = _melnikov_scan(state, lat, cfg, omega, cfg.n_k(0), 2)
+        assert not ok and err.kind == "-"
 
 
 class TestKamStep:
@@ -313,11 +341,13 @@ class TestKamRun:
         assert cert["kind"] in ("-", "+")
         # certificate reproduces its failing inequality on re-evaluation
         state = toy_state(lat, rem)
-        ok, _ = check_melnikov(
+        bad, gap, thr = melnikov_condition(
             state, lat, cfg, omega, cert["ell"], cert["alpha_sq"],
             cert["beta_sq"], cert["kind"],
         )
-        assert not ok
+        assert bad
+        assert gap == cert["value"]
+        assert thr == pytest.approx(cert["threshold"], rel=1e-15)
 
     def test_quadratic_model_once_tails_vanish(self):
         lat, cfg, rem, res = self.run_toy(1e-3)

@@ -8,9 +8,10 @@ from wavekam.resonance import (
     EigenData,
     classify_grid,
     classify_omega,
+    divisor_check,
     eigenvalue_lipschitz_audit,
     measure_sweep,
-    recheck_certificate,
+    sorted_combos,
 )
 
 from conftest import rng_for
@@ -43,9 +44,21 @@ class TestClassify:
             c["alpha_sq"] == 2 and c["beta_sq"] == 4 and c["ell"] == [1, 0]
             for c in certs
         )
+        # each certificate reproduces its failing inequality: through the
+        # kernel, and at the eigenpair (k, j) it names
         for cert in rep.certificates:
-            bad, value = recheck_certificate(omega, eig, cert)
-            assert bad and value == cert["value"]
+            la = eig.tables[cert["alpha_sq"]]
+            lb = eig.tables[cert["beta_sq"]]
+            sign = "-" if cert["kind"] == "R" else "+"
+            wl = float(np.dot(omega, cert["ell"]))
+            _, gap, bad = divisor_check(np.array([wl]),
+                                        sorted_combos(la, lb, sign),
+                                        cert["threshold"])
+            assert bad[0]
+            assert gap[0] == pytest.approx(cert["value"], rel=1e-12, abs=1e-15)
+            k, j = cert["k"], cert["j"]
+            value = abs(wl + la[k] - lb[j]) if sign == "-" else abs(wl + la[k] + lb[j])
+            assert value == cert["value"]
 
     def test_constructed_sum_resonance(self):
         eig = toy_eigen()

@@ -1,0 +1,200 @@
+"""The small-divisor kernel against the dense reference scans in oracles.py.
+
+Random Hermitian cluster blocks (generic, scalar, exactly repeated and
+unitarily rotated repeated spectra), frequencies, gamma, cutoffs and boxes:
+the KAM Melnikov scan, classify_omega (pruned or not, first or all
+certificates), classify_grid and measure_sweep must give the reference
+verdicts and certificates.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from wavekam import enumerate_clusters
+from wavekam.errors import ResourceLimitError
+from wavekam.kam import MAX_SCAN_ELLS, KamConfig, KamState, _melnikov_scan
+from wavekam.resonance import (
+    EigenData,
+    classify_grid,
+    classify_omega,
+    divisor_check,
+    measure_sweep,
+    sorted_combos,
+)
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def hermitian_block(rng, n, alpha, kind, size):
+    """alpha I plus a perturbation whose spectrum is generic or degenerate."""
+    if kind == "scalar":
+        h = np.eye(n) * rng.normal()
+    else:
+        vals = rng.normal(size=n)
+        if kind in ("repeated", "rotated"):
+            vals = np.repeat(vals[: (n + 1) // 2], 2)[:n]
+        h = np.diag(vals).astype(complex)
+        if kind in ("generic", "rotated"):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                                + 1j * rng.normal(size=(n, n)))
+            h = q @ h @ q.conj().T
+            h = 0.5 * (h + h.conj().T)
+    return alpha * np.eye(n, dtype=complex) + size * h
+
+
+@st.composite
+def spectra(draw):
+    lattice = enumerate_clusters(draw(st.sampled_from([1, 2])),
+                                 draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.4]))
+    kinds = st.sampled_from(["generic", "scalar", "repeated", "rotated"])
+    blocks = {
+        c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha, draw(kinds), size)
+        for c in lattice.clusters
+    }
+    return lattice, blocks
+
+
+frequencies = st.lists(
+    st.one_of(st.floats(0.3, 2.5), st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+    min_size=1, max_size=3,
+)
+gammas = st.floats(1e-4, 1.0)
+exponents = st.floats(0.0, 4.0)
+
+
+def state_of(blocks):
+    return KamState(step=0, d_blocks=blocks, remainder=None, accumulated=None)
+
+
+class TestKernel:
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.floats(1e-6, 3.0), st.booleans())
+    def test_dense_minimum_and_tie_rules(self, seed, na, nb, scale, closed):
+        rng = np.random.default_rng(seed)
+        la = np.sort(rng.normal(size=na))
+        lb = np.sort(np.repeat(rng.normal(size=(nb + 1) // 2), 2)[:nb])
+        x = np.sort(np.r_[rng.normal(scale=3.0, size=200), -(la[0] - lb[-1])])
+        table = (la[:, None] - lb[None, :]).ravel()
+        dense = np.min(np.abs(x[:, None] + table[None, :]), axis=1)
+        thr = scale * rng.random(x.size)
+        thr[::7] = dense[::7]  # exact ties
+        pos, gap, bad = divisor_check(x, sorted_combos(la, lb, "-"), thr,
+                                      closed=closed)
+        want = dense <= thr if closed else dense < thr
+        assert np.array_equal(np.flatnonzero(want), pos[bad])
+        assert np.array_equal(gap, dense[pos])  # bit for bit
+
+    def test_several_threshold_sets(self):
+        x = np.linspace(-1.0, 1.0, 41)
+        combos = np.array([-0.5, 0.5])
+        thr = np.array([[0.1], [0.0], [-np.inf]])
+        pos, gap, bad = divisor_check(x, combos, thr)
+        assert bad.shape == (3, pos.size)
+        assert np.array_equal(x[pos[bad[0]]], x[np.abs(np.abs(x) - 0.5) < 0.1])
+        assert not bad[1:].any()
+
+
+class TestMelnikovScan:
+    @PROPERTY
+    @given(spectra(), frequencies, gammas, exponents, exponents,
+           st.integers(1, 6))
+    def test_matches_dense_scan(self, spec, omega, gamma, tau, dd, n_cut):
+        lattice, blocks = spec
+        omega = np.array(omega)
+        cfg = KamConfig(nu=omega.size, d=lattice.d, gamma=gamma, tau=tau,
+                        dd=dd)
+        state = state_of(blocks)
+        ok, err = _melnikov_scan(state, lattice, cfg, omega, n_cut, omega.size)
+        ok_ref, err_ref = oracles.melnikov_scan(state, lattice, cfg, omega,
+                                                n_cut, omega.size)
+        assert ok == ok_ref
+        if not ok:
+            assert err.certificate() == err_ref.certificate()
+            # and the reference single-condition check agrees it fails
+            passes, _ = oracles.check_melnikov(
+                state, lattice, cfg, omega, err.ell, err.alpha_sq,
+                err.beta_sq, err.kind,
+            )
+            assert not passes
+
+    def test_cap_refuses_without_shrinking(self):
+        # the box |ell|_inf <= 600 has 1201^2 ~ 1.44e6 points, above the cap;
+        # the scan refuses before it reads the state
+        cfg = KamConfig(nu=2, d=2, gamma=0.01)
+        with pytest.raises(ResourceLimitError) as err:
+            _melnikov_scan(None, None, cfg, np.ones(2), 600, 2)
+        cert = err.value.certificate()
+        assert cert == {"kind": "ell-cap", "N_k": 600, "nu": 2,
+                        "n_ell": 1201**2, "cap": MAX_SCAN_ELLS}
+        # the desk problem's largest scan (N = 269) stays inside the cap
+        assert 539**2 < MAX_SCAN_ELLS
+
+
+class TestClassifier:
+    @PROPERTY
+    @given(spectra(), st.floats(0.3, 2.5), st.floats(0.3, 2.5), gammas,
+           exponents, exponents, st.integers(1, 3), st.booleans(),
+           st.booleans())
+    def test_classify_omega_matches_reference(self, spec, w1, w2, gamma, tau,
+                                              dd, ell_max, prune, first_only):
+        lattice, blocks = spec
+        eig = EigenData.from_blocks(lattice, blocks)
+        omega = np.array([w1, w2])
+        got = classify_omega(omega, eig, gamma, tau, dd, ell_max, prune=prune,
+                             first_only=first_only)
+        ref = oracles.classify_omega(omega, eig, gamma, tau, dd, ell_max,
+                                     prune=prune, first_only=first_only)
+        assert got.accepted == ref.accepted
+        assert got.certificates == ref.certificates
+        for cert in got.certificates:
+            bad, value = oracles.recheck_certificate(omega, eig, cert)
+            assert bad and value == cert["value"]
+
+    @PROPERTY
+    @given(spectra(), st.integers(0, 2**32 - 1), gammas, exponents,
+           exponents, st.integers(1, 3))
+    def test_grid_and_sweep_match_reference(self, spec, seed, gamma, tau, dd,
+                                            ell_max):
+        lattice, blocks = spec
+        eig = EigenData.from_blocks(lattice, blocks)
+        samples = 0.3 + 2.2 * np.random.default_rng(seed).random((40, 2))
+        gamma_list = [gamma, gamma / 3, gamma / 10]
+        masks = [oracles.classify_grid(samples, eig, g, tau, dd, ell_max)
+                 for g in gamma_list]
+        assert np.array_equal(
+            classify_grid(samples, eig, gamma, tau, dd, ell_max), masks[0])
+        rows, _ = measure_sweep(samples, eig, gamma_list, tau, dd, ell_max)
+        for row, mask in zip(rows, masks):
+            assert row["n_excluded"] == int(np.sum(~mask))
+            assert row["fraction"] == float(np.mean(~mask))
+
+
+def test_desk_sweep_bit_identical_to_reference():
+    """Criterion 6's 10^4-sample sweep: rows equal four reference grid calls."""
+    from test_acceptance import desk_problem
+    from wavekam.regularization import run_pipeline
+
+    p = desk_problem(1e-3)
+    reg = run_pipeline(p, np.array([1.66991901, 1.54742436]))
+    eig = EigenData.unperturbed(p.lattice, m=reg.m, c=list(reg.c))
+    ax = np.linspace(1.0, 2.0, 100)
+    mesh = np.meshgrid(ax, ax, indexing="ij")
+    samples = np.stack([m.ravel() for m in mesh], axis=-1)
+    g0 = 0.02
+    gamma_list = [g0, g0 / 2, g0 / 4, g0 / 8]
+    rows, fit = measure_sweep(samples, eig, gamma_list, p.tau, p.dd, p.ell_max)
+    for row, g in zip(rows, gamma_list):
+        mask = oracles.classify_grid(samples, eig, g, p.tau, p.dd, p.ell_max)
+        assert row["n_excluded"] == int(np.sum(~mask))
+        assert row["fraction"] == float(np.mean(~mask))
+    assert not math.isnan(fit["r2"])
