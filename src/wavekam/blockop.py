@@ -517,9 +517,9 @@ class PairedBlockOperator:
         scale = max(self.decay_norm(0.0), 1.0)
         return self.hamiltonian_residual(0.0) <= tol * scale
 
-    def apply_pair_at_phi(self, c1, c2, phi):
-        r2c = self.r2.conj()
-        r1c = self.r1.conj()
+    def apply_pair_at_phi(self, c1, c2, phi, conj_rows=None):
+        """Frozen-angle action; conj_rows = (r2.conj(), r1.conj()) if formed."""
+        r2c, r1c = conj_rows or (self.r2.conj(), self.r1.conj())
         a = self.r1.apply_at_phi(c1, phi)
         b = self.r2.apply_at_phi(c2, phi)
         c = r2c.apply_at_phi(c1, phi)

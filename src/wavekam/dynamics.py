@@ -12,7 +12,7 @@ Hermitian eigendecomposition, hence unitary.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class EvolutionRun:
     norm_v: np.ndarray
     norm_psi: np.ndarray
     s: float
-    dt: float
-    scheme: str
-    states: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
 
 def _space_norm(coeffs, s):
@@ -48,19 +44,9 @@ def _space_norm(coeffs, s):
     return math.sqrt(math.fsum(acc))
 
 
-def _rank_apply_x(rank_pairs, phi, coeffs):
-    """R(phi)[v] on x-coefficients: sum_k b<c, v> + c<b, v>."""
-    out = {}
-    for b, c in rank_pairs:
-        bv = b.x_coeffs_at_phi(phi)
-        cv = c.x_coeffs_at_phi(phi)
-        ip_c = sum(cv.get(tuple(-x for x in j), 0j) * u for j, u in coeffs.items())
-        ip_b = sum(bv.get(tuple(-x for x in j), 0j) * u for j, u in coeffs.items())
-        for j, val in bv.items():
-            out[j] = out.get(j, 0j) + val * ip_c
-        for j, val in cv.items():
-            out[j] = out.get(j, 0j) + val * ip_b
-    return out
+# steps per forcing table: the table holds 2 * _BLOCK_STEPS + 1 stage times,
+# so its memory does not grow with the horizon
+_BLOCK_STEPS = 64
 
 
 def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
@@ -70,6 +56,10 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
     v0, psi0: dicts j -> complex (zero-average x-data).  dt must resolve the
     forcing and the largest retained spatial frequency: dt <= 0.5/(|omega| +
     j_max).
+
+    The state lives on the initial modes ``sorted(set(v0) | set(psi0))`` only;
+    rank forcing that lands on other modes is dropped.  The forcing is
+    tabulated at the stage times of ``_BLOCK_STEPS`` steps at a time.
     """
     omega = np.asarray(omega, dtype=float)
     cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
@@ -81,29 +71,26 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
         if tuple(j) not in lat.cluster_of_point:
             raise ParameterError(f"initial mode {j} outside the lattice")
     n = len(modes)
-    idx = {j: i for i, j in enumerate(modes)}
     nsq = np.array([float(sum(x * x for x in j)) for j in modes])
-    y = np.zeros(2 * n, dtype=complex)
-    for j, v in v0.items():
-        y[idx[j]] = v
-    for j, v in psi0.items():
-        y[n + idx[j]] = v
+    y = np.array([v0.get(j, 0j) for j in modes]
+                 + [psi0.get(j, 0j) for j in modes], dtype=complex)
     eps = problem.epsilon
-    a_fn = problem.a
+    pairs = problem.rank_pairs if eps else []
+    # columns: a, then b_j, c_j of each pair on the modes, then c_-j, b_-j
+    negs = [tuple(-x for x in j) for j in modes]
+    cols = [problem.a]
+    cols += [f.angle_part(j) for b, c in pairs for f in (b, c) for j in modes]
+    cols += [f.angle_part(j) for b, c in pairs for f in (c, b) for j in negs]
+    coef = np.stack([f.coeffs.ravel() for f in cols], axis=1)
+    keep = np.any(coef != 0, axis=1)
+    coef = coef[keep]
+    ells = np.argwhere(keep.reshape(problem.a.coeffs.shape)) - problem.a.ell_max
 
-    def rhs(t, state):
-        phi = omega * t
+    def rhs(lin, rank, state):
+        # rows of u: eps b_k, eps c_k on the modes; of w: c_k, b_k at -j
+        u, w = rank
         vpart = state[:n]
-        ppart = state[n:]
-        a_val = float(a_fn.eval_at(phi.reshape(1, -1)).real[0]) if eps else 0.0
-        acc = -(1.0 + eps * a_val) * nsq * vpart
-        if eps and problem.rank_pairs:
-            coeffs = {j: vpart[idx[j]] for j in modes}
-            extra = _rank_apply_x(problem.rank_pairs, phi, coeffs)
-            for j, val in extra.items():
-                if j in idx:
-                    acc[idx[j]] += eps * val
-        return np.concatenate([ppart, acc])
+        return np.concatenate([state[n:], lin * vpart + (w @ vpart) @ u])
 
     n_steps = int(math.ceil(horizon / dt))
     sample_every = max(1, n_steps // max(1, n_samples - 1))
@@ -112,34 +99,41 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
 
     def record(t, state):
         times.append(t)
-        vmap = {j: state[idx[j]] for j in modes}
-        pmap = {j: state[n + idx[j]] for j in modes}
-        nv.append(vmap)
-        npsi.append(pmap)
+        nv.append({j: state[i] for i, j in enumerate(modes)})
+        npsi.append({j: state[n + i] for i, j in enumerate(modes)})
         if keep_states:
             states.append(state.copy())
 
     record(t, y)
-    for k in range(n_steps):
-        h = min(dt, horizon - t)
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            record(t, y)
+    for k0 in range(0, n_steps, _BLOCK_STEPS):
+        # stage times t_k, t_k + h_k / 2, t_k + h_k = t_(k+1) of the block
+        hs, stage_t = [], [t]
+        for _ in range(min(_BLOCK_STEPS, n_steps - k0)):
+            tk = stage_t[-1]
+            hs.append(min(dt, horizon - tk))
+            stage_t += [tk + hs[-1] / 2, tk + hs[-1]]
+        phi = np.asarray(stage_t)[:, None] * omega
+        vals = np.exp(1j * (phi @ ells.T)) @ coef
+        lin = -(1.0 + eps * vals[:, :1].real) * nsq
+        rank = vals[:, 1:].reshape(len(stage_t), 2, 2 * len(pairs), n)
+        rank[:, 0] *= eps
+        for k, h in enumerate(hs, k0):
+            r = 2 * (k - k0)
+            k1 = rhs(lin[r], rank[r], y)
+            k2 = rhs(lin[r + 1], rank[r + 1], y + h / 2 * k1)
+            k3 = rhs(lin[r + 1], rank[r + 1], y + h / 2 * k2)
+            k4 = rhs(lin[r + 2], rank[r + 2], y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t + h
+            if (k + 1) % sample_every == 0 or k == n_steps - 1:
+                record(t, y)
     return times, nv, npsi, states
 
 
 def run_norms(times, v_maps, psi_maps, s):
     nv = np.array([_space_norm(m, s + 0.5) for m in v_maps])
     npsi = np.array([_space_norm(m, s - 0.5) for m in psi_maps])
-    return EvolutionRun(
-        times=np.asarray(times), norm_v=nv, norm_psi=npsi, s=s, dt=0.0,
-        scheme="rk4",
-    )
+    return EvolutionRun(times=np.asarray(times), norm_v=nv, norm_psi=npsi, s=s)
 
 
 def evolve_reduced(d_blocks, lattice, u0, times, t0=0.0):
@@ -210,6 +204,12 @@ class ConjugationChain:
         self.omega = np.asarray(omega, dtype=float)
         self.reg = reg_result
         self.kam_state = kam_state
+        # Phi_inf and its inverse with their conjugate rows, formed once
+        self._kam = None if kam_state is None else [
+            (op, (op.r2.conj(), op.r1.conj()))
+            for op in (kam_state.accumulated.forward,
+                       kam_state.accumulated.inverse)
+        ]
 
     def tau_of_t(self, t):
         phi = (self.omega * t).reshape(1, -1)
@@ -217,18 +217,16 @@ class ConjugationChain:
 
     def w2_apply(self, c1, c2, phi):
         """W2 = T Phi_inf at frozen angle (Phi_inf optional)."""
-        if self.kam_state is not None:
-            c1, c2 = self.kam_state.accumulated.forward.apply_pair_at_phi(
-                c1, c2, phi
-            )
+        if self._kam is not None:
+            op, rows = self._kam[0]
+            c1, c2 = op.apply_pair_at_phi(c1, c2, phi, rows)
         return self.reg.t_fwd.apply_pair_at_phi(c1, c2, phi)
 
     def w2_inverse_apply(self, c1, c2, phi):
         c1, c2 = self.reg.t_bwd.apply_pair_at_phi(c1, c2, phi)
-        if self.kam_state is not None:
-            c1, c2 = self.kam_state.accumulated.inverse.apply_pair_at_phi(
-                c1, c2, phi
-            )
+        if self._kam is not None:
+            op, rows = self._kam[1]
+            c1, c2 = op.apply_pair_at_phi(c1, c2, phi, rows)
         return c1, c2
 
     def w1_apply(self, c1, c2, phi):
@@ -264,25 +262,27 @@ class ConjugationChain:
             c2[j] = s * (su - 1j * sp)
         return c1, c2
 
-    def solution_from_reduced(self, u0, t):
-        """(v, psi)(t) built from reduced data u(tau) at tau = t + alpha(omega t).
+    def solutions_from_reduced(self, u0, times):
+        """[(v, psi)(t) for t in times] built from reduced data u(tau) at
+        tau = t + alpha(omega t), with one reduced-flow diagonalisation.
 
         u0 is the reduced initial datum at tau0 = tau_of_t(0).
         """
-        tau0 = self.tau_of_t(0.0)
-        tau = self.tau_of_t(t)
+        taus = [self.tau_of_t(t) for t in times]
         d_blocks = (
             self.kam_state.d_blocks
             if self.kam_state is not None
             else self.reg.d_blocks(self.problem.lattice)
         )
-        (u_tau,) = evolve_reduced(
-            d_blocks, self.problem.lattice, u0, [tau], t0=tau0
+        snaps = evolve_reduced(
+            d_blocks, self.problem.lattice, u0, taus, t0=self.tau_of_t(0.0)
         )
-        u_conj = {tuple(-x for x in j): np.conj(v) for j, v in u_tau.items()}
-        phi_tau = self.omega * tau
-        h1, h2 = self.w2_apply(u_tau, u_conj, phi_tau)
-        return self.w1_apply(h1, h2, self.omega * t)
+        out = []
+        for t, tau, u_tau in zip(times, taus, snaps):
+            u_conj = {tuple(-x for x in j): np.conj(v) for j, v in u_tau.items()}
+            h1, h2 = self.w2_apply(u_tau, u_conj, self.omega * tau)
+            out.append(self.w1_apply(h1, h2, self.omega * t))
+        return out
 
     def initial_reduced_data(self, v0, psi0):
         """u at tau0 from (v, psi)(0) through the inverse chain."""
@@ -304,8 +304,8 @@ def conjugacy_roundtrip(chain, times, v_maps, psi_maps):
     )
     worst = 0.0
     scale = _space_norm(v0, 0.0) + _space_norm(p0, 0.0)
-    for t, vm, pm in zip(times, v_maps, psi_maps):
-        vv, pp = chain.solution_from_reduced(u1, t)
+    solved = chain.solutions_from_reduced(u1, times)
+    for vm, pm, (vv, pp) in zip(v_maps, psi_maps, solved):
         err = _pair_residual(vm, vv) + _pair_residual(pm, pp)
         worst = max(worst, err / scale)
     # round-trip of the maps themselves at t = 0

@@ -105,7 +105,6 @@ class KamState:
     remainder: PairedBlockOperator
     accumulated: ExpMap
     history: list = field(default_factory=list)
-    melnikov_log: list = field(default_factory=list)
     step_maps: list = field(default_factory=list)
     keep_maps: bool = False
 
@@ -129,8 +128,7 @@ class SylvesterOperator:
     __slots__ = ("ell", "a_sq", "b_sq", "sign", "left", "right", "omega_ell",
                  "_eig")
 
-    def __init__(self, ell, a_sq, b_sq, sign, left, right, omega,
-                 right_is_conjugate=None):
+    def __init__(self, ell, a_sq, b_sq, sign, left, right, omega):
         if sign not in ("-", "+"):
             raise ParameterError("sign must be '-' or '+'")
         self.ell = tuple(int(x) for x in ell)
@@ -325,7 +323,6 @@ def kam_step(state, lattice, config, omega):
         remainder=new_rem,
         accumulated=state.accumulated.then(phi),
         history=list(state.history),
-        melnikov_log=list(state.melnikov_log),
         step_maps=list(state.step_maps) + ([phi] if state.keep_maps else []),
         keep_maps=state.keep_maps,
     )

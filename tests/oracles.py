@@ -1,9 +1,11 @@
-"""Reference small-divisor scans: the dense per-(ell, cluster pair) code that
-``resonance.divisor_check`` replaced, kept verbatim as the oracle the kernel
-is tested against.
+"""Reference implementations kept verbatim as oracles; none of it is used by
+the package.
 
-Every function here forms the full table |omega.ell + lambda -+ mu| for each
-cluster pair and takes its minimum; none of it is used by the package.
+- The dense per-(ell, cluster pair) small-divisor scans that
+  ``resonance.divisor_check`` replaced: each forms the full table
+  |omega.ell + lambda -+ mu| for each cluster pair and takes its minimum.
+- The dict-based RK4 integrator that ``dynamics.evolve_original`` replaced: it
+  rebuilds ``dict j -> complex`` of the forcing at every stage.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from wavekam.errors import ResonanceError
+from wavekam.errors import ParameterError, ResonanceError
 from wavekam.kam import SylvesterOperator
 from wavekam.resonance import ResonanceReport
 
@@ -237,3 +239,94 @@ def classify_grid(samples, eigen, gamma, tau, dd, ell_max):
                     accepted &= gap >= thr
     return accepted
 
+
+
+# ---------------------------------------------------------------------------
+# RK4 on coefficient dicts (formerly dynamics.evolve_original and
+# dynamics._rank_apply_x)
+# ---------------------------------------------------------------------------
+
+
+def _rank_apply_x(rank_pairs, phi, coeffs):
+    """R(phi)[v] on x-coefficients: sum_k b<c, v> + c<b, v>."""
+    out = {}
+    for b, c in rank_pairs:
+        bv = b.x_coeffs_at_phi(phi)
+        cv = c.x_coeffs_at_phi(phi)
+        ip_c = sum(cv.get(tuple(-x for x in j), 0j) * u for j, u in coeffs.items())
+        ip_b = sum(bv.get(tuple(-x for x in j), 0j) * u for j, u in coeffs.items())
+        for j, val in bv.items():
+            out[j] = out.get(j, 0j) + val * ip_c
+        for j, val in cv.items():
+            out[j] = out.get(j, 0j) + val * ip_b
+    return out
+
+
+def evolve_original_dicts(problem, omega, v0, psi0, horizon, dt, n_samples=33,
+                          keep_states=True):
+    """RK4 trajectory of the first-order system on the Fourier truncation.
+
+    v0, psi0: dicts j -> complex (zero-average x-data).  dt must resolve the
+    forcing and the largest retained spatial frequency: dt <= 0.5/(|omega| +
+    j_max).
+    """
+    omega = np.asarray(omega, dtype=float)
+    cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
+    if dt > cfl:
+        raise ParameterError(f"dt = {dt:.3e} violates the step bound {cfl:.3e}")
+    modes = sorted(set(v0) | set(psi0))
+    lat = problem.lattice
+    for j in modes:
+        if tuple(j) not in lat.cluster_of_point:
+            raise ParameterError(f"initial mode {j} outside the lattice")
+    n = len(modes)
+    idx = {j: i for i, j in enumerate(modes)}
+    nsq = np.array([float(sum(x * x for x in j)) for j in modes])
+    y = np.zeros(2 * n, dtype=complex)
+    for j, v in v0.items():
+        y[idx[j]] = v
+    for j, v in psi0.items():
+        y[n + idx[j]] = v
+    eps = problem.epsilon
+    a_fn = problem.a
+
+    def rhs(t, state):
+        phi = omega * t
+        vpart = state[:n]
+        ppart = state[n:]
+        a_val = float(a_fn.eval_at(phi.reshape(1, -1)).real[0]) if eps else 0.0
+        acc = -(1.0 + eps * a_val) * nsq * vpart
+        if eps and problem.rank_pairs:
+            coeffs = {j: vpart[idx[j]] for j in modes}
+            extra = _rank_apply_x(problem.rank_pairs, phi, coeffs)
+            for j, val in extra.items():
+                if j in idx:
+                    acc[idx[j]] += eps * val
+        return np.concatenate([ppart, acc])
+
+    n_steps = int(math.ceil(horizon / dt))
+    sample_every = max(1, n_steps // max(1, n_samples - 1))
+    times, nv, npsi, states = [], [], [], []
+    t = 0.0
+
+    def record(t, state):
+        times.append(t)
+        vmap = {j: state[idx[j]] for j in modes}
+        pmap = {j: state[n + idx[j]] for j in modes}
+        nv.append(vmap)
+        npsi.append(pmap)
+        if keep_states:
+            states.append(state.copy())
+
+    record(t, y)
+    for k in range(n_steps):
+        h = min(dt, horizon - t)
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            record(t, y)
+    return times, nv, npsi, states

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavekam import AngleFunction, SpaceTimeFunction
+from wavekam.cli import build_problem, load_config
 from wavekam.dynamics import (
     ConjugationChain,
     conjugacy_roundtrip,
@@ -17,6 +20,8 @@ from wavekam.kam import KamConfig, kam_run
 from wavekam.regularization import WaveProblem, run_pipeline
 
 from conftest import rng_for
+from oracles import evolve_original_dicts
+from test_acceptance import desk_problem
 
 # strongly non-resonant against the toy spectrum {1, sqrt 2, 2}
 OMEGA = np.array([1.66991901, 1.54742436])
@@ -92,6 +97,42 @@ class TestEvolveOriginal:
         p = make_problem(0.0)
         with pytest.raises(ParameterError):
             evolve_original(p, OMEGA, {(1, 0): 1.0}, {}, 1.0, dt=1.0)
+
+    def test_matches_dict_oracle(self):
+        kirchhoff = build_problem(load_config(
+            Path(__file__).resolve().parents[1]
+            / "src/wavekam/configs/kirchhoff-lin.yaml"), 0)
+        # the initial modes cover the rank support +-(1,0), +-(0,1)
+        v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
+        psi0 = {(1, 1): 0.2, (-1, -1): 0.2, (1, 0): 0.25j, (-1, 0): -0.25j}
+        cases = [
+            (kirchhoff, OMEGA, 4.0, 0.004),
+            (desk_problem(1e-3), OMEGA, 5.0, 0.01),
+            (desk_problem(1e-3), np.array([1.33294561, 1.80752905]), 5.0, 0.01),
+            (desk_problem(0.0), OMEGA, 5.0, 0.01),
+            (desk_problem(1e-3), OMEGA, 5.0037, 0.01),  # short last step
+        ]
+        for p, omega, horizon, dt in cases:
+            times, vm, pm, states = evolve_original(p, omega, v0, psi0,
+                                                    horizon, dt)
+            want = evolve_original_dicts(p, omega, v0, psi0, horizon, dt)
+            assert times == want[0]
+            got, ref = np.array(states), np.array(want[3])
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert [list(m) for m in vm] == [list(m) for m in want[1]]
+
+    def test_forcing_table_memory_independent_of_horizon(self):
+        p = desk_problem(1e-3)
+        v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
+        peaks = []
+        for horizon in (20.0, 200.0):
+            tracemalloc.start()
+            try:
+                evolve_original(p, OMEGA, v0, {}, horizon, dt=0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestEvolveReduced:
@@ -191,7 +232,7 @@ class TestConjugacy:
         v0 = {(1, 0): 0.4, (-1, 0): 0.4}
         psi0 = {(0, 1): 0.2, (0, -1): 0.2}
         u1, u2 = chain.initial_reduced_data(v0, psi0)
-        vv, pp = chain.solution_from_reduced(u1, 0.0)
+        [(vv, pp)] = chain.solutions_from_reduced(u1, [0.0])
         for j in set(v0) | set(vv):
             assert vv.get(j, 0j) == pytest.approx(v0.get(j, 0j), abs=1e-10)
         for j in set(psi0) | set(pp):
@@ -199,7 +240,7 @@ class TestConjugacy:
 
     def test_reparametrization_consistency(self):
         # evaluating the reparametrized trajectory at tau(t) equals the
-        # chain's composed evaluation: encoded in solution_from_reduced,
+        # chain's composed evaluation: encoded in solutions_from_reduced,
         # cross-checked here against a direct tau-grid
         p, res, chain = self.chain_for(1e-3, with_kam=False)
         assert chain.tau_of_t(0.0) == pytest.approx(
