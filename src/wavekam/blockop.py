@@ -13,7 +13,7 @@ PairedBlockOperator stores the top row (R1, R2) of the 2x2 arrangement
     ( conj R2  conj R1)
 
 which is closed under composition, inversion and exponentials; the bottom row
-is implied and never materialized.
+is implied and never stored.
 """
 
 import math
@@ -247,30 +247,6 @@ class BlockOperator:
                         jp, _fresh_angle(u.nu, u.ell_max)
                     )
                     g.coeffs += shifted
-        return out
-
-    def apply_at_phi(self, coeff_map, phi):
-        """Frozen-angle action on x-coefficients: dict j -> complex."""
-        phi = np.asarray(phi, dtype=float)
-        out = {}
-        by_cluster = {}
-        for j, v in coeff_map.items():
-            a_sq = self.lattice.cluster_of_point.get(tuple(j))
-            if a_sq is not None:
-                by_cluster.setdefault(a_sq, {})[tuple(j)] = v
-        for (ell, a, b), mat in sorted(self.blocks.items()):
-            if b not in by_cluster:
-                continue
-            cb = self.lattice.cluster(b)
-            ca = self.lattice.cluster(a)
-            vec = np.zeros(cb.n_alpha, dtype=complex)
-            for j, v in by_cluster[b].items():
-                vec[cb.index_of[j]] = v
-            res = mat @ vec
-            phase = np.exp(1j * float(np.dot(phi, ell)))
-            for r, jp in enumerate(ca.points):
-                if res[r] != 0:
-                    out[jp] = out.get(jp, 0j) + phase * res[r]
         return out
 
     # -- dense oracle ---------------------------------------------------------
@@ -517,14 +493,24 @@ class PairedBlockOperator:
         scale = max(self.decay_norm(0.0), 1.0)
         return self.hamiltonian_residual(0.0) <= tol * scale
 
-    def apply_pair_at_phi(self, c1, c2, phi, conj_rows=None):
-        """Frozen-angle action; conj_rows = (r2.conj(), r1.conj()) if formed."""
-        r2c, r1c = conj_rows or (self.r2.conj(), self.r1.conj())
-        a = self.r1.apply_at_phi(c1, phi)
-        b = self.r2.apply_at_phi(c2, phi)
-        c = r2c.apply_at_phi(c1, phi)
-        d = r1c.apply_at_phi(c2, phi)
-        return _merge(a, b), _merge(c, d)
+    def matrix_at_phi(self, phi):
+        """Frozen-angle matrix of (r1 r2; conj r2 conj r1) over the flat index.
+
+        phi is one angle (nu,) or a stack (m, nu); the result is (2n, 2n) or
+        (m, 2n, 2n), rows and columns ordered as (top, bottom) halves over
+        ``lattice.points``.  At a real angle conj R(phi) = P conj(R(phi)) P
+        with P the j -> -j permutation, so the bottom row is read off the top.
+        """
+        phi = np.asarray(phi, dtype=float)
+        phis = phi.reshape(-1, self.r1.nu)
+        m1, m2 = (_matrices_at(op, phis) for op in (self.r1, self.r2))
+        p = self.lattice.neg_perm
+
+        def conj_perm(x):
+            return np.conj(x[:, p][:, :, p])
+
+        out = np.block([[m1, m2], [conj_perm(m2), conj_perm(m1)]])
+        return out[0] if phi.ndim == 1 else out
 
     def to_dense(self, ell_box=None):
         """Flatten the full 2x2 arrangement (test oracle)."""
@@ -537,10 +523,20 @@ class PairedBlockOperator:
         return np.vstack([top, bot]), ells, pts
 
 
-def _merge(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0j) + v
+def _matrices_at(op, phis):
+    """op(phi) for each row of phis as (m, n, n) over the flat index."""
+    lat = op.lattice
+    n = lat.n_points
+    out = np.zeros((len(phis), n, n), dtype=complex)
+    groups = {}
+    for (ell, a, b), mat in op.blocks.items():
+        groups.setdefault((a, b), []).append((ell, mat))
+    for (a, b), items in groups.items():
+        ells = np.array([e for e, _ in items], dtype=float)
+        stack = np.stack([m for _, m in items])
+        out[:, lat.slices[a], lat.slices[b]] = np.tensordot(
+            np.exp(1j * (phis @ ells.T)), stack, axes=1
+        )
     return out
 
 

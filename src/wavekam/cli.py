@@ -45,7 +45,7 @@ from .reporting import (
     write_trajectory,
 )
 from .spectrum import AngleFunction, SpaceTimeFunction, default_s0
-from .verify import SUITES, run_suite, tap_render
+from .verify import SUITES, rng_for, run_suite, tap_render
 
 PHASES = ("pipeline", "kam", "measure", "dynamics")
 
@@ -182,13 +182,6 @@ CONFIG_SCHEMA = {
 }
 
 
-def rng_stream(seed, *tags):
-    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
-    return np.random.Generator(
-        np.random.Philox(key=int.from_bytes(digest[:8], "little"))
-    )
-
-
 def load_config(path):
     import jsonschema
     import yaml
@@ -287,19 +280,19 @@ def build_problem(cfg, seed):
         from .spectrum import enumerate_clusters
 
         lattice = enumerate_clusters(d, j_max)
-        rng = rng_stream(seed, "kirchhoff-v0")
+        rng = rng_for(seed, "kirchhoff-v0")
         v0 = _build_space_time(prob["kirchhoff_v0"], nu, ell_max, d, lattice,
                                rng)
         return kirchhoff_linearization(v0, kwargs)
-    rng = rng_stream(seed, "coefficient-a")
+    rng = rng_for(seed, "coefficient-a")
     a = _build_angle(prob.get("a", {"kind": "zero"}), nu, ell_max, rng)
     pairs = []
     from .spectrum import enumerate_clusters
 
     lattice = enumerate_clusters(d, j_max)
     for i, pair in enumerate(prob.get("rank_pairs", [])):
-        rng_b = rng_stream(seed, "rank-b", i)
-        rng_c = rng_stream(seed, "rank-c", i)
+        rng_b = rng_for(seed, "rank-b", i)
+        rng_c = rng_for(seed, "rank-c", i)
         pairs.append(
             (
                 _build_space_time(pair["b"], nu, ell_max, d, lattice, rng_b),
@@ -450,7 +443,7 @@ def phase_dynamics(problem, cfg, kam_results, omegas, outdir, summary,
     dt = run.get("dt", 0.004)
     s_list = run.get("s_list", [1.0])
     s = float(s_list[0])
-    rng = rng_stream(seed, "dynamics-initial")
+    rng = rng_for(seed, "dynamics-initial")
     pts = list(problem.lattice.all_points())
     v0, psi0 = {}, {}
     for k in rng.permutation(len(pts))[:4]:

@@ -57,25 +57,28 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
     forcing and the largest retained spatial frequency: dt <= 0.5/(|omega| +
     j_max).
 
-    The state lives on the initial modes ``sorted(set(v0) | set(psi0))`` only;
-    rank forcing that lands on other modes is dropped.  The forcing is
-    tabulated at the stage times of ``_BLOCK_STEPS`` steps at a time.
+    The state lives on the initial modes and, when eps != 0, on the x-support
+    of every b_k, c_k.  This set is closed under the flow: Lap and a(omega t)
+    are diagonal, and the rank forcing b_k <c_k, v> + c_k <b_k, v> lands only
+    on that support.  The forcing is tabulated at the stage times of
+    ``_BLOCK_STEPS`` steps at a time.
     """
     omega = np.asarray(omega, dtype=float)
     cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
     if dt > cfl:
         raise ParameterError(f"dt = {dt:.3e} violates the step bound {cfl:.3e}")
-    modes = sorted(set(v0) | set(psi0))
+    eps = problem.epsilon
+    pairs = problem.rank_pairs if eps else []
+    modes = sorted(set(v0).union(psi0, *(f.space_modes() for pair in pairs
+                                         for f in pair)))
     lat = problem.lattice
     for j in modes:
         if tuple(j) not in lat.cluster_of_point:
-            raise ParameterError(f"initial mode {j} outside the lattice")
+            raise ParameterError(f"mode {j} outside the lattice")
     n = len(modes)
     nsq = np.array([float(sum(x * x for x in j)) for j in modes])
     y = np.array([v0.get(j, 0j) for j in modes]
                  + [psi0.get(j, 0j) for j in modes], dtype=complex)
-    eps = problem.epsilon
-    pairs = problem.rank_pairs if eps else []
     # columns: a, then b_j, c_j of each pair on the modes, then c_-j, b_-j
     negs = [tuple(-x for x in j) for j in modes]
     cols = [problem.a]
@@ -192,11 +195,18 @@ def stability_check(times, v_maps, psi_maps, s, ceiling=10.0):
     }
 
 
+# the complexification C and its inverse on one point; W1 uses kron(C, I_n)
+_C = 2.0 ** (-0.5) * np.array([[1.0, 1.0], [-1j, 1j]])
+_C_INV = 2.0 ** (-0.5) * np.array([[1.0, 1j], [1.0, -1j]])
+
+
 class ConjugationChain:
-    """W_infty(phi) = W1(phi) o A o W2(phi) evaluated on x-coefficients.
+    """W_infty(phi) = W1(phi) o A o W2(phi) as matrices over the flat index.
 
     W1 = S(phi) C, W2 = T(phi) Phi_inf(phi); the time reparametrization A
-    enters through tau(t) = t + alpha(omega t).
+    enters through tau(t) = t + alpha(omega t).  A state is one vector
+    (top; bottom) of length 2n over ``lattice.points``, (v; psi) on the
+    original side and (u1; u2) on the reduced side.
     """
 
     def __init__(self, problem, omega, reg_result, kam_state=None):
@@ -204,126 +214,95 @@ class ConjugationChain:
         self.omega = np.asarray(omega, dtype=float)
         self.reg = reg_result
         self.kam_state = kam_state
-        # Phi_inf and its inverse with their conjugate rows, formed once
-        self._kam = None if kam_state is None else [
-            (op, (op.r2.conj(), op.r1.conj()))
-            for op in (kam_state.accumulated.forward,
-                       kam_state.accumulated.inverse)
-        ]
+        # the factors of W2 and of its inverse, leftmost first
+        kam = [] if kam_state is None else [kam_state.accumulated]
+        self._w2 = [reg_result.t_fwd.to_paired_blocks()] + [
+            k.forward for k in kam]
+        self._w2_inv = [k.inverse for k in kam] + [
+            reg_result.t_bwd.to_paired_blocks()]
+        self._root = np.array(
+            [sum(x * x for x in j) ** 0.25 for j in problem.lattice.points])
 
     def tau_of_t(self, t):
         phi = (self.omega * t).reshape(1, -1)
         return t + float(self.reg.stage3.alpha_fn.eval_at(phi).real[0])
 
-    def w2_apply(self, c1, c2, phi):
-        """W2 = T Phi_inf at frozen angle (Phi_inf optional)."""
-        if self._kam is not None:
-            op, rows = self._kam[0]
-            c1, c2 = op.apply_pair_at_phi(c1, c2, phi, rows)
-        return self.reg.t_fwd.apply_pair_at_phi(c1, c2, phi)
+    def w2(self, taus, inverse=False):
+        """W2(omega tau), or W2^{-1}, for each tau: shape (m, 2n, 2n)."""
+        phis = np.outer(taus, self.omega)
+        out = None
+        for op in self._w2_inv if inverse else self._w2:
+            mat = op.matrix_at_phi(phis)
+            out = mat if out is None else out @ mat
+        return out
 
-    def w2_inverse_apply(self, c1, c2, phi):
-        c1, c2 = self.reg.t_bwd.apply_pair_at_phi(c1, c2, phi)
-        if self._kam is not None:
-            op, rows = self._kam[1]
-            c1, c2 = op.apply_pair_at_phi(c1, c2, phi, rows)
-        return c1, c2
+    def w1(self, t, inverse=False):
+        """S(omega t) C, or C^{-1} S(omega t)^{-1}, as a (2n, 2n) matrix.
 
-    def w1_apply(self, c1, c2, phi):
-        """(v, psi) = S(phi) C [(u1, u2)] on x-coefficients."""
-        s = 2.0 ** (-0.5)
-        beta_val = float(self.reg.stage1.beta.eval_at(phi.reshape(1, -1)).real[0])
-        binv_val = float(
-            self.reg.stage1.beta_inv.eval_at(phi.reshape(1, -1)).real[0]
-        )
-        v, p = {}, {}
-        for j in set(c1) | set(c2):
-            nj = math.sqrt(sum(x * x for x in j))
-            u1 = c1.get(j, 0j)
-            u2 = c2.get(j, 0j)
-            cv = s * (u1 + u2)
-            cp = s * (-1j * u1 + 1j * u2)
-            v[j] = beta_val * nj ** (-0.5) * cv
-            p[j] = binv_val * nj**0.5 * cp
-        return v, p
-
-    def w1_inverse_apply(self, v, p, phi):
-        s = 2.0 ** (-0.5)
-        beta_val = float(self.reg.stage1.beta.eval_at(phi.reshape(1, -1)).real[0])
-        binv_val = float(
-            self.reg.stage1.beta_inv.eval_at(phi.reshape(1, -1)).real[0]
-        )
-        c1, c2 = {}, {}
-        for j in set(v) | set(p):
-            nj = math.sqrt(sum(x * x for x in j))
-            su = binv_val * nj**0.5 * v.get(j, 0j)
-            sp = beta_val * nj ** (-0.5) * p.get(j, 0j)
-            c1[j] = s * (su + 1j * sp)
-            c2[j] = s * (su - 1j * sp)
-        return c1, c2
+        S = diag(beta |j|^-1/2, beta_inv |j|^1/2) with beta_inv the
+        pipeline's own series for 1/beta.
+        """
+        phi = (self.omega * t).reshape(1, -1)
+        beta, binv = (float(f.eval_at(phi).real[0])
+                      for f in (self.reg.stage1.beta, self.reg.stage1.beta_inv))
+        eye = np.eye(len(self._root))
+        if inverse:
+            return np.kron(_C_INV, eye) * np.concatenate(
+                [binv * self._root, beta / self._root])
+        return np.concatenate([beta / self._root, binv * self._root])[
+            :, None] * np.kron(_C, eye)
 
     def solutions_from_reduced(self, u0, times):
-        """[(v, psi)(t) for t in times] built from reduced data u(tau) at
-        tau = t + alpha(omega t), with one reduced-flow diagonalisation.
+        """(v; psi)(t) for t in times, shape (m, 2n), built from reduced data
+        u(tau) at tau = t + alpha(omega t), with one reduced-flow
+        diagonalisation.
 
-        u0 is the reduced initial datum at tau0 = tau_of_t(0).
+        u0 (length n) is the reduced initial datum at tau0 = tau_of_t(0).
         """
+        lat = self.problem.lattice
         taus = [self.tau_of_t(t) for t in times]
         d_blocks = (
             self.kam_state.d_blocks
             if self.kam_state is not None
-            else self.reg.d_blocks(self.problem.lattice)
+            else self.reg.d_blocks(lat)
         )
-        snaps = evolve_reduced(
-            d_blocks, self.problem.lattice, u0, taus, t0=self.tau_of_t(0.0)
-        )
-        out = []
-        for t, tau, u_tau in zip(times, taus, snaps):
-            u_conj = {tuple(-x for x in j): np.conj(v) for j, v in u_tau.items()}
-            h1, h2 = self.w2_apply(u_tau, u_conj, self.omega * tau)
-            out.append(self.w1_apply(h1, h2, self.omega * t))
-        return out
+        snaps = evolve_reduced(d_blocks, lat, dict(zip(lat.points, u0)), taus,
+                               t0=self.tau_of_t(0.0))
+        u = np.array([lat.vector(snap) for snap in snaps])
+        full = np.concatenate([u, np.conj(u[:, lat.neg_perm])], axis=1)
+        return np.array([self.w1(t) @ (w2 @ x)
+                         for t, w2, x in zip(times, self.w2(taus), full)])
 
-    def initial_reduced_data(self, v0, psi0):
-        """u at tau0 from (v, psi)(0) through the inverse chain."""
-        tau0 = self.tau_of_t(0.0)
-        c1, c2 = self.w1_inverse_apply(v0, psi0, self.omega * 0.0)
-        u1, u2 = self.w2_inverse_apply(c1, c2, self.omega * tau0)
-        return u1, u2
+    def initial_reduced_data(self, x0):
+        """(u1; u2) at tau0 from (v; psi)(0) through the inverse chain."""
+        [w2_inv] = self.w2([self.tau_of_t(0.0)], inverse=True)
+        return w2_inv @ (self.w1(0.0, inverse=True) @ x0)
 
 
 def conjugacy_roundtrip(chain, times, v_maps, psi_maps):
     """Relative deviation of the trajectory from W_infty(omega t)[u(t)].
 
     Also reports the inverse-composition residual of the chain at t = 0.
+    The trajectory's dicts are converted to flat vectors once, here.
     """
-    v0, p0 = v_maps[0], psi_maps[0]
-    u1, u2 = chain.initial_reduced_data(v0, p0)
-    conj_residual = _pair_residual(
-        u2, {tuple(-x for x in j): np.conj(v) for j, v in u1.items()}
-    )
-    worst = 0.0
-    scale = _space_norm(v0, 0.0) + _space_norm(p0, 0.0)
-    solved = chain.solutions_from_reduced(u1, times)
-    for vm, pm, (vv, pp) in zip(v_maps, psi_maps, solved):
-        err = _pair_residual(vm, vv) + _pair_residual(pm, pp)
-        worst = max(worst, err / scale)
+    lat = chain.problem.lattice
+    n = lat.n_points
+    x = np.array([np.concatenate([lat.vector(v), lat.vector(p)])
+                  for v, p in zip(v_maps, psi_maps)])
+
+    def pair_norm(y):
+        return np.linalg.norm(y[..., :n], axis=-1) + np.linalg.norm(
+            y[..., n:], axis=-1)
+
+    u = chain.initial_reduced_data(x[0])
+    conj_residual = np.linalg.norm(u[n:] - np.conj(u[:n][lat.neg_perm]))
+    scale = pair_norm(x[0])
+    solved = chain.solutions_from_reduced(u[:n], times)
     # round-trip of the maps themselves at t = 0
-    c1, c2 = chain.w1_inverse_apply(v0, p0, chain.omega * 0.0)
-    tau0 = chain.tau_of_t(0.0)
-    h1, h2 = chain.w2_inverse_apply(c1, c2, chain.omega * tau0)
-    b1, b2 = chain.w2_apply(h1, h2, chain.omega * tau0)
-    r1, r2 = chain.w1_apply(b1, b2, chain.omega * 0.0)
-    inv_residual = (_pair_residual(r1, v0) + _pair_residual(r2, p0)) / scale
+    [w2] = chain.w2([chain.tau_of_t(0.0)])
+    back = chain.w1(0.0) @ (w2 @ u)
     return {
-        "trajectory_residual": worst,
-        "inverse_residual": inv_residual,
-        "reality_residual": conj_residual,
+        "trajectory_residual": float(np.max(pair_norm(x - solved)) / scale),
+        "inverse_residual": float(pair_norm(back - x[0]) / scale),
+        "reality_residual": float(conj_residual),
     }
-
-
-def _pair_residual(a, b):
-    keys = set(a) | set(b)
-    return math.sqrt(
-        math.fsum(abs(a.get(j, 0j) - b.get(j, 0j)) ** 2 for j in keys)
-    )

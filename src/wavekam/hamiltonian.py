@@ -207,8 +207,8 @@ def push_forward(x, phi, omega, phi_inverse=None):
     """Transformed field Phi^{-1}(X Phi - omega . dphi Phi).
 
     ``phi`` may be an ExpMap (exact inverse) or a bare operator close to the
-    identity (Neumann inverse).  Works for paired operators and for general
-    2x2 block matrices.
+    identity (Neumann inverse).  Works for paired operators, paired
+    multipliers and general 2x2 block matrices.
     """
     if isinstance(phi, ExpMap):
         fwd, inv = phi.forward, phi.inverse

@@ -167,11 +167,6 @@ class FourierMultiplier:
             out.comps[j] = prod
         return out
 
-    def values_at_phi(self, phi):
-        """Symbol values r(phi, alpha) per cluster, at one frozen angle."""
-        phi = np.asarray(phi, dtype=float).reshape(1, -1)
-        return np.array([complex(p.eval_at(phi)[0]) for p in self.parts])
-
     def to_blocks(self):
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
         for c, p in zip(self.lattice.clusters, self.parts):
@@ -287,24 +282,6 @@ class PairedMultiplier:
         res = (self.r1.conj() + self.r1).norm(m=0.0, s=0.0)
         scale = max(self.r1.norm(m=0.0, s=0.0), 1.0)
         return res <= tol * scale
-
-    def apply_pair_at_phi(self, c1, c2, phi):
-        """Frozen-angle action on x-coefficient dicts (j -> complex)."""
-        t1 = self.r1.values_at_phi(phi)
-        t2 = self.r2.values_at_phi(phi)
-        lat = self.lattice
-        idx = {a2: i for i, a2 in enumerate(lat.alpha_sqs)}
-        v1, v2 = {}, {}
-        for j in set(c1) | set(c2):
-            a_sq = lat.cluster_of_point.get(tuple(j))
-            if a_sq is None:
-                continue
-            i = idx[a_sq]
-            x1 = c1.get(j, 0j)
-            x2 = c2.get(j, 0j)
-            v1[j] = t1[i] * x1 + t2[i] * x2
-            v2[j] = np.conj(t2[i]) * x1 + np.conj(t1[i]) * x2
-        return v1, v2
 
     def to_paired_blocks(self):
         return PairedBlockOperator(self.r1.to_blocks(), self.r2.to_blocks())

@@ -22,6 +22,7 @@ import numpy as np
 
 from .blockop import PairedBlockOperator, rank_one_blocks
 from .errors import FixedPointError, ParameterError
+from .hamiltonian import ExpMap, push_forward
 from .multiplier import (
     FourierMultiplier,
     PairedMultiplier,
@@ -44,7 +45,6 @@ __all__ = [
     "decouple_step",
     "reduce_diagonal",
     "run_pipeline",
-    "push_forward_multiplier",
     "split_multiplier_state",
 ]
 
@@ -169,36 +169,6 @@ def _apply_paired_multiplier_pair(t, pair):
     f1, f2 = pair
     v1 = t.r1.apply(f1) + t.r2.apply(f2)
     v2 = t.r2.conj().apply(f1) + t.r1.conj().apply(f2)
-    return v1, v2
-
-
-def rank_terms_apply_at_phi(terms, c1, c2, phi, scale=1.0):
-    """Frozen-angle action of a list of PairedRankTerms on coefficient dicts."""
-    phi = np.asarray(phi, dtype=float)
-    v1, v2 = {}, {}
-    for t in terms:
-        s = 0j
-        for side, cs in ((t.right[0], c1), (t.right[1], c2)):
-            g = side.x_coeffs_at_phi(phi)
-            for j, u in cs.items():
-                mj = tuple(-x for x in j)
-                if mj in g:
-                    s += g[mj] * u
-        for target, lf in ((v1, t.left[0]), (v2, t.left[1])):
-            for j, lv in lf.x_coeffs_at_phi(phi).items():
-                target[j] = target.get(j, 0j) + scale * lv * s
-    return v1, v2
-
-
-def field_apply_at_phi(mult, rank_terms, eps, c1, c2, phi):
-    """Frozen-angle action of (paired multiplier + eps * rank part)."""
-    v1, v2 = mult.apply_pair_at_phi(c1, c2, phi)
-    if rank_terms:
-        w1, w2 = rank_terms_apply_at_phi(rank_terms, c1, c2, phi, scale=eps)
-        for j, v in w1.items():
-            v1[j] = v1.get(j, 0j) + v
-        for j, v in w2.items():
-            v2[j] = v2.get(j, 0j) + v
     return v1, v2
 
 
@@ -458,7 +428,7 @@ def decouple_step(fld, n, m, omega, problem):
     )
     fwd, _ = multiplier_exponential(gen)
     bwd, _ = multiplier_exponential(gen * (-1.0))
-    new_fld = push_forward_multiplier(fld, fwd, bwd, omega)
+    new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)
     # exact homological residual on stored symbols
     dmult = PairedMultiplier.diagonal(
         FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * m * a, 1.0)
@@ -479,12 +449,6 @@ def decouple_step(fld, n, m, omega, problem):
         "r_next_norm": r_new.norm(-1.0, 0.0),
     }
     return new_fld, (fwd, bwd), vn, diag
-
-
-def push_forward_multiplier(fld, fwd, bwd, omega):
-    """Phi^{-1}(L Phi - omega . dphi Phi) in the paired multiplier algebra."""
-    lot = fld.compose(fwd) - fwd.omega_dphi(omega)
-    return bwd.compose(lot)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +480,7 @@ def reduce_diagonal(fld, m, omega, problem):
     exp_neg, alias2 = e.map_pointwise(lambda v: np.exp(-1j * v), grid_n, order=0.0)
     fwd = PairedMultiplier.diagonal(exp_pos)
     bwd = PairedMultiplier.diagonal(exp_neg)
-    new_fld = push_forward_multiplier(fld, fwd, bwd, omega)
+    new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)
     # residual of the homological equation, per cluster
     resid = 0.0
     for i in range(len(lat.clusters)):

@@ -65,7 +65,13 @@ class ClusterIndex:
 
 
 class SpectralLattice:
-    """Clusters of the zero-average spectrum up to radius j_max."""
+    """Clusters of the zero-average spectrum up to radius j_max.
+
+    The flat point order is the clusters' points in cluster order
+    (``points``, the ``all_points()`` order); cluster alpha^2 occupies
+    ``slices[alpha_sq]`` of it, and ``neg_perm`` is the permutation
+    P with points[P[i]] = -points[i].
+    """
 
     def __init__(self, d, j_max, clusters):
         self.d = int(d)
@@ -74,9 +80,18 @@ class SpectralLattice:
         self.alpha_sqs = [c.alpha_sq for c in clusters]
         self.by_alpha_sq = {c.alpha_sq: c for c in clusters}
         self.cluster_of_point = {}
+        self.slices = {}
+        self.points = []
         for c in clusters:
+            self.slices[c.alpha_sq] = slice(len(self.points),
+                                            len(self.points) + c.n_alpha)
+            self.points += c.points
             for p in c.points:
                 self.cluster_of_point[p] = c.alpha_sq
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.neg_perm = np.array(
+            [self.index[tuple(-x for x in p)] for p in self.points], dtype=int
+        )
 
     def cluster(self, alpha_sq):
         return self.by_alpha_sq[alpha_sq]
@@ -86,11 +101,17 @@ class SpectralLattice:
 
     @property
     def n_points(self):
-        return sum(c.n_alpha for c in self.clusters)
+        return len(self.points)
 
     def all_points(self):
-        for c in self.clusters:
-            yield from c.points
+        return iter(self.points)
+
+    def vector(self, coeffs):
+        """Flat vector of a dict j -> complex over lattice points."""
+        out = np.zeros(len(self.points), dtype=complex)
+        for j, v in coeffs.items():
+            out[self.index[j]] = v
+        return out
 
     def cluster_gap_constant(self):
         """Brute-force C with |alpha - beta| >= C (alpha^-1 + beta^-1) on the truncation."""

@@ -1,18 +1,9 @@
-import hashlib
-
 import numpy as np
 import pytest
 
 from wavekam import enumerate_clusters
 from wavekam.blockop import BlockOperator, PairedBlockOperator
-
-
-def rng_for(*tags):
-    """Counter-based generator keyed by a stable hash of the tags."""
-    digest = hashlib.sha256(repr(tags).encode()).digest()
-    return np.random.Generator(
-        np.random.Philox(key=int.from_bytes(digest[:8], "little"))
-    )
+from wavekam.verify import rng_for  # noqa: F401  (tests import it from here)
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ the package.
   |omega.ell + lambda -+ mu| for each cluster pair and takes its minimum.
 - The dict-based RK4 integrator that ``dynamics.evolve_original`` replaced: it
   rebuilds ``dict j -> complex`` of the forcing at every stage.
+- The dict-based frozen-angle evaluators that
+  ``PairedBlockOperator.matrix_at_phi`` replaced, for block operators, paired
+  block operators, multipliers and the rank terms of the pipeline.
 """
 
 import itertools
@@ -330,3 +333,107 @@ def evolve_original_dicts(problem, omega, v0, psi0, horizon, dt, n_samples=33,
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(t, y)
     return times, nv, npsi, states
+
+
+# ---------------------------------------------------------------------------
+# frozen-angle action on coefficient dicts (formerly
+# BlockOperator.apply_at_phi, PairedBlockOperator.apply_pair_at_phi, _merge,
+# FourierMultiplier.values_at_phi, PairedMultiplier.apply_pair_at_phi,
+# regularization.rank_terms_apply_at_phi and field_apply_at_phi)
+# ---------------------------------------------------------------------------
+
+
+def block_apply_at_phi(op, coeff_map, phi):
+    """Frozen-angle action on x-coefficients: dict j -> complex."""
+    phi = np.asarray(phi, dtype=float)
+    out = {}
+    by_cluster = {}
+    for j, v in coeff_map.items():
+        a_sq = op.lattice.cluster_of_point.get(tuple(j))
+        if a_sq is not None:
+            by_cluster.setdefault(a_sq, {})[tuple(j)] = v
+    for (ell, a, b), mat in sorted(op.blocks.items()):
+        if b not in by_cluster:
+            continue
+        cb = op.lattice.cluster(b)
+        ca = op.lattice.cluster(a)
+        vec = np.zeros(cb.n_alpha, dtype=complex)
+        for j, v in by_cluster[b].items():
+            vec[cb.index_of[j]] = v
+        res = mat @ vec
+        phase = np.exp(1j * float(np.dot(phi, ell)))
+        for r, jp in enumerate(ca.points):
+            if res[r] != 0:
+                out[jp] = out.get(jp, 0j) + phase * res[r]
+    return out
+
+
+def paired_apply_pair_at_phi(op, c1, c2, phi):
+    """Frozen-angle action of a PairedBlockOperator on coefficient dicts."""
+    a = block_apply_at_phi(op.r1, c1, phi)
+    b = block_apply_at_phi(op.r2, c2, phi)
+    c = block_apply_at_phi(op.r2.conj(), c1, phi)
+    d = block_apply_at_phi(op.r1.conj(), c2, phi)
+    return _merge(a, b), _merge(c, d)
+
+
+def _merge(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0j) + v
+    return out
+
+
+def values_at_phi(r, phi):
+    """Symbol values r(phi, alpha) per cluster, at one frozen angle."""
+    phi = np.asarray(phi, dtype=float).reshape(1, -1)
+    return np.array([complex(p.eval_at(phi)[0]) for p in r.parts])
+
+
+def multiplier_apply_pair_at_phi(mult, c1, c2, phi):
+    """Frozen-angle action of a PairedMultiplier on x-coefficient dicts."""
+    t1 = values_at_phi(mult.r1, phi)
+    t2 = values_at_phi(mult.r2, phi)
+    lat = mult.lattice
+    idx = {a2: i for i, a2 in enumerate(lat.alpha_sqs)}
+    v1, v2 = {}, {}
+    for j in set(c1) | set(c2):
+        a_sq = lat.cluster_of_point.get(tuple(j))
+        if a_sq is None:
+            continue
+        i = idx[a_sq]
+        x1 = c1.get(j, 0j)
+        x2 = c2.get(j, 0j)
+        v1[j] = t1[i] * x1 + t2[i] * x2
+        v2[j] = np.conj(t2[i]) * x1 + np.conj(t1[i]) * x2
+    return v1, v2
+
+
+def rank_terms_apply_at_phi(terms, c1, c2, phi, scale=1.0):
+    """Frozen-angle action of a list of PairedRankTerms on coefficient dicts."""
+    phi = np.asarray(phi, dtype=float)
+    v1, v2 = {}, {}
+    for t in terms:
+        s = 0j
+        for side, cs in ((t.right[0], c1), (t.right[1], c2)):
+            g = side.x_coeffs_at_phi(phi)
+            for j, u in cs.items():
+                mj = tuple(-x for x in j)
+                if mj in g:
+                    s += g[mj] * u
+        for target, lf in ((v1, t.left[0]), (v2, t.left[1])):
+            for j, lv in lf.x_coeffs_at_phi(phi).items():
+                target[j] = target.get(j, 0j) + scale * lv * s
+    return v1, v2
+
+
+def field_apply_at_phi(mult, rank_terms, eps, c1, c2, phi):
+    """Frozen-angle action of (paired multiplier + eps * rank part)."""
+    v1, v2 = multiplier_apply_pair_at_phi(mult, c1, c2, phi)
+    if rank_terms:
+        w1, w2 = rank_terms_apply_at_phi(rank_terms, c1, c2, phi, scale=eps)
+        for j, v in w1.items():
+            v1[j] = v1.get(j, 0j) + v
+        for j, v in w2.items():
+            v2[j] = v2.get(j, 0j) + v
+    return v1, v2

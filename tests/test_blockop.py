@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wavekam import SpaceTimeFunction, enumerate_clusters
+from wavekam import AngleFunction, SpaceTimeFunction, enumerate_clusters
 from wavekam.blockop import (
     BlockOperator,
     FiniteRankOperator,
@@ -19,6 +19,7 @@ from wavekam.blockop import (
     sobolev_action_bound_check,
 )
 from wavekam.errors import ContractViolation, LatticeMismatchError, ParameterError
+from wavekam.multiplier import FourierMultiplier, PairedMultiplier
 
 from conftest import (
     random_block_operator,
@@ -27,6 +28,7 @@ from conftest import (
     random_space_time,
     rng_for,
 )
+from oracles import multiplier_apply_pair_at_phi, paired_apply_pair_at_phi
 
 
 class TestDecayNorm:
@@ -421,3 +423,56 @@ class TestPairedStructure:
         assert good.is_hamiltonian(1e-12)
         bad = random_paired(lat_d2, 2, 2, rng)
         assert not bad.is_hamiltonian(1e-12)
+
+
+class TestFrozenAngle:
+    PHIS = np.array([[0.0, 0.0], [0.3, -1.2], [2.1, 0.7], [-0.9, 3.0]])
+
+    def test_matches_dense_flattening(self):
+        # oracle: the ell' = 0 column blocks of the dense flattening, summed
+        # over rows ell with weights e^{i phi.ell}
+        lat = enumerate_clusters(2, 2)
+        op = random_paired(lat, 2, 2, rng_for("frozen-dense"), density=0.5)
+        dense, ells, pts = op.to_dense()
+        assert pts == lat.points
+        n, nl = len(pts), len(ells)
+        col0 = dense.reshape(2, nl, n, 2, nl, n)[:, :, :, :, ells.index((0, 0))]
+        got = op.matrix_at_phi(self.PHIS)
+        assert got.shape == (len(self.PHIS), 2 * n, 2 * n)
+        for phi, mat in zip(self.PHIS, got):
+            w = np.exp(1j * (np.array(ells) @ phi))
+            want = np.einsum("l,alibj->aibj", w, col0).reshape(2 * n, 2 * n)
+            assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(op.matrix_at_phi(phi) - mat)) \
+                <= 1e-13 * np.max(np.abs(want))
+
+    def test_matches_dict_oracles(self):
+        # the moved dict evaluators, on paired blocks and on multipliers
+        # through their exact paired blocks
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("frozen-oracle")
+        blocks = random_paired(lat, 2, 3, rng, density=0.5)
+        mult = PairedMultiplier(*(
+            FourierMultiplier(lat, 2, 3, parts=[
+                AngleFunction(2, 3, rng.standard_normal((7, 7))
+                              + 1j * rng.standard_normal((7, 7)))
+                for _ in lat.clusters])
+            for _ in range(2)))
+        cases = [
+            (blocks, lambda c1, c2, phi: paired_apply_pair_at_phi(
+                blocks, c1, c2, phi)),
+            (mult.to_paired_blocks(), lambda c1, c2, phi:
+                multiplier_apply_pair_at_phi(mult, c1, c2, phi)),
+        ]
+        pts = lat.points
+        for op, oracle in cases:
+            for phi in self.PHIS:
+                c1, c2 = ({pts[int(k)]: complex(*rng.standard_normal(2))
+                           for k in rng.integers(0, len(pts), 5)}
+                          for _ in range(2))
+                got = op.matrix_at_phi(phi) @ np.concatenate(
+                    [lat.vector(c1), lat.vector(c2)])
+                w1, w2 = oracle(c1, c2, phi)
+                want = np.concatenate([lat.vector(w1), lat.vector(w2)])
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))

@@ -121,6 +121,25 @@ class TestEvolveOriginal:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert [list(m) for m in vm] == [list(m) for m in want[1]]
 
+    def test_state_closed_under_rank_forcing(self):
+        # initial modes miss +-(0, 1), where the rank pair's c lives: a run
+        # holding every lattice mode from the start must give the same states
+        p = build_problem(load_config(
+            Path(__file__).resolve().parents[1]
+            / "src/wavekam/configs/kirchhoff-lin.yaml"), 0)
+        v0 = {(1, 0): 0.4, (-1, 0): 0.4}
+        psi0 = {(1, 1): 0.2, (-1, -1): 0.2}
+        zeros = {j: 0j for j in p.lattice.points}
+        _, vm, pm, _ = evolve_original(p, OMEGA, v0, psi0, 4.0, 0.004)
+        _, vm_all, pm_all, _ = evolve_original(
+            p, OMEGA, {**zeros, **v0}, {**zeros, **psi0}, 4.0, 0.004)
+        got = np.array([[m.get(j, 0j) for j in p.lattice.points]
+                        for m in vm + pm])
+        want = np.array([[m[j] for j in p.lattice.points]
+                         for m in vm_all + pm_all])
+        assert np.max(np.abs(got[:, p.lattice.index[(0, 1)]])) > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_forcing_table_memory_independent_of_horizon(self):
         p = desk_problem(1e-3)
         v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
@@ -231,8 +250,12 @@ class TestConjugacy:
         p, res, chain = self.chain_for(1e-3, with_kam=True)
         v0 = {(1, 0): 0.4, (-1, 0): 0.4}
         psi0 = {(0, 1): 0.2, (0, -1): 0.2}
-        u1, u2 = chain.initial_reduced_data(v0, psi0)
-        [(vv, pp)] = chain.solutions_from_reduced(u1, [0.0])
+        lat = p.lattice
+        n = lat.n_points
+        u = chain.initial_reduced_data(
+            np.concatenate([lat.vector(v0), lat.vector(psi0)]))
+        [x] = chain.solutions_from_reduced(u[:n], [0.0])
+        vv, pp = dict(zip(lat.points, x[:n])), dict(zip(lat.points, x[n:]))
         for j in set(v0) | set(vv):
             assert vv.get(j, 0j) == pytest.approx(v0.get(j, 0j), abs=1e-10)
         for j in set(psi0) | set(pp):

@@ -16,9 +16,7 @@ from wavekam.regularization import (
     WaveProblem,
     complexify_stage,
     decouple_step,
-    field_apply_at_phi,
     kirchhoff_linearization,
-    push_forward_multiplier,
     rank_terms_to_paired_blocks,
     reduce_diagonal,
     reparametrize_time,
@@ -28,6 +26,7 @@ from wavekam.regularization import (
 )
 
 from conftest import rng_for
+from oracles import field_apply_at_phi, paired_apply_pair_at_phi
 
 OMEGA = np.array([1.0, (1 + math.sqrt(5)) / 2])
 
@@ -449,7 +448,7 @@ class TestRunPipeline:
         l3_b = l3_mult_b + l3_rank_b
         inner = l3_b.compose(tfwd_b) - tfwd_b.omega_dphi(OMEGA)
         pushed = tbwd_b.compose(inner)
-        want1, want2 = pushed.apply_pair_at_phi(c1, c2, theta)
+        want1, want2 = paired_apply_pair_at_phi(pushed, c1, c2, theta)
         for j in set(got1) | set(want1):
             assert got1.get(j, 0j) == pytest.approx(want1.get(j, 0j), abs=1e-9)
         for j in set(got2) | set(want2):

@@ -67,6 +67,19 @@ class TestEnumerateClusters:
             for p in c.points:
                 assert tuple(-x for x in p) in c.index_of
 
+    @pytest.mark.parametrize("d, j_max", [(1, 3), (2, 3), (3, 2)])
+    def test_flat_index(self, d, j_max):
+        lat = enumerate_clusters(d, j_max)
+        assert lat.points == list(lat.all_points())
+        assert lat.points == [p for c in lat.clusters for p in c.points]
+        assert all(lat.points[lat.index[p]] == p for p in lat.points)
+        perm = lat.neg_perm
+        assert np.array_equal(perm[perm], np.arange(len(lat.points)))
+        for c in lat.clusters:
+            sl = lat.slices[c.alpha_sq]
+            assert lat.points[sl] == c.points
+            assert np.array_equal(perm[sl], sl.start + c.neg_perm)
+
     def test_summability_increments_decay(self):
         # sum alpha^-p monotone in j_max; increments shrink for p > d
         d, p = 2, 4.0
