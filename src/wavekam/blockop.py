@@ -1,11 +1,24 @@
 """Block algebra for phi-dependent operators over spectrum clusters.
 
 An operator R(phi) acting on zero-average functions of T^d is stored through
-its Fourier-in-phi block coefficients: a sparse map
-(ell, alpha^2, beta^2) -> complex matrix of shape n_alpha x n_beta, rows and
-columns ordered by the lattice's deterministic point order.  An absent block
-is zero; remainders become extremely sparse as the reduction progresses, and
-the sparse map is what makes desk-scale runs cheap.
+its Fourier-in-phi coefficients Rhat(ell), cut into n_alpha x n_beta blocks
+per cluster pair, rows and columns in the lattice's point order.
+
+Storage is one stack per cluster pair: ``stacks[(alpha^2, beta^2)] =
+(idx, mats)``.  ``idx`` is the sorted int vector of the stored ell as flat
+positions in the (2L+1)^nu box, in the lexicographic ``_ell_box_list`` order
+that ``to_dense`` uses, so -ell sits at (2L+1)^nu - 1 - idx; ``mats`` is the
+(k, n_alpha, n_beta) stack of their blocks.  An absent block is zero and a
+pair without blocks has no entry; remainders become extremely sparse as the
+reduction progresses.  Stacks are never written in place once an operator
+holds them, so operators share them freely.  ``set_block``, ``block`` and the
+sorted ``items`` iterator are the per-block accessors; every other operation
+is a few array operations per pair.
+
+``compose`` forms all block products of a cluster triple with one GEMM and
+sums them onto their output ell by a sorted scatter.  Products that leave the
+box are dropped and their HS mass is reported in ``meta['truncation_loss']``;
+exactly-zero output blocks are not stored.
 
 PairedBlockOperator stores the top row (R1, R2) of the 2x2 arrangement
 
@@ -16,103 +29,180 @@ which is closed under composition, inversion and exponentials; the bottom row
 is implied and never stored.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    DivergenceError,
-    LatticeMismatchError,
-    ParameterError,
-)
-from .spectrum import SpaceTimeFunction
+from .errors import DivergenceError, LatticeMismatchError, ParameterError
+from .spectrum import AngleFunction, SpaceTimeFunction
 
 __all__ = [
     "BlockOperator",
     "PairedBlockOperator",
-    "FiniteRankOperator",
     "block_decay_norm",
     "compose",
     "smoothing_projector",
     "diagonal_part",
     "operator_exponential",
-    "finite_rank_to_blocks",
-    "sobolev_action_bound_check",
 ]
 
+# compose keeps its product temporaries per GEMM within this many bytes
+_CHUNK_BYTES = 2**24
 
-def _key_norm(ell):
-    return float(np.linalg.norm(ell))
+
+def _ells_of(idx, nu, ell_max):
+    """(k, nu) ell vectors at flat box positions idx."""
+    n = 2 * ell_max + 1
+    out = np.empty((len(idx), nu), dtype=np.int64)
+    rem = np.asarray(idx, dtype=np.int64)
+    for k in range(nu - 1, -1, -1):
+        rem, out[:, k] = np.divmod(rem, n)
+    return out - ell_max
+
+
+def _norms_of(idx, nu, ell_max):
+    """|ell| at flat box positions idx (exact integer squares, one sqrt)."""
+    ells = _ells_of(idx, nu, ell_max)
+    return np.sqrt(np.sum(ells * ells, axis=1).astype(float))
+
+
+def _hs_sq(mats):
+    """Squared HS norm of each block of a (k, n, m) stack."""
+    return (np.abs(mats) ** 2).reshape(len(mats), -1).sum(axis=1)
+
+
+def _sq_norm(x):
+    """Squared HS norm of a complex array."""
+    return float(np.vdot(x, x).real)
+
+
+def _add_stacks(x, y):
+    """Sum of two (idx, mats) stacks of one cluster pair."""
+    (i1, m1), (i2, m2) = x, y
+    if np.array_equal(i1, i2):
+        return i1, m1 + m2
+    idx = np.union1d(i1, i2)
+    mats = np.zeros((len(idx),) + m1.shape[1:], dtype=complex)
+    mats[np.searchsorted(idx, i1)] = m1
+    mats[np.searchsorted(idx, i2)] += m2
+    return idx, mats
 
 
 class BlockOperator:
-    """Sparse block representation of a phi-dependent linear operator."""
+    """Sparse block representation of a phi-dependent linear operator.
 
-    __slots__ = ("lattice", "nu", "ell_max", "blocks", "meta")
+    ``blocks`` optionally maps (ell, alpha^2, beta^2) -> matrix, as many
+    ``set_block`` calls in one pass.
+    """
+
+    __slots__ = ("lattice", "nu", "ell_max", "stacks", "meta")
 
     def __init__(self, lattice, nu, ell_max, blocks=None):
         self.lattice = lattice
         self.nu = int(nu)
         self.ell_max = int(ell_max)
-        self.blocks = {}
+        self.stacks = {}
         self.meta = {}
-        if blocks:
-            for key, mat in blocks.items():
-                self.set_block(*key, mat)
+        grouped = {}
+        for (ell, a_sq, b_sq), mat in (blocks or {}).items():
+            grouped.setdefault((int(a_sq), int(b_sq)), []).append(
+                self._checked(ell, a_sq, b_sq, mat))
+        for key, entries in grouped.items():
+            entries.sort(key=lambda e: e[0])
+            self.stacks[key] = (np.array([p for p, _ in entries], dtype=np.int64),
+                                np.stack([m for _, m in entries]))
 
-    # -- bookkeeping ---------------------------------------------------------
+    # -- per-block accessors --------------------------------------------------
+    def _position(self, ell):
+        """Flat box position of ell, or None outside the box."""
+        ell = tuple(int(x) for x in ell)
+        if len(ell) != self.nu or any(abs(x) > self.ell_max for x in ell):
+            return None
+        n = 2 * self.ell_max + 1
+        p = 0
+        for x in ell:
+            p = p * n + x + self.ell_max
+        return p
+
     def _shape(self, a_sq, b_sq):
         return (
             self.lattice.cluster(a_sq).n_alpha,
             self.lattice.cluster(b_sq).n_alpha,
         )
 
-    def set_block(self, ell, a_sq, b_sq, mat):
-        ell = tuple(int(x) for x in ell)
-        if max(abs(x) for x in ell) > self.ell_max:
-            raise ParameterError(f"ell = {ell} outside |ell|_inf <= {self.ell_max}")
-        mat = np.asarray(mat, dtype=complex)
+    def _checked(self, ell, a_sq, b_sq, mat):
+        """(flat position, complex copy of mat), both validated."""
+        p = self._position(ell)
+        if p is None:
+            raise ParameterError(
+                f"ell = {tuple(ell)} outside |ell|_inf <= {self.ell_max} in nu = {self.nu}")
+        mat = np.array(mat, dtype=complex)
         if mat.shape != self._shape(a_sq, b_sq):
             raise ParameterError(
-                f"block ({ell},{a_sq},{b_sq}) has shape {mat.shape}, "
+                f"block ({tuple(ell)},{a_sq},{b_sq}) has shape {mat.shape}, "
                 f"expected {self._shape(a_sq, b_sq)}"
             )
-        self.blocks[(ell, int(a_sq), int(b_sq))] = mat
+        return p, mat
 
-    def add_to_block(self, ell, a_sq, b_sq, mat):
-        key = (tuple(int(x) for x in ell), int(a_sq), int(b_sq))
-        if key in self.blocks:
-            self.blocks[key] = self.blocks[key] + mat
+    def set_block(self, ell, a_sq, b_sq, mat):
+        p, mat = self._checked(ell, a_sq, b_sq, mat)
+        key = (int(a_sq), int(b_sq))
+        idx, mats = self.stacks.get(key, (np.empty(0, dtype=np.int64), mat[None][:0]))
+        i = int(np.searchsorted(idx, p))
+        if i < len(idx) and idx[i] == p:
+            mats = mats.copy()
+            mats[i] = mat
         else:
-            self.set_block(*key, mat)
+            idx = np.concatenate((idx[:i], [p], idx[i:]))
+            mats = np.concatenate((mats[:i], mat[None], mats[i:]))
+        self.stacks[key] = (idx, mats)
 
     def block(self, ell, a_sq, b_sq):
-        key = (tuple(int(x) for x in ell), int(a_sq), int(b_sq))
-        if key in self.blocks:
-            return self.blocks[key]
+        p = self._position(ell)
+        idx, mats = self.stacks.get((int(a_sq), int(b_sq)), (None, None))
+        if p is not None and idx is not None:
+            i = int(np.searchsorted(idx, p))
+            if i < len(idx) and idx[i] == p:
+                return mats[i]
         return np.zeros(self._shape(a_sq, b_sq), dtype=complex)
 
-    def sorted_keys(self):
-        return sorted(self.blocks.keys())
+    def items(self):
+        """((ell, alpha^2, beta^2), block) of every stored block, keys sorted."""
+        ells, order = {}, []
+        for (a, b), (idx, _) in self.stacks.items():
+            ells[(a, b)] = _ells_of(idx, self.nu, self.ell_max).tolist()
+            order.extend((p, a, b, i) for i, p in enumerate(idx.tolist()))
+        for _, a, b, i in sorted(order):
+            yield (tuple(ells[(a, b)][i]), a, b), self.stacks[(a, b)][1][i]
+
+    def __len__(self):
+        """Number of stored blocks."""
+        return sum(len(idx) for idx, _ in self.stacks.values())
 
     def copy(self):
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
-        out.blocks = {k: v.copy() for k, v in self.blocks.items()}
+        out.stacks = {k: (idx, mats.copy()) for k, (idx, mats) in self.stacks.items()}
         return out
 
     def drop_zero_blocks(self):
-        self.blocks = {
-            k: v for k, v in self.blocks.items() if np.any(v)
-        }
+        kept = {}
+        for key, (idx, mats) in self.stacks.items():
+            nonzero = mats.reshape(len(mats), -1).any(axis=1)
+            if nonzero.all():
+                kept[key] = (idx, mats)
+            elif nonzero.any():
+                kept[key] = (idx[nonzero], mats[nonzero])
+        self.stacks = kept
         return self
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):
         out = cls(lattice, nu, ell_max)
-        z = (0,) * nu
+        center = np.array([((2 * ell_max + 1) ** nu - 1) // 2], dtype=np.int64)
         for c in lattice.clusters:
-            out.set_block(z, c.alpha_sq, c.alpha_sq, np.eye(c.n_alpha, dtype=complex))
+            out.stacks[(c.alpha_sq, c.alpha_sq)] = (
+                center, np.eye(c.n_alpha, dtype=complex)[None])
         return out
 
     def _check_compat(self, other):
@@ -124,12 +214,11 @@ class BlockOperator:
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
         self._check_compat(other)
-        out = self.copy()
-        for key, mat in other.blocks.items():
-            if key in out.blocks:
-                out.blocks[key] = out.blocks[key] + mat
-            else:
-                out.blocks[key] = mat.copy()
+        out = BlockOperator(self.lattice, self.nu, self.ell_max)
+        out.stacks = dict(self.stacks)
+        for key, stack in other.stacks.items():
+            out.stacks[key] = (_add_stacks(out.stacks[key], stack)
+                               if key in out.stacks else stack)
         return out
 
     def __sub__(self, other):
@@ -137,30 +226,34 @@ class BlockOperator:
 
     def __mul__(self, scalar):
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
-        out.blocks = {k: v * scalar for k, v in self.blocks.items()}
+        out.stacks = {k: (idx, mats * scalar)
+                      for k, (idx, mats) in self.stacks.items()}
         return out
 
     __rmul__ = __mul__
 
     # -- involutions (all pointwise in phi) -----------------------------------
+    def _neg_perms(self, a_sq, b_sq):
+        """Row and column index arrays of j -> -j on the pair (alpha, beta)."""
+        return (self.lattice.cluster(a_sq).neg_perm[:, None],
+                self.lattice.cluster(b_sq).neg_perm[None, :])
+
     def transpose(self):
         """(R^T)_j^{j'} = R_{-j'}^{-j}: per-block negate-and-swap."""
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
-        for (ell, a, b), mat in self.blocks.items():
-            pa = self.lattice.cluster(a).neg_perm
-            pb = self.lattice.cluster(b).neg_perm
-            out.add_to_block(ell, b, a, mat[np.ix_(pa, pb)].T)
+        for (a, b), (idx, mats) in self.stacks.items():
+            pb, pa = self._neg_perms(b, a)
+            out.stacks[(b, a)] = (idx, mats.transpose(0, 2, 1)[:, pb, pa])
         return out
 
     def conj(self):
         """(conj R)_j^{j'}(phi) = conj(R_{-j}^{-j'}(phi)); ell flips with the phi conjugation."""
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
-        for (ell, a, b), mat in self.blocks.items():
-            pa = self.lattice.cluster(a).neg_perm
-            pb = self.lattice.cluster(b).neg_perm
-            out.add_to_block(
-                tuple(-x for x in ell), a, b, np.conj(mat[np.ix_(pa, pb)])
-            )
+        last = (2 * self.ell_max + 1) ** self.nu - 1
+        for (a, b), (idx, mats) in self.stacks.items():
+            pa, pb = self._neg_perms(a, b)
+            flipped = mats[::-1][:, pa, pb]
+            out.stacks[(a, b)] = (last - idx[::-1], np.conj(flipped, out=flipped))
         return out
 
     def adjoint(self):
@@ -179,32 +272,27 @@ class BlockOperator:
     def omega_dphi(self, omega):
         omega = np.asarray(omega, dtype=float)
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
-        for (ell, a, b), mat in self.blocks.items():
-            f = 1j * float(np.dot(omega, ell))
-            if f != 0:
-                out.set_block(ell, a, b, mat * f)
+        for key, (idx, mats) in self.stacks.items():
+            f = 1j * (_ells_of(idx, self.nu, self.ell_max) @ omega)
+            keep = f != 0
+            if keep.any():
+                out.stacks[key] = (idx[keep], mats[keep] * f[keep, None, None])
         return out
 
     # -- norms ----------------------------------------------------------------
     def decay_norm(self, s):
         """sup over (alpha, beta) of the ell-weighted HS mass, compensated sums."""
-        acc = {}
-        for (ell, a, b), mat in self.blocks.items():
-            w = max(
-                1.0,
-                _key_norm(ell),
-                self.lattice.alpha(a),
-                self.lattice.alpha(b),
-            ) ** (2.0 * s)
-            acc.setdefault((a, b), []).append(w * _hs_sq(mat))
-        if not acc:
-            return 0.0
-        return math.sqrt(max(math.fsum(v) for v in acc.values()))
+        best = 0.0
+        for (a, b), (idx, mats) in self.stacks.items():
+            floor = max(1.0, self.lattice.alpha(a), self.lattice.alpha(b))
+            base = np.maximum(_norms_of(idx, self.nu, self.ell_max), floor)
+            best = max(best, math.fsum(
+                x ** (2.0 * s) * h for x, h in zip(base.tolist(), _hs_sq(mats).tolist())))
+        return math.sqrt(best)
 
     def hs_total(self):
-        return math.sqrt(
-            math.fsum(_hs_sq(m) for _, m in sorted(self.blocks.items()))
-        )
+        return math.sqrt(math.fsum(
+            h for _, mats in self.stacks.values() for h in _hs_sq(mats).tolist()))
 
     # -- action ---------------------------------------------------------------
     def apply(self, u):
@@ -217,7 +305,7 @@ class BlockOperator:
             if a_sq is None:
                 continue
             by_cluster.setdefault(a_sq, []).append(j)
-        for (ell, a, b), mat in sorted(self.blocks.items()):
+        for (ell, a, b), mat in self.items():
             if b not in by_cluster:
                 continue
             cb = self.lattice.cluster(b)
@@ -243,9 +331,7 @@ class BlockOperator:
                 if jp in out.comps:
                     out.comps[jp].coeffs += shifted
                 else:
-                    g = out.comps.setdefault(
-                        jp, _fresh_angle(u.nu, u.ell_max)
-                    )
+                    g = out.comps.setdefault(jp, AngleFunction(u.nu, u.ell_max))
                     g.coeffs += shifted
         return out
 
@@ -264,7 +350,7 @@ class BlockOperator:
                 index[(ell, j)] = i * len(pts) + k
         n = len(ells) * len(pts)
         M = np.zeros((n, n), dtype=complex)
-        for (ell, a, b), mat in self.blocks.items():
+        for (ell, a, b), mat in self.items():
             ca = self.lattice.cluster(a)
             cb = self.lattice.cluster(b)
             for lp in ells:
@@ -276,12 +362,6 @@ class BlockOperator:
                     for c, jc in enumerate(cb.points):
                         M[row, index[(lp, jc)]] += mat[r, c]
         return M, ells, pts
-
-
-def _fresh_angle(nu, ell_max):
-    from .spectrum import AngleFunction
-
-    return AngleFunction(nu, ell_max)
 
 
 def _shift_coeffs(coeffs, ell, ell_max):
@@ -300,13 +380,7 @@ def _shift_coeffs(coeffs, ell, ell_max):
 
 
 def _ell_box_list(nu, ell_max):
-    import itertools
-
     return sorted(itertools.product(range(-ell_max, ell_max + 1), repeat=nu))
-
-
-def _hs_sq(mat):
-    return float(np.sum(np.abs(mat) ** 2))
 
 
 def _op_close(x, y, tol):
@@ -326,65 +400,68 @@ def block_decay_norm(R, s):
     return R.decay_norm(s)
 
 
+def _scatter_pattern(nu, ell_max, i1, i2):
+    """Where the products of two ell-index vectors land in the box.
+
+    i1, i2: sorted flat positions; product (i, j) is number
+    i * len(i2) + j.  Returns (order, starts, out, lost): the in-box products
+    sorted stably by output position, the starts of their runs, the output
+    position of each run, and the products outside the box.
+    """
+    e1, e2 = _ells_of(i1, nu, ell_max), _ells_of(i2, nu, ell_max)
+    inbox = np.ones((len(i1), len(i2)), dtype=bool)
+    for k in range(nu):
+        inbox &= np.abs(e1[:, k, None] + e2[None, :, k]) <= ell_max
+    inbox = inbox.ravel()
+    # inside the box flat positions add: (ell1 + L) + (ell2 + L) - center
+    pos = (i1[:, None] + i2[None, :]).ravel() - ((2 * ell_max + 1) ** nu - 1) // 2
+    order = np.flatnonzero(inbox)
+    order = order[np.argsort(pos[order], kind="stable")]
+    pos = pos[order]
+    starts = np.flatnonzero(np.diff(pos, prepend=-1))
+    return order, starts, pos[starts], np.flatnonzero(~inbox)
+
+
 def compose(R, T):
     """Operator product R(phi) T(phi): ell-convolution, block-matrix product.
 
-    The result is re-truncated to the ambient |ell|_inf box; the discarded HS
-    mass is stored in ``out.meta['truncation_loss']`` so truncation error
-    stays observable.  Products are batched per cluster triple and
-    scatter-added (exact sums, no FFT rounding).
+    Per cluster triple (alpha, beta, gamma), all products
+    Rhat(ell1)_{alpha beta} That(ell2)_{beta gamma} come from one GEMM and a
+    sorted scatter sums them onto ell1 + ell2.  The result is re-truncated to
+    the ambient |ell|_inf box; the discarded HS mass is stored in
+    ``out.meta['truncation_loss']`` so truncation error stays observable.
+    Exactly-zero output blocks are dropped.
     """
     R._check_compat(T)
-    L = R.ell_max
-    nu = R.nu
-    n_box = 2 * L + 1
-    groups_r = {}
-    for (ell, a, b), mat in R.blocks.items():
-        groups_r.setdefault((a, b), []).append((ell, mat))
-    groups_t = {}
-    for (ell, b, c), mat in T.blocks.items():
-        groups_t.setdefault(b, {}).setdefault(c, []).append((ell, mat))
+    nu, L = R.nu, R.ell_max
+    right_by_mid = {}
+    for (b, c), stack in sorted(T.stacks.items()):
+        right_by_mid.setdefault(b, []).append((c, stack))
     acc = {}
     lost = []
-    strides = np.array([n_box**k for k in range(nu - 1, -1, -1)])
-    for (a, b), left in sorted(groups_r.items()):
-        right_by_c = groups_t.get(b)
-        if not right_by_c:
-            continue
-        ell1 = np.array([e for e, _ in left])
-        m1 = np.stack([m for _, m in left])
-        for c, right in sorted(right_by_c.items()):
-            ell2 = np.array([e for e, _ in right])
-            m2 = np.stack([m for _, m in right])
-            na, nc = m1.shape[1], m2.shape[2]
-            key = (a, c)
-            if key not in acc:
-                acc[key] = np.zeros((n_box**nu, na, nc), dtype=complex)
-            dest = acc[key]
-            chunk = max(1, 2**24 // max(1, len(right) * na * nc * 16))
-            for lo in range(0, len(left), chunk):
-                hi = min(lo + chunk, len(left))
-                # (i,a,j,c) via one BLAS GEMM, then bring j next to i
-                prods = np.tensordot(m1[lo:hi], m2, axes=(2, 1))
-                prods = np.ascontiguousarray(prods.transpose(0, 2, 1, 3))
-                ells = ell1[lo:hi, None, :] + ell2[None, :, :]
-                inbox = np.all(np.abs(ells) <= L, axis=-1)
-                if not np.all(inbox):
-                    bad = prods[~inbox]
-                    lost.append(float(np.sum(np.abs(bad) ** 2)))
-                idx = (ells[inbox] + L) @ strides
-                np.add.at(dest, idx, prods[inbox])
-    out = BlockOperator(R.lattice, R.nu, R.ell_max)
-    offsets = np.arange(n_box)
-    for (a, c), dest in sorted(acc.items()):
-        nonzero = np.nonzero(np.any(dest != 0, axis=(1, 2)))[0]
-        for flat in nonzero.tolist():
-            ell = []
-            rem = flat
-            for k in range(nu):
-                q, rem = divmod(rem, n_box ** (nu - 1 - k))
-                ell.append(int(q) - L)
-            out.set_block(tuple(ell), a, c, dest[flat])
+    for (a, b), (idx1, m1) in sorted(R.stacks.items()):
+        for c, (idx2, m2) in right_by_mid.get(b, ()):
+            k2, nb, nc = m2.shape
+            na = m1.shape[1]
+            rhs = m2.transpose(1, 0, 2).reshape(nb, k2 * nc)
+            chunk = max(1, _CHUNK_BYTES // (k2 * na * nc * 16))
+            for lo in range(0, len(idx1), chunk):
+                left = idx1[lo:lo + chunk]
+                order, starts, pos, outside = _scatter_pattern(nu, L, left, idx2)
+                # one GEMM: prods[a, i * k2 + j, c] = (m1[lo + i] @ m2[j])[a, c]
+                lhs = m1[lo:lo + chunk].transpose(1, 0, 2).reshape(-1, nb)
+                prods = (lhs @ rhs).reshape(na, len(left) * k2, nc)
+                if len(outside):
+                    lost.append(_sq_norm(np.take(prods, outside, axis=1)))
+                if len(starts):
+                    sums = np.add.reduceat(np.take(prods, order, axis=1), starts, axis=1)
+                    part = (pos, np.ascontiguousarray(sums.transpose(1, 0, 2)))
+                    acc[(a, c)] = (_add_stacks(acc[(a, c)], part)
+                                   if (a, c) in acc else part)
+                del prods  # free it before the next chunk's GEMM
+    out = BlockOperator(R.lattice, nu, L)
+    out.stacks = acc
+    out.drop_zero_blocks()
     out.meta["truncation_loss"] = math.sqrt(math.fsum(lost)) if lost else 0.0
     return out
 
@@ -395,20 +472,26 @@ def smoothing_projector(R, N):
         raise ParameterError("N must be >= 1")
     low = BlockOperator(R.lattice, R.nu, R.ell_max)
     high = BlockOperator(R.lattice, R.nu, R.ell_max)
-    for (ell, a, b), mat in R.blocks.items():
-        size = max(_key_norm(ell), R.lattice.alpha(a), R.lattice.alpha(b))
-        target = low if size <= N else high
-        target.set_block(ell, a, b, mat.copy())
+    for (a, b), (idx, mats) in R.stacks.items():
+        size = np.maximum(_norms_of(idx, R.nu, R.ell_max),
+                          max(R.lattice.alpha(a), R.lattice.alpha(b)))
+        below = size <= N
+        for target, sel in ((low, below), (high, ~below)):
+            if sel.all():
+                target.stacks[(a, b)] = (idx, mats)
+            elif sel.any():
+                target.stacks[(a, b)] = (idx[sel], mats[sel])
     return low, high
 
 
 def diagonal_part(R):
     """Keep only the ell = 0, alpha = beta blocks."""
     out = BlockOperator(R.lattice, R.nu, R.ell_max)
-    z = (0,) * R.nu
-    for (ell, a, b), mat in R.blocks.items():
-        if ell == z and a == b:
-            out.set_block(ell, a, b, mat.copy())
+    center = ((2 * R.ell_max + 1) ** R.nu - 1) // 2
+    for (a, b), (idx, mats) in R.stacks.items():
+        i = int(np.searchsorted(idx, center))
+        if a == b and i < len(idx) and idx[i] == center:
+            out.stacks[(a, b)] = (idx[i:i + 1], mats[i:i + 1])
     return out
 
 
@@ -460,12 +543,21 @@ class PairedBlockOperator:
     __rmul__ = __mul__
 
     def compose(self, other):
-        a = compose(self.r1, other.r1) + compose(self.r2, other.r2.conj())
-        b = compose(self.r1, other.r2) + compose(self.r2, other.r1.conj())
+        """Paired product; each top-row entry reports the sum of its two
+        products' truncation losses (a triangle bound), the pair the max."""
+
+        def entry(x, y, u, v):
+            p, q = compose(x, y), compose(u, v)
+            out = p + q
+            out.meta["truncation_loss"] = (p.meta["truncation_loss"]
+                                           + q.meta["truncation_loss"])
+            return out
+
+        a = entry(self.r1, other.r1, self.r2, other.r2.conj())
+        b = entry(self.r1, other.r2, self.r2, other.r1.conj())
         out = PairedBlockOperator(a, b)
-        out.meta["truncation_loss"] = max(
-            a.meta.get("truncation_loss", 0.0), b.meta.get("truncation_loss", 0.0)
-        )
+        out.meta["truncation_loss"] = max(a.meta["truncation_loss"],
+                                          b.meta["truncation_loss"])
         return out
 
     def transpose(self):
@@ -528,14 +620,10 @@ def _matrices_at(op, phis):
     lat = op.lattice
     n = lat.n_points
     out = np.zeros((len(phis), n, n), dtype=complex)
-    groups = {}
-    for (ell, a, b), mat in op.blocks.items():
-        groups.setdefault((a, b), []).append((ell, mat))
-    for (a, b), items in groups.items():
-        ells = np.array([e for e, _ in items], dtype=float)
-        stack = np.stack([m for _, m in items])
+    for (a, b), (idx, mats) in op.stacks.items():
+        ells = _ells_of(idx, op.nu, op.ell_max).astype(float)
         out[:, lat.slices[a], lat.slices[b]] = np.tensordot(
-            np.exp(1j * (phis @ ells.T)), stack, axes=1
+            np.exp(1j * (phis @ ells.T)), mats, axes=1
         )
     return out
 
@@ -570,47 +658,9 @@ def operator_exponential(psi, tol=1e-15, max_terms=60, warn_threshold=1.0, s_che
     )
 
 
-class FiniteRankOperator:
-    """R(phi)[v] = sum_k b_k <c_k, v> + c_k <b_k, v>, pairings in x.
-
-    Symmetric by construction; b_k, c_k are zero-average in x by the
-    SpaceTimeFunction contract.
-    """
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        for b, c in self.pairs:
-            if not isinstance(b, SpaceTimeFunction) or not isinstance(
-                c, SpaceTimeFunction
-            ):
-                raise ContractViolation("rank pairs must be space-time functions")
-
-    @property
-    def rank_count(self):
-        return len(self.pairs)
-
-    def apply(self, v):
-        out = None
-        for b, c in self.pairs:
-            t = b.copy()
-            ip_c, _ = _angle_pair(c, v)
-            term1, _ = t.mul_angle(ip_c)
-            ip_b, _ = _angle_pair(b, v)
-            term2, _ = c.copy().mul_angle(ip_b)
-            term = term1 + term2
-            out = term if out is None else out + term
-        if out is None:
-            raise ContractViolation("empty finite-rank operator")
-        return out
-
-
-def _angle_pair(g, h):
-    return g.pairing(h), 0.0
-
-
 def rank_one_blocks(q, g, lattice):
     """Blocks of R(phi)[h] = q <g, h>:  Rhat_j^{j'}(ell) = sum q_j(ell-ell') g_{-j'}(ell')."""
-    out = BlockOperator(lattice, q.nu, q.ell_max)
+    blocks = {}
     for j in q.space_modes():
         a_sq = lattice.cluster_of_point.get(j)
         if a_sq is None:
@@ -627,52 +677,10 @@ def rank_one_blocks(q, g, lattice):
             col = cb.index_of[mjp]
             conv, _ = qa.product(g.angle_part(jp))
             for ell, val in conv.modes():
-                mat = np.zeros((ca.n_alpha, cb.n_alpha), dtype=complex)
-                mat[r, col] = val
-                out.add_to_block(ell, a_sq, b_sq, mat)
+                key = (ell, a_sq, b_sq)
+                if key not in blocks:
+                    blocks[key] = np.zeros((ca.n_alpha, cb.n_alpha), dtype=complex)
+                blocks[key][r, col] += val
+    out = BlockOperator(lattice, q.nu, q.ell_max, blocks)
     out.drop_zero_blocks()
     return out
-
-
-def finite_rank_to_blocks(K, lattice, check_reality_tol=1e-12):
-    """Convert a FiniteRankOperator to its BlockOperator representation."""
-    for b, c in K.pairs:
-        for f, name in ((b, "b"), (c, "c")):
-            # zero-average is structural for SpaceTimeFunction; re-validate cheaply
-            if any(all(x == 0 for x in j) for j in f.space_modes()):
-                raise ContractViolation(f"{name}_k has a j = 0 mode")
-    out = None
-    for b, c in K.pairs:
-        term = rank_one_blocks(b, c, lattice) + rank_one_blocks(c, b, lattice)
-        out = term if out is None else out + term
-    return out
-
-
-def sobolev_action_bound_check(R, s, s0):
-    """Compare the dense operator norm on H^s with the decay-norm bound.
-
-    For phi-independent operators the chain
-    ||R||_{B(H^s)} <= ||R||_{B(L^2, H^s)} <= C_trunc |R|_{s+2s0}
-    holds with the truncation constant C_trunc = sum_{alpha} alpha^{-2 s0}
-    (both cluster sums in the proof are equal on the truncation).
-    """
-    z = (0,) * R.nu
-    if any(ell != z for (ell, _, _) in R.blocks):
-        raise ParameterError("dense action bound check expects a phi-independent operator")
-    M, _, pts = R.to_dense(ell_box=0)
-    weights = np.array([math.sqrt(sum(x * x for x in p)) for p in pts])
-    Ws = np.diag(weights**s)
-    op_l2_hs = float(np.linalg.norm(Ws @ M, 2))
-    op_hs = float(np.linalg.norm(Ws @ M @ np.diag(weights ** (-float(s))), 2))
-    decay = R.decay_norm(s + 2 * s0)
-    c_trunc = math.fsum(
-        c.alpha ** (-2.0 * s0) for c in R.lattice.clusters
-    )
-    return {
-        "operator_norm_hs": op_hs,
-        "operator_norm_l2_to_hs": op_l2_hs,
-        "decay_norm": decay,
-        "bound_constant": c_trunc,
-        "bound_value": c_trunc * decay,
-        "satisfied": op_l2_hs <= c_trunc * decay * (1 + 1e-12),
-    }

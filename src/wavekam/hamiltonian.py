@@ -96,7 +96,7 @@ class BlockMatrix2:
         """dict ell -> Frobenius norm of the full coefficient matrix at that mode."""
         acc = {}
         for e in self.entries():
-            for (ell, _, _), mat in e.blocks.items():
+            for (ell, _, _), mat in e.items():
                 acc[ell] = acc.get(ell, 0.0) + float(np.sum(np.abs(mat) ** 2))
         return {ell: math.sqrt(v) for ell, v in acc.items()}
 

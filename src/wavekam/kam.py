@@ -232,35 +232,21 @@ def assemble_homological_solution(state, lattice, config, omega, n_cut):
     with psi1 zeroed at (0, a, a) where the diagonal is absorbed instead.
     """
     rem = state.remainder
-    nu = rem.r1.nu
-    psi1 = BlockOperator(lattice, nu, rem.r1.ell_max)
-    psi2 = BlockOperator(lattice, nu, rem.r2.ell_max)
-    zero = (0,) * nu
-    for (ell, a_sq, b_sq), mat in sorted(rem.r1.blocks.items()):
-        size = max(
-            np.linalg.norm(ell), lattice.alpha(a_sq), lattice.alpha(b_sq)
-        )
-        if size > n_cut:
-            continue
-        if ell == zero and a_sq == b_sq:
-            continue
-        syl = SylvesterOperator.from_state(
-            state, lattice, ell, a_sq, b_sq, "-", omega
-        )
-        x, _ = sylvester_solve(syl, mat)
-        psi1.set_block(ell, a_sq, b_sq, x)
-    for (ell, a_sq, b_sq), mat in sorted(rem.r2.blocks.items()):
-        size = max(
-            np.linalg.norm(ell), lattice.alpha(a_sq), lattice.alpha(b_sq)
-        )
-        if size > n_cut:
-            continue
-        syl = SylvesterOperator.from_state(
-            state, lattice, ell, a_sq, b_sq, "+", omega
-        )
-        x, _ = sylvester_solve(syl, mat)
-        psi2.set_block(ell, a_sq, b_sq, x)
-    return PairedBlockOperator(psi1, psi2)
+    zero = (0,) * rem.r1.nu
+    solved = ({}, {})
+    for blocks, part, sign in ((solved[0], rem.r1, "-"), (solved[1], rem.r2, "+")):
+        for (ell, a_sq, b_sq), mat in part.items():
+            size = max(
+                np.linalg.norm(ell), lattice.alpha(a_sq), lattice.alpha(b_sq)
+            )
+            if size > n_cut or (sign == "-" and ell == zero and a_sq == b_sq):
+                continue
+            syl = SylvesterOperator.from_state(
+                state, lattice, ell, a_sq, b_sq, sign, omega
+            )
+            blocks[(ell, a_sq, b_sq)], _ = sylvester_solve(syl, mat)
+    return PairedBlockOperator(
+        *(BlockOperator(lattice, rem.r1.nu, rem.r1.ell_max, b) for b in solved))
 
 
 def kam_step(state, lattice, config, omega):
@@ -333,7 +319,7 @@ def kam_step(state, lattice, config, omega):
             "r_low": rem.decay_norm(config.s_low),
             "r_high": rem.decay_norm(config.s_high),
             "psi_norm": psi.decay_norm(config.s_low),
-            "tail_vanished": not (rem_high.r1.blocks or rem_high.r2.blocks),
+            "tail_vanished": not (len(rem_high.r1) or len(rem_high.r2)),
         }
     )
     return new_state
@@ -417,10 +403,9 @@ def kam_run(d_blocks, remainder, omega, lattice, config,
 
 def _diag_operator(d_blocks, lattice, nu, ell_max):
     """Paired operator of the diagonal: top-left = -i D^(1)."""
-    op = BlockOperator(lattice, nu, ell_max)
     zero = (0,) * nu
-    for a_sq, mat in sorted(d_blocks.items()):
-        op.set_block(zero, a_sq, a_sq, -1j * np.asarray(mat))
+    op = BlockOperator(lattice, nu, ell_max, {
+        (zero, a_sq, a_sq): -1j * np.asarray(mat) for a_sq, mat in d_blocks.items()})
     return PairedBlockOperator(op, BlockOperator(lattice, nu, ell_max))
 
 

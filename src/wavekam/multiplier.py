@@ -6,8 +6,6 @@ The order m is metadata used by the norm family and the bookkeeping checks;
 truncation makes any asymptotic reading of it meaningless.
 """
 
-import math
-
 import numpy as np
 
 from .blockop import BlockOperator, PairedBlockOperator
@@ -168,12 +166,12 @@ class FourierMultiplier:
         return out
 
     def to_blocks(self):
-        out = BlockOperator(self.lattice, self.nu, self.ell_max)
+        blocks = {}
         for c, p in zip(self.lattice.clusters, self.parts):
             eye = np.eye(c.n_alpha, dtype=complex)
             for ell, v in p.modes():
-                out.add_to_block(ell, c.alpha_sq, c.alpha_sq, v * eye)
-        return out
+                blocks[(ell, c.alpha_sq, c.alpha_sq)] = v * eye
+        return BlockOperator(self.lattice, self.nu, self.ell_max, blocks)
 
     def to_rows(self):
         rows = []

@@ -158,7 +158,7 @@ class PairedRankTerm:
 
         p1 = rank_one_blocks(self.left[0], self.right[0], lattice)
         p2 = rank_one_blocks(self.left[0], self.right[1], lattice)
-        if not p1.blocks and not p2.blocks:
+        if not (len(p1) or len(p2)):
             z = BlockOperator(lattice, nu, ell_max)
             return PairedBlockOperator(z, z.copy())
         return PairedBlockOperator(p1, p2)

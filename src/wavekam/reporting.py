@@ -59,8 +59,7 @@ def dump_function(path, fn):
 def dump_blocks(path, op, name=""):
     """Rows (ell-tuple, alpha_sq, beta_sq, row-major [re, im] entries)."""
     rows = []
-    for (ell, a_sq, b_sq) in op.sorted_keys():
-        mat = op.blocks[(ell, a_sq, b_sq)]
+    for (ell, a_sq, b_sq), mat in op.items():
         flat = []
         for v in mat.ravel():
             flat.extend([float(v.real), float(v.imag)])

@@ -352,12 +352,16 @@ def _convolve_full(a, b):
     ia = np.argwhere(a != 0)
     ib = np.argwhere(b != 0)
     if len(ia) * len(ib) <= 16384:
-        out = np.zeros((out_n,) * nu, dtype=complex)
-        for ka in ia:
-            va = a[tuple(ka)]
-            for kb in ib:
-                out[tuple(ka + kb)] += va * b[tuple(kb)]
-        return out
+        # every product at once; index sums need no carry in the output grid,
+        # and bincount adds each bin's products in (ka, kb) order
+        shape = (out_n,) * nu
+        at = (np.ravel_multi_index(ia.T, shape)[:, None]
+              + np.ravel_multi_index(ib.T, shape)[None, :]).ravel()
+        prods = np.multiply.outer(a[tuple(ia.T)], b[tuple(ib.T)]).ravel()
+        out = np.empty(out_n**nu, dtype=complex)
+        out.real = np.bincount(at, prods.real, out_n**nu)
+        out.imag = np.bincount(at, prods.imag, out_n**nu)
+        return out.reshape(shape)
     fa = np.fft.fftn(a, s=(out_n,) * nu)
     fb = np.fft.fftn(b, s=(out_n,) * nu)
     out = np.fft.ifftn(fa * fb)

@@ -19,8 +19,6 @@ from .blockop import (
     block_decay_norm,
     compose,
     diagonal_part,
-    finite_rank_to_blocks,
-    FiniteRankOperator,
     operator_exponential,
     rank_one_blocks,
     smoothing_projector,
@@ -31,8 +29,6 @@ from .kam import KamConfig, SylvesterOperator, kam_run, sylvester_solve
 from .multiplier import FourierMultiplier, multiplier_to_blocks
 from .regularization import (
     WaveProblem,
-    complexify_stage,
-    reparametrize_time,
     run_pipeline,
     symmetrize,
 )
@@ -66,7 +62,7 @@ def _row(name, value, threshold, ok=None):
 
 def _random_block(lattice, nu, ell_max, rng, density=1.0, decay=1.5,
                   support=None):
-    op = BlockOperator(lattice, nu, ell_max)
+    blocks = {}
     L = ell_max if support is None else support
     for ell in itertools.product(range(-L, L + 1), repeat=nu):
         for ca in lattice.clusters:
@@ -78,8 +74,8 @@ def _random_block(lattice, nu, ell_max, rng, density=1.0, decay=1.5,
                     rng.standard_normal((ca.n_alpha, cb.n_alpha))
                     + 1j * rng.standard_normal((ca.n_alpha, cb.n_alpha))
                 )
-                op.set_block(ell, ca.alpha_sq, cb.alpha_sq, mat)
-    return op
+                blocks[(ell, ca.alpha_sq, cb.alpha_sq)] = mat
+    return BlockOperator(lattice, nu, ell_max, blocks)
 
 
 def _random_space_time(lattice, nu, ell_max, rng, n_j=3, support=1):

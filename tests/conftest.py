@@ -21,7 +21,7 @@ def random_block_operator(lattice, nu, ell_max, rng, density=0.4, decay=1.5,
     """Random operator with coefficients damped by <ell,a,b>^-decay."""
     import itertools
 
-    op = BlockOperator(lattice, nu, ell_max)
+    blocks = {}
     L = ell_max if ell_support is None else ell_support
     for ell in itertools.product(range(-L, L + 1), repeat=nu):
         for ca in lattice.clusters:
@@ -33,8 +33,8 @@ def random_block_operator(lattice, nu, ell_max, rng, density=0.4, decay=1.5,
                     rng.standard_normal((ca.n_alpha, cb.n_alpha))
                     + 1j * rng.standard_normal((ca.n_alpha, cb.n_alpha))
                 )
-                op.set_block(ell, ca.alpha_sq, cb.alpha_sq, mat)
-    return op
+                blocks[(ell, ca.alpha_sq, cb.alpha_sq)] = mat
+    return BlockOperator(lattice, nu, ell_max, blocks)
 
 
 def random_paired(lattice, nu, ell_max, rng, scale=1.0, **kw):

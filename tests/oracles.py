@@ -9,6 +9,12 @@ the package.
 - The dict-based frozen-angle evaluators that
   ``PairedBlockOperator.matrix_at_phi`` replaced, for block operators, paired
   block operators, multipliers and the rank terms of the pipeline.
+- The dict-based ``compose`` and ``decay_norm`` that the cluster-pair stacks
+  of ``blockop`` replaced; they read blocks through ``items()``.
+- The Python double loop of ``spectrum._convolve_full``'s direct branch.
+- Test-only operators and checks that left ``blockop``: the action of a
+  block operator on a space-time function, the explicit finite-rank
+  operator, its block conversion and the dense Sobolev action bound.
 """
 
 import itertools
@@ -16,9 +22,11 @@ import math
 
 import numpy as np
 
-from wavekam.errors import ParameterError, ResonanceError
+from wavekam.blockop import BlockOperator, rank_one_blocks
+from wavekam.errors import ContractViolation, ParameterError, ResonanceError
 from wavekam.kam import SylvesterOperator
 from wavekam.resonance import ResonanceReport
+from wavekam.spectrum import SpaceTimeFunction
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +360,7 @@ def block_apply_at_phi(op, coeff_map, phi):
         a_sq = op.lattice.cluster_of_point.get(tuple(j))
         if a_sq is not None:
             by_cluster.setdefault(a_sq, {})[tuple(j)] = v
-    for (ell, a, b), mat in sorted(op.blocks.items()):
+    for (ell, a, b), mat in op.items():
         if b not in by_cluster:
             continue
         cb = op.lattice.cluster(b)
@@ -437,3 +445,202 @@ def field_apply_at_phi(mult, rank_terms, eps, c1, c2, phi):
         for j, v in w2.items():
             v2[j] = v2.get(j, 0j) + v
     return v1, v2
+
+
+# ---------------------------------------------------------------------------
+# Dict block algebra (formerly blockop.compose and BlockOperator.decay_norm
+# over the (ell, alpha^2, beta^2) -> matrix map; the map is read through
+# items())
+# ---------------------------------------------------------------------------
+
+
+def _key_norm(ell):
+    return float(np.linalg.norm(ell))
+
+
+def _hs_sq(mat):
+    return float(np.sum(np.abs(mat) ** 2))
+
+
+def decay_norm_dicts(op, s):
+    """sup over (alpha, beta) of the ell-weighted HS mass, compensated sums."""
+    acc = {}
+    for (ell, a, b), mat in op.items():
+        w = max(
+            1.0,
+            _key_norm(ell),
+            op.lattice.alpha(a),
+            op.lattice.alpha(b),
+        ) ** (2.0 * s)
+        acc.setdefault((a, b), []).append(w * _hs_sq(mat))
+    if not acc:
+        return 0.0
+    return math.sqrt(max(math.fsum(v) for v in acc.values()))
+
+
+def compose_dicts(R, T):
+    """Operator product R(phi) T(phi): ell-convolution, block-matrix product.
+
+    The result is re-truncated to the ambient |ell|_inf box; the discarded HS
+    mass is stored in ``out.meta['truncation_loss']`` so truncation error
+    stays observable.  Products are batched per cluster triple and
+    scatter-added (exact sums, no FFT rounding).
+    """
+    R._check_compat(T)
+    L = R.ell_max
+    nu = R.nu
+    n_box = 2 * L + 1
+    groups_r = {}
+    for (ell, a, b), mat in R.items():
+        groups_r.setdefault((a, b), []).append((ell, mat))
+    groups_t = {}
+    for (ell, b, c), mat in T.items():
+        groups_t.setdefault(b, {}).setdefault(c, []).append((ell, mat))
+    acc = {}
+    lost = []
+    strides = np.array([n_box**k for k in range(nu - 1, -1, -1)])
+    for (a, b), left in sorted(groups_r.items()):
+        right_by_c = groups_t.get(b)
+        if not right_by_c:
+            continue
+        ell1 = np.array([e for e, _ in left])
+        m1 = np.stack([m for _, m in left])
+        for c, right in sorted(right_by_c.items()):
+            ell2 = np.array([e for e, _ in right])
+            m2 = np.stack([m for _, m in right])
+            na, nc = m1.shape[1], m2.shape[2]
+            key = (a, c)
+            if key not in acc:
+                acc[key] = np.zeros((n_box**nu, na, nc), dtype=complex)
+            dest = acc[key]
+            chunk = max(1, 2**24 // max(1, len(right) * na * nc * 16))
+            for lo in range(0, len(left), chunk):
+                hi = min(lo + chunk, len(left))
+                # (i,a,j,c) via one BLAS GEMM, then bring j next to i
+                prods = np.tensordot(m1[lo:hi], m2, axes=(2, 1))
+                prods = np.ascontiguousarray(prods.transpose(0, 2, 1, 3))
+                ells = ell1[lo:hi, None, :] + ell2[None, :, :]
+                inbox = np.all(np.abs(ells) <= L, axis=-1)
+                if not np.all(inbox):
+                    bad = prods[~inbox]
+                    lost.append(float(np.sum(np.abs(bad) ** 2)))
+                idx = (ells[inbox] + L) @ strides
+                np.add.at(dest, idx, prods[inbox])
+    out = BlockOperator(R.lattice, R.nu, R.ell_max)
+    for (a, c), dest in sorted(acc.items()):
+        nonzero = np.nonzero(np.any(dest != 0, axis=(1, 2)))[0]
+        for flat in nonzero.tolist():
+            ell = []
+            rem = flat
+            for k in range(nu):
+                q, rem = divmod(rem, n_box ** (nu - 1 - k))
+                ell.append(int(q) - L)
+            out.set_block(tuple(ell), a, c, dest[flat])
+    out.meta["truncation_loss"] = math.sqrt(math.fsum(lost)) if lost else 0.0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Finite-rank operators and the dense action bound (formerly
+# blockop.FiniteRankOperator, _angle_pair, finite_rank_to_blocks and
+# sobolev_action_bound_check)
+# ---------------------------------------------------------------------------
+
+
+class FiniteRankOperator:
+    """R(phi)[v] = sum_k b_k <c_k, v> + c_k <b_k, v>, pairings in x.
+
+    Symmetric by construction; b_k, c_k are zero-average in x by the
+    SpaceTimeFunction contract.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+        for b, c in self.pairs:
+            if not isinstance(b, SpaceTimeFunction) or not isinstance(
+                c, SpaceTimeFunction
+            ):
+                raise ContractViolation("rank pairs must be space-time functions")
+
+    @property
+    def rank_count(self):
+        return len(self.pairs)
+
+    def apply(self, v):
+        out = None
+        for b, c in self.pairs:
+            t = b.copy()
+            ip_c, _ = _angle_pair(c, v)
+            term1, _ = t.mul_angle(ip_c)
+            ip_b, _ = _angle_pair(b, v)
+            term2, _ = c.copy().mul_angle(ip_b)
+            term = term1 + term2
+            out = term if out is None else out + term
+        if out is None:
+            raise ContractViolation("empty finite-rank operator")
+        return out
+
+
+def _angle_pair(g, h):
+    return g.pairing(h), 0.0
+
+
+def finite_rank_to_blocks(K, lattice, check_reality_tol=1e-12):
+    """Convert a FiniteRankOperator to its BlockOperator representation."""
+    for b, c in K.pairs:
+        for f, name in ((b, "b"), (c, "c")):
+            # zero-average is structural for SpaceTimeFunction; re-validate cheaply
+            if any(all(x == 0 for x in j) for j in f.space_modes()):
+                raise ContractViolation(f"{name}_k has a j = 0 mode")
+    out = None
+    for b, c in K.pairs:
+        term = rank_one_blocks(b, c, lattice) + rank_one_blocks(c, b, lattice)
+        out = term if out is None else out + term
+    return out
+
+
+def sobolev_action_bound_check(R, s, s0):
+    """Compare the dense operator norm on H^s with the decay-norm bound.
+
+    For phi-independent operators the chain
+    ||R||_{B(H^s)} <= ||R||_{B(L^2, H^s)} <= C_trunc |R|_{s+2s0}
+    holds with the truncation constant C_trunc = sum_{alpha} alpha^{-2 s0}
+    (both cluster sums in the proof are equal on the truncation).
+    """
+    z = (0,) * R.nu
+    if any(ell != z for (ell, _, _), _ in R.items()):
+        raise ParameterError("dense action bound check expects a phi-independent operator")
+    M, _, pts = R.to_dense(ell_box=0)
+    weights = np.array([math.sqrt(sum(x * x for x in p)) for p in pts])
+    Ws = np.diag(weights**s)
+    op_l2_hs = float(np.linalg.norm(Ws @ M, 2))
+    op_hs = float(np.linalg.norm(Ws @ M @ np.diag(weights ** (-float(s))), 2))
+    decay = R.decay_norm(s + 2 * s0)
+    c_trunc = math.fsum(
+        c.alpha ** (-2.0 * s0) for c in R.lattice.clusters
+    )
+    return {
+        "operator_norm_hs": op_hs,
+        "operator_norm_l2_to_hs": op_l2_hs,
+        "decay_norm": decay,
+        "bound_constant": c_trunc,
+        "bound_value": c_trunc * decay,
+        "satisfied": op_l2_hs <= c_trunc * decay * (1 + 1e-12),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Direct convolution (formerly the loop in spectrum._convolve_full)
+# ---------------------------------------------------------------------------
+
+
+def convolve_full_loop(a, b):
+    """Full linear convolution of two equal-shape arrays by direct summation."""
+    nu = a.ndim
+    out_n = 2 * a.shape[0] - 1
+    out = np.zeros((out_n,) * nu, dtype=complex)
+    for ka in np.argwhere(a != 0):
+        va = a[tuple(ka)]
+        for kb in np.argwhere(b != 0):
+            out[tuple(ka + kb)] += va * b[tuple(kb)]
+    return out

@@ -177,7 +177,7 @@ class TestBlocksConversion:
         i5 = lat_d2.alpha_sqs.index(5)
         r.parts[i5][(1, 0)] = 2.5
         blocks = multiplier_to_blocks(r)
-        assert len(blocks.blocks) == 1
+        assert len(blocks) == 1
         m = blocks.block((1, 0), 5, 5)
         assert np.allclose(m, 2.5 * np.eye(8))
 

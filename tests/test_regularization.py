@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from wavekam import AngleFunction, SpaceTimeFunction, enumerate_clusters
-from wavekam.blockop import (
-    BlockOperator,
-    FiniteRankOperator,
-    finite_rank_to_blocks,
-)
+from wavekam.blockop import BlockOperator
 from wavekam.errors import ParameterError
 from wavekam.hamiltonian import BlockMatrix2, RealVectorField, complexify, push_forward
 from wavekam.multiplier import FourierMultiplier, PairedMultiplier
@@ -26,7 +22,12 @@ from wavekam.regularization import (
 )
 
 from conftest import rng_for
-from oracles import field_apply_at_phi, paired_apply_pair_at_phi
+from oracles import (
+    FiniteRankOperator,
+    field_apply_at_phi,
+    finite_rank_to_blocks,
+    paired_apply_pair_at_phi,
+)
 
 OMEGA = np.array([1.0, (1 + math.sqrt(5)) / 2])
 

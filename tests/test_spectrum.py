@@ -15,8 +15,10 @@ from wavekam import (
     weighted_lip_norm,
 )
 from wavekam.errors import DiophantineViolation, LipschitzQuotientError, ParameterError
+from wavekam.spectrum import _convolve_full
 
 from conftest import rng_for
+from oracles import convolve_full_loop
 
 
 class TestEnumerateClusters:
@@ -100,6 +102,20 @@ class TestEnumerateClusters:
             enumerate_clusters(0, 3)
         with pytest.raises(ParameterError):
             enumerate_clusters(2, 0)
+
+
+class TestConvolveFull:
+    @pytest.mark.parametrize("nu, n, fill", [
+        (1, 9, 0.5), (2, 5, 0.3), (2, 7, 0.0), (3, 5, 0.2), (3, 3, 1.0)])
+    def test_direct_branch_matches_loop(self, nu, n, fill):
+        rng = rng_for("convolve-direct", nu, n, fill)
+        a, b = (np.where(rng.random((n,) * nu) < fill,
+                         rng.standard_normal((n,) * nu)
+                         + 1j * rng.standard_normal((n,) * nu), 0.0)
+                for _ in range(2))
+        got, want = _convolve_full(a, b), convolve_full_loop(a, b)
+        assert got.shape == want.shape == (2 * n - 1,) * nu
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0)
 
 
 class TestSobolevNorm:
