@@ -34,7 +34,8 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, LatticeMismatchError, ParameterError
+from .errors import LatticeMismatchError, ParameterError
+from .series import truncated_series
 from .spectrum import AngleFunction, SpaceTimeFunction
 
 __all__ = [
@@ -637,25 +638,14 @@ def operator_exponential(psi, tol=1e-15, max_terms=60, warn_threshold=1.0, s_che
     (a smallness hypothesis, not a hard precondition).
     """
     nrm = psi.decay_norm(0.0 if s_check is None else s_check)
-    warn = bool(nrm > warn_threshold)
-    out = PairedBlockOperator.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max)
-    term = PairedBlockOperator.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max)
-    bound = 1.0
-    for k in range(1, max_terms + 1):
-        term = term.compose(psi)
-        term = PairedBlockOperator(term.r1 * (1.0 / k), term.r2 * (1.0 / k))
-        out = out + term
-        bound = bound * nrm / k
-        actual = term.decay_norm(0.0)
-        if max(bound, actual) < tol or actual == 0.0:
-            out.r1.drop_zero_blocks()
-            out.r2.drop_zero_blocks()
-            out.meta["size_warning"] = warn
-            return out
-    raise DivergenceError(
-        f"exponential series not below {tol:.1e} after {max_terms} terms "
-        f"(|Psi| = {nrm:.3e})"
-    )
+    out = truncated_series(
+        PairedBlockOperator.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max),
+        lambda t, k: t.compose(psi) * (1.0 / k), tol, max_terms,
+        rate=lambda k: nrm / k, name=f"exponential series (|Psi| = {nrm:.3e})")
+    out.r1.drop_zero_blocks()
+    out.r2.drop_zero_blocks()
+    out.meta["size_warning"] = bool(nrm > warn_threshold)
+    return out
 
 
 def rank_one_blocks(q, g, lattice):

@@ -10,8 +10,10 @@ certificate file is written next to the outputs).
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -182,9 +184,17 @@ CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
+def _config_validator():
+    """One validator for CONFIG_SCHEMA; the schema itself is checked by a test."""
+    from jsonschema.validators import validator_for
+
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path):
-    import jsonschema
     import yaml
+    from jsonschema.exceptions import best_match
 
     with open(path) as fh:
         try:
@@ -193,9 +203,8 @@ def load_config(path):
             mark = getattr(err, "problem_mark", None)
             where = f" at line {mark.line + 1}" if mark else ""
             raise ConfigError(f"YAML parse error{where}: {err}")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = best_match(_config_validator().iter_errors(cfg))
+    if err is not None:
         path_str = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config key '{path_str}': {err.message}")
     return cfg
@@ -373,11 +382,13 @@ def phase_kam(problem, cfg, omegas, outdir, summary, threads=1, reg=None):
     payloads = [(problem, kcfg, omega,
                  reg if np.array_equal(omega, cfg["run"]["omega"]) else None)
                 for omega in omegas]
-    if threads > 1 and len(payloads) > 1:
+    # fork starts every worker at once: never more than there is work or cores
+    workers = min(threads, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
         # workers only compute; all files are written by the orchestrator
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_kam_worker, payloads))
     else:
         results = [_kam_worker(p) for p in payloads]
@@ -705,6 +716,8 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         if args.verb == "run":
             return cmd_run(args)
         if args.verb == "sweep":

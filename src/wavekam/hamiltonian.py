@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from .blockop import BlockOperator, PairedBlockOperator, compose
+from .blockop import BlockOperator, PairedBlockOperator, compose, operator_exponential
 from .errors import ContractViolation, InversionError
+from .series import truncated_series
 from .spectrum import AngleFunction
 
 __all__ = [
@@ -159,8 +160,6 @@ class ExpMap:
 
     @classmethod
     def from_generator(cls, psi, **kw):
-        from .blockop import operator_exponential
-
         return cls(operator_exponential(psi, **kw), operator_exponential(psi * (-1.0), **kw))
 
     @classmethod
@@ -193,14 +192,9 @@ def _neumann_inverse(phi, max_terms=60, tol=1e-14):
         raise InversionError(
             f"map is not a small perturbation of the identity (|Phi - Id| = {size:.3e})"
         )
-    out = ident
-    term = ident
-    for _ in range(max_terms):
-        term = term.compose(m) * (-1.0)
-        out = out + term
-        if term.decay_norm(0.0) < tol:
-            return out
-    raise InversionError("Neumann inverse did not converge")
+    # |t_k| <= |t_j| |m|^(k-j): the term norms bound the geometric tail
+    return truncated_series(ident, lambda t, k: t.compose(m) * (-1.0), tol,
+                            max_terms, error=InversionError, name="Neumann inverse")
 
 
 def push_forward(x, phi, omega, phi_inverse=None):

@@ -9,7 +9,8 @@ truncation makes any asymptotic reading of it meaningless.
 import numpy as np
 
 from .blockop import BlockOperator, PairedBlockOperator
-from .errors import DivergenceError, ParameterError
+from .errors import ParameterError
+from .series import truncated_series
 from .spectrum import AngleFunction, SpaceTimeFunction
 
 __all__ = [
@@ -288,32 +289,18 @@ class PairedMultiplier:
 def multiplier_exponential(psi, tol=1e-16, max_terms=60, warn_threshold=1.0, s0=None):
     """exp(Psi) for a paired multiplier, with the order >= 2 tail.
 
-    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k!.  The
-    smallness hypothesis |||Psi|||_{-m, s0} <= 1 is a warning flag, not an
-    error; divergence past ``max_terms`` raises.
+    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m.
+    The smallness hypothesis |||Psi|||_{-m, s0} <= 1 is a warning flag, not
+    an error; divergence past ``max_terms`` raises DivergenceError.
     """
     m = psi.r1.order
     nrm = psi.norm(m, 0.0 if s0 is None else s0)
-    phi = PairedMultiplier.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max) + psi
-    ge2 = PairedMultiplier.zero(psi.lattice, psi.r1.nu, psi.r1.ell_max)
-    term = psi.copy()
-    bound = nrm
-    for k in range(2, max_terms + 1):
-        term = term.compose(psi)
-        term = term * (1.0 / k)
-        ge2 = ge2 + term
-        bound = bound * nrm / k
-        actual = term.norm(0.0, 0.0)
-        if max(bound, actual) < tol:
-            phi = phi + ge2
-            phi.meta["size_warning"] = bool(nrm > warn_threshold)
-            ge2.r1.order = 2 * m
-            ge2.r2.order = 2 * m
-            return phi, ge2
-        if actual == 0.0:
-            phi = phi + ge2
-            phi.meta["size_warning"] = bool(nrm > warn_threshold)
-            return phi, ge2
-    raise DivergenceError(
-        f"multiplier exponential series stalled (|Psi| = {nrm:.3e})"
-    )
+    ge2 = truncated_series(
+        psi, lambda t, k: t.compose(psi) * (1.0 / k), tol, max_terms,
+        norm=lambda t: t.norm(0.0, 0.0), rate=lambda k: nrm / k, bound=nrm, k0=1,
+        total=PairedMultiplier.zero(psi.lattice, psi.r1.nu, psi.r1.ell_max),
+        name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
+    phi = PairedMultiplier.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max) + psi + ge2
+    phi.meta["size_warning"] = bool(nrm > warn_threshold)
+    ge2.r1.order = ge2.r2.order = 2 * m
+    return phi, ge2

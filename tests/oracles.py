@@ -15,6 +15,9 @@ the package.
 - Test-only operators and checks that left ``blockop``: the action of a
   block operator on a space-time function, the explicit finite-rank
   operator, its block conversion and the dense Sobolev action bound.
+- The KAM step whose order >= 2 remainder is the telescoped double sum
+  Psi^i (Pi_N R_diag - Pi_N R) Psi^j, which the Lie series of ``kam_step``
+  replaced.
 """
 
 import itertools
@@ -22,9 +25,12 @@ import math
 
 import numpy as np
 
-from wavekam.blockop import BlockOperator, rank_one_blocks
+from wavekam.blockop import (BlockOperator, PairedBlockOperator, diagonal_part,
+                             rank_one_blocks, smoothing_projector)
 from wavekam.errors import ContractViolation, ParameterError, ResonanceError
-from wavekam.kam import SylvesterOperator
+from wavekam.hamiltonian import ExpMap
+from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
+                         assemble_homological_solution)
 from wavekam.resonance import ResonanceReport
 from wavekam.spectrum import SpaceTimeFunction
 
@@ -644,3 +650,84 @@ def convolve_full_loop(a, b):
         for kb in np.argwhere(b != 0):
             out[tuple(ka + kb)] += va * b[tuple(kb)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Telescoped KAM step (formerly kam.kam_step, before the Lie series)
+# ---------------------------------------------------------------------------
+
+
+def kam_step_telescoped(state, lattice, config, omega):
+    """One reducibility step; raises ResonanceError when a Melnikov bound fails.
+
+    The new remainder is computed term by term from the conjugation identity,
+    with the order >= 2 commutator series evaluated through the telescoping
+    sum Psi^i (Pi_N R_diag - Pi_N R) Psi^j.
+    """
+    n_cut = config.n_k(state.step)
+    ok, err = _melnikov_scan(state, lattice, config, omega, n_cut, state.remainder.r1.nu)
+    if not ok:
+        raise err
+    rem = state.remainder
+    nu = rem.r1.nu
+    zero = (0,) * nu
+    psi = assemble_homological_solution(state, lattice, config, omega, n_cut)
+    low, high = smoothing_projector(rem.r1, n_cut)
+    low2, high2 = smoothing_projector(rem.r2, n_cut)
+    rem_low = PairedBlockOperator(low, low2)
+    rem_high = PairedBlockOperator(high, high2)
+    r_diag_low = PairedBlockOperator(
+        diagonal_part(low), BlockOperator(lattice, nu, rem.r1.ell_max)
+    )
+    # new diagonal: D_+ = D + Pi_N R_diag, i.e. blocks += i r1_hat(0)
+    new_blocks = {}
+    for a_sq, mat in state.d_blocks.items():
+        upd = mat.copy()
+        if lattice.alpha(a_sq) <= n_cut:
+            upd = upd + 1j * rem.r1.block(zero, a_sq, a_sq)
+        new_blocks[a_sq] = upd
+    phi = ExpMap.from_generator(psi)
+    eye = PairedBlockOperator.identity(lattice, nu, rem.r1.ell_max)
+    phi_minus = phi.forward - eye
+    phi_inv_minus = phi.inverse - eye
+    # telescoped commutator series for Psi_{>=2}
+    g = r_diag_low - rem_low
+    series = PairedBlockOperator.zero(lattice, nu, rem.r1.ell_max)
+    powers = [eye, psi]
+    g_right = [g, g.compose(psi)]
+    max_n = 24
+    fact = 1.0
+    for n in range(2, max_n + 1):
+        powers.append(powers[-1].compose(psi))
+        g_right.append(g_right[-1].compose(psi))
+        fact *= n
+        term = PairedBlockOperator.zero(lattice, nu, rem.r1.ell_max)
+        for i in range(n):
+            term = term + powers[i].compose(g_right[n - 1 - i])
+        term = term * (1.0 / fact)
+        series = series + term
+        if term.decay_norm(0.0) < 1e-18:
+            break
+    new_rem = phi_inv_minus.compose(r_diag_low) + phi.inverse.compose(
+        rem_high + series + rem.compose(phi_minus)
+    )
+    new_state = KamState(
+        step=state.step + 1,
+        d_blocks=new_blocks,
+        remainder=new_rem,
+        accumulated=state.accumulated.then(phi),
+        history=list(state.history),
+        step_maps=list(state.step_maps) + ([phi] if state.keep_maps else []),
+        keep_maps=state.keep_maps,
+    )
+    new_state.history.append(
+        {
+            "k": state.step,
+            "N_k": n_cut,
+            "r_low": rem.decay_norm(config.s_low),
+            "r_high": rem.decay_norm(config.s_high),
+            "psi_norm": psi.decay_norm(config.s_low),
+            "tail_vanished": not (len(rem_high.r1) or len(rem_high.r2)),
+        }
+    )
+    return new_state

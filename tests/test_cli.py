@@ -1,12 +1,15 @@
+import concurrent.futures
 import csv
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
-from wavekam.cli import main
+from wavekam import cli
+from wavekam.cli import CONFIG_SCHEMA, main
 from wavekam.kam import MAX_SCAN_ELLS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src/wavekam/configs"
@@ -41,6 +44,67 @@ class TestConfigValidation:
 
     def test_missing_file_exit_2(self):
         assert run_cli("run", "--config", "/nonexistent.yaml") == 2
+
+    def test_schema_is_a_valid_schema(self):
+        from jsonschema.validators import validator_for
+
+        validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return []
+
+
+class TestThreads:
+    def test_nonpositive_threads_exit_2(self, tmp_path, capsys):
+        for k in ("0", "-3"):
+            out = tmp_path / k
+            assert run_cli("run", "--config", str(CONFIG_DIR / "eps0.yaml"),
+                           "--out", str(out), "--threads", k) == 2
+            assert "--threads must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("threads,n_omega,cpus,workers", [
+        (8, 2, 4, 2),        # clamped to the number of omega
+        (100000, 3, 2, 2),   # clamped to the cores
+        (2, 3, None, None),  # one core known: serial, no pool
+        (1, 3, 2, None),
+    ])
+    def test_worker_count_clamped(self, monkeypatch, tmp_path, threads,
+                                  n_omega, cpus, workers):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        ran = []
+
+        def serial_worker(payload):
+            ran.append(payload)
+            return None, SimpleNamespace(
+                history=[], residual=1.0, verdict="max-steps", converged=False,
+                state=SimpleNamespace(step=0), conjugation_residual=1.0)
+
+        monkeypatch.setattr(cli, "_kam_worker", serial_worker)
+        problem = SimpleNamespace(nu=2, d=2, gamma=1e-3)
+        cfg = {"numerics": {}, "run": {"omega": [1.0, 1.5]}}
+        omegas = [[1.0 + 0.1 * i, 1.5] for i in range(n_omega)]
+        cli.phase_kam(problem, cfg, omegas, tmp_path, {}, threads=threads)
+        assert RecordingPool.sizes == ([] if workers is None else [workers])
+        assert len(ran) == (n_omega if workers is None else 0)
 
 
 class TestRunVerb:

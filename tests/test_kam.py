@@ -20,6 +20,7 @@ from wavekam.kam import (
 )
 from wavekam.resonance import divisor_check, sorted_combos
 
+import oracles
 from conftest import random_hamiltonian_paired, rng_for
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -271,6 +272,21 @@ class TestKamStep:
         claimed = _diag_operator(new.d_blocks, lat, 2, 4) + new.remainder
         scale = max(1.0, claimed.decay_norm(0.0))
         assert (pushed - claimed).decay_norm(0.0) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("size", [1e-4, 1e-3])
+    def test_lie_series_matches_telescoped_oracle(self, size):
+        lat = toy_lattice()
+        rng = rng_for("kam-lie", size)
+        rem = random_hamiltonian_paired(lat, 2, 4, rng, ell_support=1)
+        rem = rem * (size / rem.decay_norm(0.0))
+        cfg = toy_config()
+        new = kam_step(toy_state(lat, rem), lat, cfg, OMEGA)
+        ref = oracles.kam_step_telescoped(toy_state(lat, rem), lat, cfg, OMEGA)
+        # scale: the size of the remainder going in
+        assert (new.remainder - ref.remainder).decay_norm(0.0) <= 1e-14 * size
+        assert new.history == ref.history
+        for a_sq, mat in ref.d_blocks.items():
+            np.testing.assert_array_equal(new.d_blocks[a_sq], mat)
 
     def test_contraction_and_drift(self):
         lat = toy_lattice()
