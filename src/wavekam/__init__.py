@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .spectrum import (  # noqa: F401
     AngleFunction,
     ClusterIndex,
-    OmegaGrid,
     SpaceTimeFunction,
     SpectralLattice,
     default_s0,
@@ -13,5 +12,4 @@ from .spectrum import (  # noqa: F401
     enumerate_clusters,
     omega_dphi_inverse,
     sobolev_norm,
-    weighted_lip_norm,
 )

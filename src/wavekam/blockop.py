@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import LatticeMismatchError, ParameterError
 from .series import truncated_series
-from .spectrum import AngleFunction, SpaceTimeFunction
 
 __all__ = [
     "BlockOperator",
@@ -295,47 +294,6 @@ class BlockOperator:
         return math.sqrt(math.fsum(
             h for _, mats in self.stacks.values() for h in _hs_sq(mats).tolist()))
 
-    # -- action ---------------------------------------------------------------
-    def apply(self, u):
-        """Apply to a SpaceTimeFunction (phi-convolution, block action in x)."""
-        out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
-        # group input coefficients by cluster
-        by_cluster = {}
-        for j in u.space_modes():
-            a_sq = self.lattice.cluster_of_point.get(j)
-            if a_sq is None:
-                continue
-            by_cluster.setdefault(a_sq, []).append(j)
-        for (ell, a, b), mat in self.items():
-            if b not in by_cluster:
-                continue
-            cb = self.lattice.cluster(b)
-            ca = self.lattice.cluster(a)
-            vec = [None] * cb.n_alpha
-            nonzero = False
-            for j in by_cluster[b]:
-                vec[cb.index_of[j]] = u.angle_part(j)
-                nonzero = True
-            if not nonzero:
-                continue
-            for r, jp in enumerate(ca.points):
-                coeffs = None
-                for cidx in range(cb.n_alpha):
-                    f = vec[cidx]
-                    if f is None or mat[r, cidx] == 0:
-                        continue
-                    term = f.coeffs * mat[r, cidx]
-                    coeffs = term if coeffs is None else coeffs + term
-                if coeffs is None:
-                    continue
-                shifted = _shift_coeffs(coeffs, ell, u.ell_max)
-                if jp in out.comps:
-                    out.comps[jp].coeffs += shifted
-                else:
-                    g = out.comps.setdefault(jp, AngleFunction(u.nu, u.ell_max))
-                    g.coeffs += shifted
-        return out
-
     # -- dense oracle ---------------------------------------------------------
     def to_dense(self, ell_box=None):
         """Flatten to a matrix over the (ell, j) basis (test oracle; small sizes).
@@ -363,21 +321,6 @@ class BlockOperator:
                     for c, jc in enumerate(cb.points):
                         M[row, index[(lp, jc)]] += mat[r, c]
         return M, ells, pts
-
-
-def _shift_coeffs(coeffs, ell, ell_max):
-    """Shift a dense angle-coefficient array by ell, truncating to the box."""
-    out = np.zeros_like(coeffs)
-    src = []
-    dst = []
-    for off, L in zip(ell, [ell_max] * len(ell)):
-        n = 2 * L + 1
-        lo_src = max(0, -off)
-        hi_src = min(n, n - off)
-        src.append(slice(lo_src, hi_src))
-        dst.append(slice(lo_src + off, hi_src + off))
-    out[tuple(dst)] = coeffs[tuple(src)]
-    return out
 
 
 def _ell_box_list(nu, ell_max):
@@ -560,9 +503,6 @@ class PairedBlockOperator:
         out.meta["truncation_loss"] = max(a.meta["truncation_loss"],
                                           b.meta["truncation_loss"])
         return out
-
-    def transpose(self):
-        return PairedBlockOperator(self.r1.transpose(), self.r2.conj().transpose())
 
     def omega_dphi(self, omega):
         return PairedBlockOperator(

@@ -46,7 +46,8 @@ from .reporting import (
     write_sweep_table,
     write_trajectory,
 )
-from .spectrum import AngleFunction, SpaceTimeFunction, default_s0
+from .spectrum import (AngleFunction, SpaceTimeFunction, default_s0,
+                       enumerate_clusters)
 from .verify import SUITES, rng_for, run_suite, tap_render
 
 PHASES = ("pipeline", "kam", "measure", "dynamics")
@@ -214,6 +215,13 @@ class ConfigError(Exception):
     pass
 
 
+def _add_conjugate_pair(add, v, *key):
+    """add(*key, v), then add conj(v) at the negated key: a real function's
+    coefficient at (ell, j) and its partner at (-ell, -j)."""
+    add(*key, v)
+    add(*(tuple(-x for x in k) for k in key), np.conj(v))
+
+
 def _build_angle(spec, nu, ell_max, rng):
     kind = spec["kind"]
     if kind == "zero":
@@ -224,35 +232,36 @@ def _build_angle(spec, nu, ell_max, rng):
         if spec.get("mean"):
             f[(0,) * nu] = f[(0,) * nu] + spec["mean"]
         return f
+    f = AngleFunction.zero(nu, ell_max)
+
+    def add(ell, v):
+        f[ell] = f[ell] + v
+
     if kind == "modes":
-        f = AngleFunction.zero(nu, ell_max)
         for row in spec["modes"]:
             v = complex(row.get("re", 0.0), row.get("im", 0.0))
-            ell = tuple(row["ell"])
-            f[ell] = f[ell] + v
-            f[tuple(-x for x in ell)] = f[tuple(-x for x in ell)] + np.conj(v)
+            _add_conjugate_pair(add, v, tuple(row["ell"]))
         return f
     if kind == "random":
-        f = AngleFunction.zero(nu, ell_max)
         support = spec.get("support", 1)
         scale = spec.get("scale", 1.0)
         for _ in range(spec.get("n_modes", 3)):
             ell = tuple(int(x) for x in rng.integers(-support, support + 1, nu))
             v = scale * complex(rng.standard_normal(), rng.standard_normal())
-            f[ell] = f[ell] + v
-            f[tuple(-x for x in ell)] = f[tuple(-x for x in ell)] + np.conj(v)
+            _add_conjugate_pair(add, v, ell)
         return f
     raise ConfigError(f"unknown angle function kind {kind!r}")
 
 
 def _build_space_time(spec, nu, ell_max, d, lattice, rng):
     u = SpaceTimeFunction(nu, ell_max, d)
+
+    def add(ell, j, v):
+        u.set_coeff(ell, j, u.coeff(ell, j) + v)
+
     for row in spec.get("modes", []):
         v = complex(row.get("re", 0.0), row.get("im", 0.0))
-        ell, j = tuple(row["ell"]), tuple(row["j"])
-        u.set_coeff(ell, j, u.coeff(ell, j) + v)
-        mell, mj = tuple(-x for x in ell), tuple(-x for x in j)
-        u.set_coeff(mell, mj, u.coeff(mell, mj) + np.conj(v))
+        _add_conjugate_pair(add, v, tuple(row["ell"]), tuple(row["j"]))
     if "random" in spec:
         r = spec["random"]
         pts = list(lattice.all_points())
@@ -260,15 +269,12 @@ def _build_space_time(spec, nu, ell_max, d, lattice, rng):
         scale = r.get("scale", 1.0)
         for k in rng.permutation(len(pts))[: r.get("n_j", 2)]:
             j = pts[int(k)]
-            mj = tuple(-x for x in j)
             for _ in range(2):
                 ell = tuple(int(x) for x in
                             rng.integers(-support, support + 1, nu))
                 v = scale * complex(rng.standard_normal(),
                                     rng.standard_normal())
-                u.set_coeff(ell, j, u.coeff(ell, j) + v)
-                mell = tuple(-x for x in ell)
-                u.set_coeff(mell, mj, u.coeff(mell, mj) + np.conj(v))
+                _add_conjugate_pair(add, v, ell, j)
     return u
 
 
@@ -281,14 +287,13 @@ def build_problem(cfg, seed):
     gamma = num.get("gamma")
     if gamma is None:
         gamma = eps**0.75 if eps > 0 else 0.01
+    lattice = enumerate_clusters(d, j_max)
     kwargs = dict(
         d=d, nu=nu, epsilon=eps, j_max=j_max, ell_max=ell_max,
         q=num.get("q", 8), M=num.get("M"), gamma=gamma, tau=num.get("tau"),
+        lattice=lattice,
     )
     if "kirchhoff_v0" in prob:
-        from .spectrum import enumerate_clusters
-
-        lattice = enumerate_clusters(d, j_max)
         rng = rng_for(seed, "kirchhoff-v0")
         v0 = _build_space_time(prob["kirchhoff_v0"], nu, ell_max, d, lattice,
                                rng)
@@ -296,9 +301,6 @@ def build_problem(cfg, seed):
     rng = rng_for(seed, "coefficient-a")
     a = _build_angle(prob.get("a", {"kind": "zero"}), nu, ell_max, rng)
     pairs = []
-    from .spectrum import enumerate_clusters
-
-    lattice = enumerate_clusters(d, j_max)
     for i, pair in enumerate(prob.get("rank_pairs", [])):
         rng_b = rng_for(seed, "rank-b", i)
         rng_c = rng_for(seed, "rank-c", i)
@@ -312,17 +314,12 @@ def build_problem(cfg, seed):
 
 
 def kam_config_for(problem, cfg):
+    """KamConfig from the problem and the keys the config sets; KamConfig
+    holds every default."""
     num = cfg["numerics"]
-    return KamConfig(
-        nu=problem.nu,
-        d=problem.d,
-        gamma=problem.gamma,
-        tau=num.get("tau"),
-        dd=num.get("dd"),
-        n0=num.get("n0", 4),
-        max_steps=num.get("max_steps", 12),
-        target_residual=num.get("target_residual", 1e-12),
-    )
+    keys = ("tau", "dd", "n0", "max_steps", "target_residual")
+    return KamConfig(nu=problem.nu, d=problem.d, gamma=problem.gamma,
+                     **{k: num[k] for k in keys if k in num})
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +454,17 @@ def phase_dynamics(problem, cfg, kam_results, omegas, outdir, summary,
     rng = rng_for(seed, "dynamics-initial")
     pts = list(problem.lattice.all_points())
     v0, psi0 = {}, {}
+
+    def adder(coeffs):
+        def add(j, v):
+            coeffs[j] = coeffs.get(j, 0j) + v
+        return add
+
     for k in rng.permutation(len(pts))[:4]:
         j = pts[int(k)]
-        mj = tuple(-x for x in j)
-        val = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
-        v0[j] = v0.get(j, 0j) + val
-        v0[mj] = v0.get(mj, 0j) + np.conj(val)
-        w = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
-        psi0[j] = psi0.get(j, 0j) + w
-        psi0[mj] = psi0.get(mj, 0j) + np.conj(w)
+        for coeffs in (v0, psi0):
+            val = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
+            _add_conjugate_pair(adder(coeffs), val, j)
     dyn_rows = []
     for i, (omega, (reg_i, kres)) in enumerate(
         zip(omegas, kam_results or [])

@@ -99,7 +99,3 @@ class InversionError(WavekamError):
 
 class NonConvergenceError(WavekamError):
     """The KAM residual stalled (ratio > 0.9 across 3 consecutive steps)."""
-
-
-class LipschitzQuotientError(WavekamError):
-    """Coincident parameter samples with unequal values: infinite quotient."""

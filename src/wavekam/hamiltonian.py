@@ -14,13 +14,10 @@ import numpy as np
 from .blockop import BlockOperator, PairedBlockOperator, compose, operator_exponential
 from .errors import ContractViolation, InversionError
 from .series import truncated_series
-from .spectrum import AngleFunction
 
 __all__ = [
     "BlockMatrix2",
-    "RealVectorField",
     "ExpMap",
-    "complexify",
     "push_forward",
     "symplectic_check",
 ]
@@ -35,11 +32,6 @@ class BlockMatrix2:
 
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def zero(cls, lattice, nu, ell_max):
-        z = lambda: BlockOperator(lattice, nu, ell_max)  # noqa: E731
-        return cls(z(), z(), z(), z())
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):
@@ -115,40 +107,6 @@ def _as_matrix2(x):
     if isinstance(x, PairedBlockOperator):
         return _paired_as_matrix2(x)
     raise ContractViolation(f"cannot view {type(x).__name__} as a 2x2 block matrix")
-
-
-class RealVectorField(BlockMatrix2):
-    """2x2 block field on (v, psi) with reality and Hamiltonian predicates."""
-
-    def is_real(self, tol=1e-12):
-        return all(e.is_real(tol) for e in self.entries())
-
-    def hamiltonian_residual(self):
-        """Residual of X = J G with G symmetric: needs b = b^T, c = c^T, a^T = -d."""
-        r1 = (self.b - self.b.transpose()).hs_total()
-        r2 = (self.c - self.c.transpose()).hs_total()
-        r3 = (self.a.transpose() + self.d).hs_total()
-        return r1 + r2 + r3
-
-    def is_hamiltonian(self, tol=1e-10):
-        scale = max(self.hs_total(), 1.0)
-        return self.hamiltonian_residual() <= tol * scale
-
-
-def complexify(x, tol=1e-12):
-    """Conjugate a real 2x2 field by the complexification C.
-
-    Returns the paired operator with top row
-    r1 = (A + D - i(B - C))/2,  r2 = (A - D + i(B + C))/2.
-    """
-    if not isinstance(x, BlockMatrix2):
-        raise ContractViolation("complexify expects a 2x2 block field")
-    for name, e in zip("abcd", x.entries()):
-        if not e.is_real(tol):
-            raise ContractViolation(f"entry {name} violates the reality predicate")
-    r1 = (x.a + x.d) * 0.5 + (x.b - x.c) * (-0.5j)
-    r2 = (x.a - x.d) * 0.5 + (x.b + x.c) * (0.5j)
-    return PairedBlockOperator(r1, r2)
 
 
 class ExpMap:

@@ -83,15 +83,6 @@ class KamConfig:
         if self.s_high is None:
             self.s_high = self.s_low + 2.0
 
-    @property
-    def a_exp(self):
-        """a := 4 tau + 8 dd + 3."""
-        return 4.0 * self.tau + 8.0 * self.dd + 3.0
-
-    @property
-    def b_exp(self):
-        return self.a_exp + 1.0
-
     def n_k(self, k):
         """N_k = N0^(chi^k), rounded up; N_{-1} = 1."""
         if k < 0:

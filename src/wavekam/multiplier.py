@@ -142,9 +142,6 @@ class FourierMultiplier:
             alias = max(alias, a)
         return out, alias
 
-    def linf_bound(self):
-        return max(p.linf_bound() for p in self.parts)
-
     # -- norms -----------------------------------------------------------------
     def norm(self, m=None, s=0.0):
         m = self.order if m is None else m
@@ -233,10 +230,6 @@ class PairedMultiplier:
     @classmethod
     def diagonal(cls, r):
         return cls(r, FourierMultiplier.zero(r.lattice, r.nu, r.ell_max, r.order))
-
-    @classmethod
-    def offdiagonal(cls, r):
-        return cls(FourierMultiplier.zero(r.lattice, r.nu, r.ell_max, r.order), r)
 
     @property
     def lattice(self):

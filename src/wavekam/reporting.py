@@ -78,43 +78,39 @@ def dump_multiplier(path, mult):
     write_json(path, {"rows": rows})
 
 
-def write_norm_report(path, rows):
-    """CSV rows (s, norm, truncation_loss)."""
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["s", "norm", "truncation_loss"])
-        for s, norm, loss in rows:
-            w.writerow([s, repr(float(norm)), repr(float(loss))])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_norm_report(path, rows):
+    """CSV rows (s, norm, truncation_loss)."""
+    _write_csv(path, ["s", "norm", "truncation_loss"],
+               ([s, repr(float(norm)), repr(float(loss))]
+                for s, norm, loss in rows))
 
 
 def write_stage_diagnostics(path, log):
     """CSV rows (stage, norm_name, s, value)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "norm_name", "s", "value"])
-        for entry in log:
-            stage = entry["stage"]
-            for key, val in sorted(entry["diagnostics"].items()):
-                if isinstance(val, (int, float, np.floating)):
-                    w.writerow([stage, key, "", repr(float(val))])
+    _write_csv(path, ["stage", "norm_name", "s", "value"],
+               ([entry["stage"], key, "", repr(float(val))]
+                for entry in log
+                for key, val in sorted(entry["diagnostics"].items())
+                if isinstance(val, (int, float, np.floating))))
 
 
 def write_convergence_table(path, omega_index, history, residual, verdict):
     """CSV (omega_index, k, N_k, r_low, r_high, residual, verdict)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["omega_index", "k", "N_k", "r_low", "r_high", "psi_norm",
-             "tail_vanished", "residual", "verdict"]
-        )
-        for h in history:
-            w.writerow(
-                [omega_index, h["k"], h["N_k"], repr(h["r_low"]),
-                 repr(h["r_high"]), repr(h["psi_norm"]),
-                 int(h["tail_vanished"]), "", ""]
-            )
-        w.writerow([omega_index, "", "", "", "", "", "", repr(residual),
-                    verdict])
+    rows = [[omega_index, h["k"], h["N_k"], repr(h["r_low"]),
+             repr(h["r_high"]), repr(h["psi_norm"]),
+             int(h["tail_vanished"]), "", ""] for h in history]
+    rows.append([omega_index, "", "", "", "", "", "", repr(residual),
+                 verdict])
+    _write_csv(path, ["omega_index", "k", "N_k", "r_low", "r_high",
+                      "psi_norm", "tail_vanished", "residual", "verdict"],
+               rows)
 
 
 def dump_eigenvalues(path, table, m):
@@ -135,17 +131,11 @@ def dump_eigenvalues(path, table, m):
 
 def write_sweep_table(path, rows):
     """CSV (gamma, n_samples, n_excluded, fraction, fit_slope, fit_r2)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["gamma", "n_samples", "n_excluded", "fraction", "fit_slope",
-             "fit_r2"]
-        )
-        for r in rows:
-            w.writerow(
-                [repr(r["gamma"]), r["n_samples"], r["n_excluded"],
+    _write_csv(path, ["gamma", "n_samples", "n_excluded", "fraction",
+                      "fit_slope", "fit_r2"],
+               ([repr(r["gamma"]), r["n_samples"], r["n_excluded"],
                  repr(r["fraction"]), repr(r["fit_slope"]), repr(r["fit_r2"])]
-            )
+                for r in rows))
 
 
 def write_certificates(path, reports):
@@ -158,9 +148,7 @@ def write_certificates(path, reports):
 def write_trajectory(path, times, norm_v, norm_psi):
     """CSV (t, norm_v, norm_psi, ratio)."""
     base = norm_v[0] + norm_psi[0]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "norm_v", "norm_psi", "ratio"])
-        for t, nv, np_ in zip(times, norm_v, norm_psi):
-            w.writerow([repr(float(t)), repr(float(nv)), repr(float(np_)),
-                        repr(float((nv + np_) / base))])
+    _write_csv(path, ["t", "norm_v", "norm_psi", "ratio"],
+               ([repr(float(t)), repr(float(nv)), repr(float(np_)),
+                 repr(float((nv + np_) / base))]
+                for t, nv, np_ in zip(times, norm_v, norm_psi)))

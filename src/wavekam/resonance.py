@@ -38,7 +38,6 @@ __all__ = [
     "divisor_check",
     "measure_sweep",
     "sorted_combos",
-    "eigenvalue_lipschitz_audit",
 ]
 
 
@@ -256,39 +255,3 @@ def measure_sweep(samples, eigen, gamma_list, tau, dd, ell_max):
         for gamma, mask, frac in zip(gamma_list, masks, fractions)
     ]
     return rows, fit
-
-
-def eigenvalue_lipschitz_audit(grid, blocks_per_omega, lattice, slack=1e-10):
-    """Check |lambda_k(w1) - lambda_k(w2)| <= ||D(w1) - D(w2)||_HS per cluster.
-
-    Sorted-eigenvalue differences on adjacent grid pairs against the
-    Hilbert-Schmidt quotient of the blocks; violations beyond the rounding
-    slack are reported.
-    """
-    if len(grid) < 2:
-        raise ParameterError("need at least two grid points")
-    violations = []
-    quotients = []
-    for i, k in grid.adjacent_pairs():
-        dist = float(np.linalg.norm(grid.samples[i] - grid.samples[k]))
-        if dist == 0.0:
-            continue
-        for cl in lattice.clusters:
-            a_sq = cl.alpha_sq
-            m1 = np.asarray(blocks_per_omega[i][a_sq])
-            m2 = np.asarray(blocks_per_omega[k][a_sq])
-            lam1 = np.linalg.eigvalsh(m1)
-            lam2 = np.linalg.eigvalsh(m2)
-            lhs = float(np.max(np.abs(lam1 - lam2)))
-            rhs = float(np.linalg.norm(m1 - m2, "fro"))
-            quotients.append((lhs / dist, rhs / dist))
-            if lhs > rhs + slack:
-                violations.append(
-                    {
-                        "pair": (int(i), int(k)),
-                        "alpha_sq": a_sq,
-                        "eig_quotient": lhs / dist,
-                        "hs_quotient": rhs / dist,
-                    }
-                )
-    return {"violations": violations, "quotients": quotients}

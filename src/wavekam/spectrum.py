@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DiophantineViolation, LipschitzQuotientError, ParameterError
+from .errors import DiophantineViolation, ParameterError
 
 __all__ = [
     "ClusterIndex",
@@ -24,9 +24,7 @@ __all__ = [
     "enumerate_clusters",
     "AngleFunction",
     "SpaceTimeFunction",
-    "OmegaGrid",
     "sobolev_norm",
-    "weighted_lip_norm",
     "omega_dphi_inverse",
     "diophantine_check",
     "default_s0",
@@ -417,10 +415,6 @@ class SpaceTimeFunction:
         self.comps[j] = f
 
     @classmethod
-    def zero(cls, nu, ell_max, d):
-        return cls(nu, ell_max, d)
-
-    @classmethod
     def from_modes(cls, nu, ell_max, d, modes):
         """modes: dict (ell-tuple, j-tuple) -> complex."""
         u = cls(nu, ell_max, d)
@@ -504,23 +498,6 @@ class SpaceTimeFunction:
     def linf_bound(self):
         return sum(f.linf_bound() for f in self.comps.values())
 
-    def compose_angles(self, shifted_points, grid_shape, ell_max=None):
-        """Replace phi by the given angles pointwise and re-project.
-
-        shifted_points: array (n_grid_points, nu) of target angles laid out in
-        the row-major order of the uniform grid with shape grid_shape.
-        Returns (function, alias mass).
-        """
-        ell_max = self.ell_max if ell_max is None else ell_max
-        out = SpaceTimeFunction(self.nu, ell_max, self.d)
-        alias = 0.0
-        for j, f in self.comps.items():
-            vals = f.eval_at(shifted_points).reshape(grid_shape)
-            g, a = AngleFunction.from_samples(vals, ell_max)
-            out.comps[j] = g
-            alias += a * a
-        return out, math.sqrt(alias)
-
     def pairing(self, other):
         """<g, h> = normalized integral of g*h over x, per phi: an AngleFunction.
 
@@ -560,75 +537,6 @@ def sobolev_norm(u, s):
     if s < 0:
         raise ParameterError("s must be >= 0")
     return u.sobolev_norm(s)
-
-
-# ---------------------------------------------------------------------------
-# parameter grid and weighted Lipschitz norm
-# ---------------------------------------------------------------------------
-
-
-class OmegaGrid:
-    """Rectangular grid of frequency samples in a box of R^nu."""
-
-    def __init__(self, box, counts, gamma, tau):
-        self.box = [(float(lo), float(hi)) for lo, hi in box]
-        self.counts = [int(c) for c in counts]
-        if not 0 < gamma < 1:
-            raise ParameterError("gamma must lie in (0, 1)")
-        self.gamma = float(gamma)
-        self.tau = float(tau)
-        axes = [
-            np.linspace(lo, hi, c) if c > 1 else np.array([(lo + hi) / 2.0])
-            for (lo, hi), c in zip(self.box, self.counts)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.samples = np.stack([m.ravel() for m in mesh], axis=-1)
-
-    @property
-    def nu(self):
-        return len(self.box)
-
-    def __len__(self):
-        return self.samples.shape[0]
-
-    def adjacent_pairs(self):
-        """Index pairs of neighbors along each axis (the declared pairing)."""
-        shape = tuple(self.counts)
-        flat = np.arange(int(np.prod(shape))).reshape(shape)
-        pairs = []
-        for ax in range(len(shape)):
-            if shape[ax] < 2:
-                continue
-            a = np.take(flat, range(shape[ax] - 1), axis=ax).ravel()
-            b = np.take(flat, range(1, shape[ax]), axis=ax).ravel()
-            pairs.extend(zip(a.tolist(), b.tolist()))
-        return pairs
-
-
-def weighted_lip_norm(values, grid, s=None, norm=None):
-    """sup-norm plus gamma times the adjacent-pair Lipschitz quotient.
-
-    values: list of objects indexed like grid.samples.  If ``norm`` is given it
-    maps an object to a float and differences are formed with '-'; otherwise
-    objects must be functions and ``s`` selects the Sobolev norm.  The
-    finite-difference seminorm over adjacent grid pairs is a lower bound of
-    the true Lipschitz seminorm (documented approximation).
-    """
-    if norm is None:
-        norm = lambda f: f.sobolev_norm(s)  # noqa: E731
-    sup = max(norm(v) for v in values)
-    lip = 0.0
-    for i, k in grid.adjacent_pairs():
-        dist = float(np.linalg.norm(grid.samples[i] - grid.samples[k]))
-        dnorm = norm(values[i] - values[k])
-        if dist == 0.0:
-            if dnorm > 0.0:
-                raise LipschitzQuotientError(
-                    f"coincident samples {i}, {k} with unequal values"
-                )
-            continue
-        lip = max(lip, dnorm / dist)
-    return sup + grid.gamma * lip
 
 
 # ---------------------------------------------------------------------------

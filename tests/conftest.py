@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 
 from wavekam import enumerate_clusters
-from wavekam.blockop import BlockOperator, PairedBlockOperator
-from wavekam.verify import rng_for  # noqa: F401  (tests import it from here)
+from wavekam.blockop import PairedBlockOperator
+from wavekam.verify import (_random_block, _random_space_time,
+                            rng_for)  # noqa: F401  (tests import rng_for from here)
 
 
 @pytest.fixture
@@ -19,22 +19,8 @@ def lat_d1():
 def random_block_operator(lattice, nu, ell_max, rng, density=0.4, decay=1.5,
                           ell_support=None):
     """Random operator with coefficients damped by <ell,a,b>^-decay."""
-    import itertools
-
-    blocks = {}
-    L = ell_max if ell_support is None else ell_support
-    for ell in itertools.product(range(-L, L + 1), repeat=nu):
-        for ca in lattice.clusters:
-            for cb in lattice.clusters:
-                if rng.random() > density:
-                    continue
-                w = max(1.0, np.linalg.norm(ell), ca.alpha, cb.alpha) ** (-decay)
-                mat = w * (
-                    rng.standard_normal((ca.n_alpha, cb.n_alpha))
-                    + 1j * rng.standard_normal((ca.n_alpha, cb.n_alpha))
-                )
-                blocks[(ell, ca.alpha_sq, cb.alpha_sq)] = mat
-    return BlockOperator(lattice, nu, ell_max, blocks)
+    return _random_block(lattice, nu, ell_max, rng, density=density,
+                         decay=decay, support=ell_support)
 
 
 def random_paired(lattice, nu, ell_max, rng, scale=1.0, **kw):
@@ -55,16 +41,5 @@ def random_hamiltonian_paired(lattice, nu, ell_max, rng, scale=1.0, **kw):
 
 def random_space_time(lattice, nu, ell_max, rng, n_j=3, ell_support=1):
     """Random truncated space-time function supported on a few modes."""
-    from wavekam import SpaceTimeFunction
-    import itertools
-
-    pts = list(lattice.all_points())
-    u = SpaceTimeFunction(nu, ell_max, lattice.d)
-    order = rng.permutation(len(pts))[:n_j]
-    for k in order:
-        j = pts[int(k)]
-        for ell in itertools.product(
-            range(-ell_support, ell_support + 1), repeat=nu
-        ):
-            u.set_coeff(ell, j, rng.standard_normal() + 1j * rng.standard_normal())
-    return u
+    return _random_space_time(lattice, nu, ell_max, rng, n_j=n_j,
+                              support=ell_support)

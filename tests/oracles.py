@@ -18,6 +18,10 @@ the package.
 - The KAM step whose order >= 2 remainder is the telescoped double sum
   Psi^i (Pi_N R_diag - Pi_N R) Psi^j, which the Lie series of ``kam_step``
   replaced.
+- Test-only references that left the package: the frequency grid with its
+  weighted Lipschitz norm and eigenvalue audit, the real-coordinate fields
+  of stages 1 and 2 with their complexification, and the action of a block
+  operator on a space-time function.
 """
 
 import itertools
@@ -27,12 +31,13 @@ import numpy as np
 
 from wavekam.blockop import (BlockOperator, PairedBlockOperator, diagonal_part,
                              rank_one_blocks, smoothing_projector)
-from wavekam.errors import ContractViolation, ParameterError, ResonanceError
-from wavekam.hamiltonian import ExpMap
+from wavekam.errors import (ContractViolation, ParameterError, ResonanceError,
+                            WavekamError)
+from wavekam.hamiltonian import BlockMatrix2, ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
 from wavekam.resonance import ResonanceReport
-from wavekam.spectrum import SpaceTimeFunction
+from wavekam.spectrum import AngleFunction, SpaceTimeFunction
 
 
 # ---------------------------------------------------------------------------
@@ -731,3 +736,216 @@ def kam_step_telescoped(state, lattice, config, omega):
         }
     )
     return new_state
+
+
+# ---------------------------------------------------------------------------
+# Frequency grid and weighted Lipschitz norm (formerly spectrum.OmegaGrid,
+# spectrum.weighted_lip_norm, errors.LipschitzQuotientError and
+# resonance.eigenvalue_lipschitz_audit)
+# ---------------------------------------------------------------------------
+
+
+class LipschitzQuotientError(WavekamError):
+    """Coincident parameter samples with unequal values: infinite quotient."""
+
+
+class OmegaGrid:
+    """Rectangular grid of frequency samples in a box of R^nu."""
+
+    def __init__(self, box, counts, gamma, tau):
+        self.box = [(float(lo), float(hi)) for lo, hi in box]
+        self.counts = [int(c) for c in counts]
+        if not 0 < gamma < 1:
+            raise ParameterError("gamma must lie in (0, 1)")
+        self.gamma = float(gamma)
+        self.tau = float(tau)
+        axes = [
+            np.linspace(lo, hi, c) if c > 1 else np.array([(lo + hi) / 2.0])
+            for (lo, hi), c in zip(self.box, self.counts)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        self.samples = np.stack([m.ravel() for m in mesh], axis=-1)
+
+    @property
+    def nu(self):
+        return len(self.box)
+
+    def __len__(self):
+        return self.samples.shape[0]
+
+    def adjacent_pairs(self):
+        """Index pairs of neighbors along each axis (the declared pairing)."""
+        shape = tuple(self.counts)
+        flat = np.arange(int(np.prod(shape))).reshape(shape)
+        pairs = []
+        for ax in range(len(shape)):
+            if shape[ax] < 2:
+                continue
+            a = np.take(flat, range(shape[ax] - 1), axis=ax).ravel()
+            b = np.take(flat, range(1, shape[ax]), axis=ax).ravel()
+            pairs.extend(zip(a.tolist(), b.tolist()))
+        return pairs
+
+
+def weighted_lip_norm(values, grid, s=None, norm=None):
+    """sup-norm plus gamma times the adjacent-pair Lipschitz quotient.
+
+    values: list of objects indexed like grid.samples.  If ``norm`` is given it
+    maps an object to a float and differences are formed with '-'; otherwise
+    objects must be functions and ``s`` selects the Sobolev norm.  The
+    finite-difference seminorm over adjacent grid pairs is a lower bound of
+    the true Lipschitz seminorm (documented approximation).
+    """
+    if norm is None:
+        norm = lambda f: f.sobolev_norm(s)  # noqa: E731
+    sup = max(norm(v) for v in values)
+    lip = 0.0
+    for i, k in grid.adjacent_pairs():
+        dist = float(np.linalg.norm(grid.samples[i] - grid.samples[k]))
+        dnorm = norm(values[i] - values[k])
+        if dist == 0.0:
+            if dnorm > 0.0:
+                raise LipschitzQuotientError(
+                    f"coincident samples {i}, {k} with unequal values"
+                )
+            continue
+        lip = max(lip, dnorm / dist)
+    return sup + grid.gamma * lip
+
+
+def eigenvalue_lipschitz_audit(grid, blocks_per_omega, lattice, slack=1e-10):
+    """Check |lambda_k(w1) - lambda_k(w2)| <= ||D(w1) - D(w2)||_HS per cluster.
+
+    Sorted-eigenvalue differences on adjacent grid pairs against the
+    Hilbert-Schmidt quotient of the blocks; violations beyond the rounding
+    slack are reported.
+    """
+    if len(grid) < 2:
+        raise ParameterError("need at least two grid points")
+    violations = []
+    quotients = []
+    for i, k in grid.adjacent_pairs():
+        dist = float(np.linalg.norm(grid.samples[i] - grid.samples[k]))
+        if dist == 0.0:
+            continue
+        for cl in lattice.clusters:
+            a_sq = cl.alpha_sq
+            m1 = np.asarray(blocks_per_omega[i][a_sq])
+            m2 = np.asarray(blocks_per_omega[k][a_sq])
+            lam1 = np.linalg.eigvalsh(m1)
+            lam2 = np.linalg.eigvalsh(m2)
+            lhs = float(np.max(np.abs(lam1 - lam2)))
+            rhs = float(np.linalg.norm(m1 - m2, "fro"))
+            quotients.append((lhs / dist, rhs / dist))
+            if lhs > rhs + slack:
+                violations.append(
+                    {
+                        "pair": (int(i), int(k)),
+                        "alpha_sq": a_sq,
+                        "eig_quotient": lhs / dist,
+                        "hs_quotient": rhs / dist,
+                    }
+                )
+    return {"violations": violations, "quotients": quotients}
+
+
+# ---------------------------------------------------------------------------
+# Real-coordinate fields (formerly hamiltonian.RealVectorField and
+# hamiltonian.complexify): the real 2x2 form of stages 1 and 2
+# ---------------------------------------------------------------------------
+
+
+class RealVectorField(BlockMatrix2):
+    """2x2 block field on (v, psi) with reality and Hamiltonian predicates."""
+
+    def is_real(self, tol=1e-12):
+        return all(e.is_real(tol) for e in self.entries())
+
+    def hamiltonian_residual(self):
+        """Residual of X = J G with G symmetric: needs b = b^T, c = c^T, a^T = -d."""
+        r1 = (self.b - self.b.transpose()).hs_total()
+        r2 = (self.c - self.c.transpose()).hs_total()
+        r3 = (self.a.transpose() + self.d).hs_total()
+        return r1 + r2 + r3
+
+    def is_hamiltonian(self, tol=1e-10):
+        scale = max(self.hs_total(), 1.0)
+        return self.hamiltonian_residual() <= tol * scale
+
+
+def complexify(x, tol=1e-12):
+    """Conjugate a real 2x2 field by the complexification C.
+
+    Returns the paired operator with top row
+    r1 = (A + D - i(B - C))/2,  r2 = (A - D + i(B + C))/2.
+    """
+    if not isinstance(x, BlockMatrix2):
+        raise ContractViolation("complexify expects a 2x2 block field")
+    for name, e in zip("abcd", x.entries()):
+        if not e.is_real(tol):
+            raise ContractViolation(f"entry {name} violates the reality predicate")
+    r1 = (x.a + x.d) * 0.5 + (x.b - x.c) * (-0.5j)
+    r2 = (x.a - x.d) * 0.5 + (x.b + x.c) * (0.5j)
+    return PairedBlockOperator(r1, r2)
+
+
+# ---------------------------------------------------------------------------
+# Action on a space-time function (formerly BlockOperator.apply and
+# blockop._shift_coeffs)
+# ---------------------------------------------------------------------------
+
+
+def block_apply(op, u):
+    """Apply to a SpaceTimeFunction (phi-convolution, block action in x)."""
+    out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
+    # group input coefficients by cluster
+    by_cluster = {}
+    for j in u.space_modes():
+        a_sq = op.lattice.cluster_of_point.get(j)
+        if a_sq is None:
+            continue
+        by_cluster.setdefault(a_sq, []).append(j)
+    for (ell, a, b), mat in op.items():
+        if b not in by_cluster:
+            continue
+        cb = op.lattice.cluster(b)
+        ca = op.lattice.cluster(a)
+        vec = [None] * cb.n_alpha
+        nonzero = False
+        for j in by_cluster[b]:
+            vec[cb.index_of[j]] = u.angle_part(j)
+            nonzero = True
+        if not nonzero:
+            continue
+        for r, jp in enumerate(ca.points):
+            coeffs = None
+            for cidx in range(cb.n_alpha):
+                f = vec[cidx]
+                if f is None or mat[r, cidx] == 0:
+                    continue
+                term = f.coeffs * mat[r, cidx]
+                coeffs = term if coeffs is None else coeffs + term
+            if coeffs is None:
+                continue
+            shifted = _shift_coeffs(coeffs, ell, u.ell_max)
+            if jp in out.comps:
+                out.comps[jp].coeffs += shifted
+            else:
+                g = out.comps.setdefault(jp, AngleFunction(u.nu, u.ell_max))
+                g.coeffs += shifted
+    return out
+
+
+def _shift_coeffs(coeffs, ell, ell_max):
+    """Shift a dense angle-coefficient array by ell, truncating to the box."""
+    out = np.zeros_like(coeffs)
+    src = []
+    dst = []
+    for off, L in zip(ell, [ell_max] * len(ell)):
+        n = 2 * L + 1
+        lo_src = max(0, -off)
+        hi_src = min(n, n - off)
+        src.append(slice(lo_src, hi_src))
+        dst.append(slice(lo_src + off, hi_src + off))
+    out[tuple(dst)] = coeffs[tuple(src)]
+    return out

@@ -27,6 +27,7 @@ from conftest import (
 )
 from oracles import (
     FiniteRankOperator,
+    block_apply,
     finite_rank_to_blocks,
     multiplier_apply_pair_at_phi,
     paired_apply_pair_at_phi,
@@ -111,8 +112,8 @@ class TestCompose:
         r = random_block_operator(lat_d2, 2, 6, rng, ell_support=1)
         t = random_block_operator(lat_d2, 2, 6, rng, ell_support=1)
         u = random_space_time(lat_d2, 2, 6, rng, n_j=4, ell_support=1)
-        via_compose = compose(r, t).apply(u)
-        sequential = r.apply(t.apply(u))
+        via_compose = block_apply(compose(r, t), u)
+        sequential = block_apply(r, block_apply(t, u))
         diff = (via_compose + sequential * (-1.0)).sobolev_norm(0.0)
         assert diff <= 1e-12 * max(1.0, sequential.sobolev_norm(0.0))
 
@@ -268,8 +269,8 @@ class TestProjectors:
         op = random_block_operator(lat_d2, 2, 2, rng)
         u = random_space_time(lat_d2, 2, 2, rng)
         low, high = smoothing_projector(op, 2)
-        direct = op.apply(u)
-        split = low.apply(u) + high.apply(u)
+        direct = block_apply(op, u)
+        split = block_apply(low, u) + block_apply(high, u)
         assert (direct + split * (-1.0)).sobolev_norm(0.0) <= 1e-13
 
 
@@ -338,7 +339,7 @@ class TestFiniteRank:
             u = random_space_time(lat_d2, 2, 3, rng, n_j=4, ell_support=1)
             ip = g.pairing(u)
             want, _ = q.mul_angle(ip)
-            got = op.apply(u)
+            got = block_apply(op, u)
             diff = (got + want * (-1.0)).sobolev_norm(0.0)
             assert diff <= 1e-12 * max(1.0, want.sobolev_norm(0.0))
 

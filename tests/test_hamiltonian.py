@@ -11,8 +11,6 @@ from wavekam.errors import ContractViolation
 from wavekam.hamiltonian import (
     BlockMatrix2,
     ExpMap,
-    RealVectorField,
-    complexify,
     push_forward,
     symplectic_check,
 )
@@ -22,6 +20,7 @@ from conftest import (
     random_hamiltonian_paired,
     rng_for,
 )
+from oracles import RealVectorField, complexify
 
 
 def scalar_field(lat, nu, ell_max, a, b, c, d):

@@ -6,7 +6,7 @@ import pytest
 from wavekam import AngleFunction, SpaceTimeFunction, enumerate_clusters
 from wavekam.blockop import BlockOperator
 from wavekam.errors import ParameterError
-from wavekam.hamiltonian import BlockMatrix2, RealVectorField, complexify, push_forward
+from wavekam.hamiltonian import BlockMatrix2, push_forward
 from wavekam.multiplier import FourierMultiplier, PairedMultiplier
 from wavekam.regularization import (
     WaveProblem,
@@ -24,6 +24,8 @@ from wavekam.regularization import (
 from conftest import rng_for
 from oracles import (
     FiniteRankOperator,
+    RealVectorField,
+    complexify,
     field_apply_at_phi,
     finite_rank_to_blocks,
     paired_apply_pair_at_phi,

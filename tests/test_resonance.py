@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from wavekam import OmegaGrid, enumerate_clusters
+from wavekam import enumerate_clusters
 from wavekam.resonance import (
     EigenData,
     classify_grid,
     classify_omega,
     divisor_check,
-    eigenvalue_lipschitz_audit,
     measure_sweep,
     sorted_combos,
 )
+
+from oracles import OmegaGrid, eigenvalue_lipschitz_audit
 
 from conftest import rng_for
 

@@ -6,19 +6,18 @@ import pytest
 
 from wavekam import (
     AngleFunction,
-    OmegaGrid,
     SpaceTimeFunction,
     diophantine_check,
     enumerate_clusters,
     omega_dphi_inverse,
     sobolev_norm,
-    weighted_lip_norm,
 )
-from wavekam.errors import DiophantineViolation, LipschitzQuotientError, ParameterError
+from wavekam.errors import DiophantineViolation, ParameterError
 from wavekam.spectrum import _convolve_full
 
 from conftest import rng_for
-from oracles import convolve_full_loop
+from oracles import (LipschitzQuotientError, OmegaGrid, convolve_full_loop,
+                     weighted_lip_norm)
 
 
 class TestEnumerateClusters:
