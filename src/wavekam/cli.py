@@ -291,7 +291,7 @@ def build_problem(cfg, seed):
     kwargs = dict(
         d=d, nu=nu, epsilon=eps, j_max=j_max, ell_max=ell_max,
         q=num.get("q", 8), M=num.get("M"), gamma=gamma, tau=num.get("tau"),
-        lattice=lattice,
+        dd=num.get("dd"), lattice=lattice,
     )
     if "kirchhoff_v0" in prob:
         rng = rng_for(seed, "kirchhoff-v0")
@@ -317,9 +317,9 @@ def kam_config_for(problem, cfg):
     """KamConfig from the problem and the keys the config sets; KamConfig
     holds every default."""
     num = cfg["numerics"]
-    keys = ("tau", "dd", "n0", "max_steps", "target_residual")
+    keys = ("tau", "n0", "max_steps", "target_residual")
     return KamConfig(nu=problem.nu, d=problem.d, gamma=problem.gamma,
-                     **{k: num[k] for k in keys if k in num})
+                     dd=problem.dd, **{k: num[k] for k in keys if k in num})
 
 
 # ---------------------------------------------------------------------------
@@ -415,30 +415,22 @@ def phase_measure(problem, cfg, reg, outdir, summary, gamma_list=None):
     grid_spec = run.get("omega_grid")
     if grid_spec is None:
         raise ConfigError("measure phase requires run.omega_grid")
-    axes = [
-        np.linspace(lo, hi, n)
-        for (lo, hi), n in zip(grid_spec["box"], grid_spec["counts"])
-    ]
+    axes = [np.linspace(lo, hi, n)
+            for (lo, hi), n in zip(grid_spec["box"], grid_spec["counts"])]
     mesh = np.meshgrid(*axes, indexing="ij")
     samples = np.stack([m.ravel() for m in mesh], axis=-1)
     gammas = gamma_list or run.get("gamma_list")
     if not gammas:
         g0 = 8 * problem.gamma
         gammas = [g0, g0 / 2, g0 / 4, g0 / 8]
-    eig = EigenData.unperturbed(
-        problem.lattice, m=reg.m,
-        c=[reg.c[i] for i in range(len(problem.lattice.clusters))],
-    )
+    eig = EigenData.unperturbed(problem.lattice, m=reg.m, c=reg.c)
     rows, fit = measure_sweep(
         samples, eig, gammas, problem.tau, problem.dd, problem.ell_max
     )
     write_sweep_table(outdir / "measure_sweep.csv", rows)
     # certificates for a small prefix of the grid at the largest gamma
-    reports = []
-    for w in samples[: min(len(samples), 64)]:
-        rep = classify_omega(w, eig, gammas[0], problem.tau, problem.dd,
-                             problem.ell_max, first_only=False)
-        reports.append(rep.to_json())
+    reports = classify_omega(samples[:64], eig, max(gammas), problem.tau,
+                             problem.dd, problem.ell_max, first_only=False)
     write_certificates(outdir / "certificates.jsonl", reports)
     summary["measure"] = {"rows": rows, "fit": fit}
     return rows, fit

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blockop
 from .errors import ParameterError
 
 __all__ = [
@@ -228,13 +229,16 @@ class ConjugationChain:
         return t + float(self.reg.stage3.alpha_fn.eval_at(phi).real[0])
 
     def w2(self, taus, inverse=False):
-        """W2(omega tau), or W2^{-1}, for each tau: shape (m, 2n, 2n)."""
-        phis = np.outer(taus, self.omega)
-        out = None
-        for op in self._w2_inv if inverse else self._w2:
-            mat = op.matrix_at_phi(phis)
-            out = mat if out is None else out @ mat
-        return out
+        """W2(omega tau), or W2^{-1}, for each tau: (2n, 2n) matrices, built
+        a chunk of taus at a time so a stack fits blockop._CHUNK_BYTES."""
+        step = max(1, blockop._CHUNK_BYTES // (16 * (2 * len(self._root)) ** 2))
+        for lo in range(0, len(taus), step):
+            phis = np.outer(taus[lo:lo + step], self.omega)
+            out = None
+            for op in self._w2_inv if inverse else self._w2:
+                mat = op.matrix_at_phi(phis)
+                out = mat if out is None else out @ mat
+            yield from out
 
     def w1(self, t, inverse=False):
         """S(omega t) C, or C^{-1} S(omega t)^{-1}, as a (2n, 2n) matrix.

@@ -64,6 +64,7 @@ class WaveProblem:
     M: int = None
     gamma: float = 0.05
     tau: float = None
+    dd: float = None  # Melnikov space-loss exponent, default 2d
     grid_n: int = None
     lattice: object = field(default=None, repr=False)
 
@@ -74,6 +75,8 @@ class WaveProblem:
             self.M = max(1, self.q // 2)
         if self.tau is None:
             self.tau = self.nu + 4 * self.d
+        if self.dd is None:
+            self.dd = 2 * self.d
         if self.grid_n is None:
             self.grid_n = max(4 * self.ell_max, 8)
         if self.lattice is None:
@@ -83,11 +86,6 @@ class WaveProblem:
         for b, c in self.rank_pairs:
             if not (b.is_real(1e-12) and c.is_real(1e-12)):
                 raise ParameterError("rank data must be real-valued")
-
-    @property
-    def dd(self):
-        """Melnikov space-loss exponent, default 2d."""
-        return 2 * self.d
 
 
 def kirchhoff_linearization(v0, problem_kwargs):

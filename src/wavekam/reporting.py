@@ -139,10 +139,10 @@ def write_sweep_table(path, rows):
 
 
 def write_certificates(path, reports):
-    """JSONL: one classification report per line."""
+    """JSONL: one ResonanceReport per line."""
     with open(path, "w") as fh:
         for rep in reports:
-            fh.write(json.dumps(_jsonify(rep)) + "\n")
+            fh.write(json.dumps(_jsonify(rep.to_json())) + "\n")
 
 
 def write_trajectory(path, times, norm_v, norm_psi):

@@ -72,11 +72,8 @@ class EigenData:
 
     def correction_bound(self):
         """max |lambda - m alpha| over the table."""
-        worst = 0.0
-        for cl in self.lattice.clusters:
-            lam = self.tables[cl.alpha_sq]
-            worst = max(worst, float(np.max(np.abs(lam - self.m * cl.alpha))))
-        return worst
+        return max(float(np.max(np.abs(self.tables[cl.alpha_sq] - self.m * cl.alpha)))
+                   for cl in self.lattice.clusters)
 
 
 @dataclass
@@ -134,8 +131,8 @@ def divisor_check(xs, combos, thr, closed=False):
 
 def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     """Classifier failures over the box |ell|_inf <= ell_max, in scan order
-    (ell outer, then cluster pairs, 'R' before 'Q'): yields (ell, wl, pair,
-    kind, thr, g, s), sample s failing at gammas[g], thr[g] the thresholds.
+    (ell outer, then cluster pairs, 'R' before 'Q'): yields (ell, pair, kind,
+    thr, g, s), sample s failing at gammas[g], thr[g] the thresholds.
 
     Pruning (validated against the full scan in tests): a difference
     condition can only fail when m|alpha-beta| <= |omega||ell| + 2 gamma
@@ -179,29 +176,38 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
             pos, _, bad = divisor_check(xs, combos[c], thr[:, c, None])
             g, p = np.nonzero(bad)
             if g.size:
-                yield (ell, wl, pairs[c // 2], "RQ"[c % 2], thr[:, c], g,
-                       order[pos[p]])
+                yield ell, pairs[c // 2], "RQ"[c % 2], thr[:, c], g, order[pos[p]]
 
 
 def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
                    first_only=True):
-    """Verdict for one frequency; certificates carry the failing inequality,
-    in scan order, each at the smallest entry (k, j) of its table
-    |omega.ell + lambda_k -+ lambda_j|."""
+    """Verdict for one frequency (nu,), or a list, one per row of an (m, nu)
+    array, from one scan pruned with the rows' largest |omega|.  Certificates
+    carry the failing inequality, in scan order, each at the smallest entry
+    (k, j) of its table |omega.ell + lambda_k -+ lambda_j| evaluated from the
+    row alone; with ``first_only`` a row keeps only its first."""
     omega = np.asarray(omega, dtype=float)
-    certs = []
-    for ell, wl, (ca, cb), kind, thr, _, _ in _scan_box(
-            omega[None, :], eigen, [gamma], tau, dd, ell_max, prune):
+    rows = np.atleast_2d(omega)
+    certs = [[] for _ in rows]
+    for ell, (ca, cb), kind, thr, _, hits in _scan_box(
+            rows, eigen, [gamma], tau, dd, ell_max, prune):
         la = eigen.tables[ca.alpha_sq][:, None]
         lb = eigen.tables[cb.alpha_sq][None, :]
-        gap = np.abs(wl[0] + la - lb) if kind == "R" else np.abs(wl[0] + la + lb)
-        k, j = np.unravel_index(np.argmin(gap), gap.shape)
-        certs.append({"kind": kind, "ell": list(ell), "alpha_sq": ca.alpha_sq,
-                      "beta_sq": cb.alpha_sq, "k": int(k), "j": int(j),
-                      "value": float(gap[k, j]), "threshold": float(thr[0])})
-        if first_only:
+        for s in hits:
+            if first_only and certs[s]:
+                continue
+            # the one-row product: a batched one can round differently
+            wl = (rows[s:s + 1] @ np.asarray(ell, dtype=float))[0]
+            gap = np.abs(wl + la - lb) if kind == "R" else np.abs(wl + la + lb)
+            k, j = np.unravel_index(np.argmin(gap), gap.shape)
+            certs[s].append({
+                "kind": kind, "ell": list(ell), "alpha_sq": ca.alpha_sq,
+                "beta_sq": cb.alpha_sq, "k": int(k), "j": int(j),
+                "value": float(gap[k, j]), "threshold": float(thr[0])})
+        if first_only and all(certs):
             break
-    return ResonanceReport(omega, not certs, certs)
+    reports = [ResonanceReport(w, not c, c) for w, c in zip(rows, certs)]
+    return reports if omega.ndim == 2 else reports[0]
 
 
 def _grid_masks(samples, eigen, gammas, tau, dd, ell_max):

@@ -11,6 +11,7 @@ import yaml
 from wavekam import cli
 from wavekam.cli import CONFIG_SCHEMA, main
 from wavekam.kam import MAX_SCAN_ELLS
+from wavekam.resonance import classify_omega
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src/wavekam/configs"
 
@@ -99,7 +100,7 @@ class TestThreads:
                 state=SimpleNamespace(step=0), conjugation_residual=1.0)
 
         monkeypatch.setattr(cli, "_kam_worker", serial_worker)
-        problem = SimpleNamespace(nu=2, d=2, gamma=1e-3)
+        problem = SimpleNamespace(nu=2, d=2, gamma=1e-3, dd=4)
         cfg = {"numerics": {}, "run": {"omega": [1.0, 1.5]}}
         omegas = [[1.0 + 0.1 * i, 1.5] for i in range(n_omega)]
         cli.phase_kam(problem, cfg, omegas, tmp_path, {}, threads=threads)
@@ -213,6 +214,56 @@ class TestOtherVerbs:
         total = sum(len(c["points"]) for c in lattice["clusters"])
         assert total == 12
         assert (out / "rank_b_0.json").exists()
+
+
+class TestMeasurePhase:
+    KIR = CONFIG_DIR / "kirchhoff-lin.yaml"
+
+    def sweep(self, out, config=KIR, *extra):
+        assert run_cli("sweep", "--config", str(config), "--out", str(out),
+                       *extra) == 0
+        lines = (out / "certificates.jsonl").read_text().splitlines()
+        return [json.loads(line) for line in lines]
+
+    def test_certificates_equal_one_row_calls(self, monkeypatch, tmp_path):
+        calls = []
+
+        def spy(omega, *args, **kwargs):
+            calls.append((omega, args, kwargs))
+            return classify_omega(omega, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify_omega", spy)
+        lines = self.sweep(tmp_path / "kir")
+        # one batched call over the grid prefix, at the largest gamma
+        [(rows, args, kwargs)] = calls
+        assert rows.shape == (64, 2) and args[1] == 0.01
+        assert [line["omega"] for line in lines] == rows.tolist()
+        assert not all(line["accepted"] for line in lines)
+        for line, w in zip(lines, rows):
+            assert line == classify_omega(w, *args, **kwargs).to_json()
+
+    def test_certified_at_largest_gamma_in_any_order(self, tmp_path):
+        for name, gammas in (("desc", "0.01,0.00125"),
+                             ("asc", "0.00125,0.01")):
+            self.sweep(tmp_path / name, self.KIR, "--gamma-list", gammas)
+        assert ((tmp_path / "desc" / "certificates.jsonl").read_bytes()
+                == (tmp_path / "asc" / "certificates.jsonl").read_bytes())
+
+    def test_numerics_dd_reaches_kam_and_classifier(self, tmp_path):
+        cfg = yaml.safe_load(self.KIR.read_text())
+        problem = cli.build_problem(cfg, 0)
+        assert cli.kam_config_for(problem, cfg).dd == problem.dd == 2 * 2
+        cfg["numerics"]["dd"] = 1.0
+        problem = cli.build_problem(cfg, 0)
+        assert cli.kam_config_for(problem, cfg).dd == problem.dd == 1.0
+        path = tmp_path / "dd.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        thresholds = [
+            [c["threshold"] for line in self.sweep(tmp_path / name, config)
+             for c in line["certificates"]]
+            for name, config in (("dd", path), ("default", self.KIR))
+        ]
+        assert thresholds[0] != thresholds[1]
 
 
 class TestKirchhoffGolden:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavekam import AngleFunction, SpaceTimeFunction
+from wavekam import AngleFunction, SpaceTimeFunction, blockop
 from wavekam.cli import build_problem, load_config
 from wavekam.dynamics import (
     ConjugationChain,
@@ -245,6 +245,28 @@ class TestConjugacy:
         rep = conjugacy_roundtrip(chain, times, vm, pm)
         assert rep["inverse_residual"] <= 1e-9
         assert rep["trajectory_residual"] <= 1e-6
+
+    def test_roundtrip_memory_independent_of_sample_count(self, monkeypatch):
+        # j_max = 3 (n = 28): the (2n, 2n) stacks outweigh the per-time data
+        p = make_problem(1e-3, j_max=3)
+        chain = ConjugationChain(p, OMEGA, run_pipeline(p, OMEGA))
+        v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
+        runs = [evolve_original(p, OMEGA, v0, {}, 4.0, dt=0.01, n_samples=k)
+                for k in (20, 200)]
+        reps = [conjugacy_roundtrip(chain, *run[:3]) for run in runs]
+        # W2 stacks of 20 angles: 200 sample times take 10 chunks
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES",
+                            20 * 16 * (2 * p.lattice.n_points) ** 2)
+        peaks = []
+        for run, rep in zip(runs, reps):
+            tracemalloc.start()
+            try:
+                chunked = conjugacy_roundtrip(chain, *run[:3])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert chunked == pytest.approx(rep, rel=1e-12, abs=1e-15)
+        assert peaks[1] < 2 * peaks[0]
 
     def test_t0_slice_matches_initial_transform(self):
         p, res, chain = self.chain_for(1e-3, with_kam=True)

@@ -94,6 +94,25 @@ class TestClassify:
             rep = classify_omega(w, eig, 0.05, 2.0, 1.0, 2, prune=False)
             assert rep.accepted == bool(mask[i]), (i, w)
 
+    def test_batched_value_from_the_row_alone(self):
+        # kirchhoff-lin's grid prefix: row 13, (1, 4/3), lies on
+        # omega.ell = 0 at ell = (-4, 3).  A batched product may round that
+        # to 0.0 where the one-row product gives 2.2e-16; the certificate
+        # value is the one-row one.
+        ax = np.linspace(1.0, 2.0, 40)
+        mesh = np.meshgrid(ax, ax, indexing="ij")
+        rows = np.stack([m.ravel() for m in mesh], axis=-1)[:64]
+        eig = toy_eigen()
+        reports = classify_omega(rows, eig, 0.01, TAU, DD, 4, first_only=False)
+        ell = np.array([-4.0, 3.0])
+        one_row = (rows[13:14] @ ell)[0]
+        [value] = {c["value"] for c in reports[13].certificates
+                   if c["ell"] == [-4, 3] and c["alpha_sq"] == 1}
+        assert value == abs(one_row + 1.0 - 1.0)  # lambda = 1 on alpha = 1
+        for w, rep in zip(rows, reports):
+            one = classify_omega(w, eig, 0.01, TAU, DD, 4, first_only=False)
+            assert rep.to_json() == one.to_json()
+
     def test_cluster_gap_floor_at_ell_zero(self):
         # for ell = 0 the (-) margin reproduces the spectral gap
         lat = enumerate_clusters(2, 2)

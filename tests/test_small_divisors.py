@@ -3,8 +3,8 @@
 Random Hermitian cluster blocks (generic, scalar, exactly repeated and
 unitarily rotated repeated spectra), frequencies, gamma, cutoffs and boxes:
 the KAM Melnikov scan, classify_omega (pruned or not, first or all
-certificates), classify_grid and measure_sweep must give the reference
-verdicts and certificates.
+certificates, one row or a batch of rows), classify_grid and measure_sweep
+must give the reference verdicts and certificates.
 """
 
 import math
@@ -30,6 +30,8 @@ from wavekam.resonance import (
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
+# per prune/first_only combination; each example runs the oracle per row
+BATCH = settings(PROPERTY, max_examples=60)
 
 
 def hermitian_block(rng, n, alpha, kind, size):
@@ -159,6 +161,34 @@ class TestClassifier:
         for cert in got.certificates:
             bad, value = oracles.recheck_certificate(omega, eig, cert)
             assert bad and value == cert["value"]
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("first_only", [True, False])
+    @BATCH
+    @given(spectra(), st.integers(1, 3), st.integers(1, 5),
+           st.integers(0, 2**32 - 1), gammas, exponents, exponents,
+           st.integers(1, 3))
+    def test_batched_rows_match_one_row_and_reference(
+            self, prune, first_only, spec, nu, m, seed, gamma, tau, dd,
+            ell_max):
+        lattice, blocks = spec
+        eig = EigenData.from_blocks(lattice, blocks)
+        rng = np.random.default_rng(seed)
+        rows = 0.3 + 2.2 * rng.random((m, nu))
+        # exact half-integers make some conditions fail with value 0
+        exact = rng.random((m, nu)) < 0.3
+        rows[exact] = rng.choice([0.5, 1.0, 1.5, 2.0], size=int(exact.sum()))
+        got = classify_omega(rows, eig, gamma, tau, dd, ell_max, prune=prune,
+                             first_only=first_only)
+        assert len(got) == m
+        for w, rep in zip(rows, got):
+            one = classify_omega(w, eig, gamma, tau, dd, ell_max, prune=prune,
+                                 first_only=first_only)
+            ref = oracles.classify_omega(w, eig, gamma, tau, dd, ell_max,
+                                         prune=prune, first_only=first_only)
+            assert np.array_equal(rep.omega, w)
+            assert rep.accepted == one.accepted == ref.accepted
+            assert rep.certificates == one.certificates == ref.certificates
 
     @PROPERTY
     @given(spectra(), st.integers(0, 2**32 - 1), gammas, exponents,
