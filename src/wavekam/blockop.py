@@ -6,11 +6,10 @@ per cluster pair, rows and columns in the lattice's point order.
 
 Storage is one stack per cluster pair: ``stacks[(alpha^2, beta^2)] =
 (idx, mats)``.  ``idx`` is the sorted int vector of the stored ell as flat
-positions in the (2L+1)^nu box, in the lexicographic ``_ell_box_list`` order
-that ``to_dense`` uses, so -ell sits at (2L+1)^nu - 1 - idx; ``mats`` is the
-(k, n_alpha, n_beta) stack of their blocks.  An absent block is zero and a
-pair without blocks has no entry; remainders become extremely sparse as the
-reduction progresses.  Stacks are never written in place once an operator
+positions in the (2L+1)^nu box, the rows of ``spectrum.ell_box``, so -ell
+sits at (2L+1)^nu - 1 - idx; ``mats`` is the (k, n_alpha, n_beta) stack of
+their blocks.  An absent block is zero and a pair without blocks has no
+entry; remainders become extremely sparse as the reduction progresses.  Stacks are never written in place once an operator
 holds them, so operators share them freely.  ``set_block``, ``block`` and the
 sorted ``items`` iterator are the per-block accessors; every other operation
 is a few array operations per pair.
@@ -29,13 +28,13 @@ which is closed under composition, inversion and exponentials; the bottom row
 is implied and never stored.
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import LatticeMismatchError, ParameterError
 from .series import truncated_series
+from .spectrum import ell_table
 
 __all__ = [
     "BlockOperator",
@@ -49,22 +48,6 @@ __all__ = [
 
 # compose keeps its product temporaries per GEMM within this many bytes
 _CHUNK_BYTES = 2**24
-
-
-def _ells_of(idx, nu, ell_max):
-    """(k, nu) ell vectors at flat box positions idx."""
-    n = 2 * ell_max + 1
-    out = np.empty((len(idx), nu), dtype=np.int64)
-    rem = np.asarray(idx, dtype=np.int64)
-    for k in range(nu - 1, -1, -1):
-        rem, out[:, k] = np.divmod(rem, n)
-    return out - ell_max
-
-
-def _norms_of(idx, nu, ell_max):
-    """|ell| at flat box positions idx (exact integer squares, one sqrt)."""
-    ells = _ells_of(idx, nu, ell_max)
-    return np.sqrt(np.sum(ells * ells, axis=1).astype(float))
 
 
 def _hs_sq(mats):
@@ -169,9 +152,10 @@ class BlockOperator:
 
     def items(self):
         """((ell, alpha^2, beta^2), block) of every stored block, keys sorted."""
+        box = ell_table(self.nu, self.ell_max)[0]
         ells, order = {}, []
         for (a, b), (idx, _) in self.stacks.items():
-            ells[(a, b)] = _ells_of(idx, self.nu, self.ell_max).tolist()
+            ells[(a, b)] = box[idx].tolist()
             order.extend((p, a, b, i) for i, p in enumerate(idx.tolist()))
         for _, a, b, i in sorted(order):
             yield (tuple(ells[(a, b)][i]), a, b), self.stacks[(a, b)][1][i]
@@ -199,7 +183,7 @@ class BlockOperator:
     @classmethod
     def identity(cls, lattice, nu, ell_max):
         out = cls(lattice, nu, ell_max)
-        center = np.array([((2 * ell_max + 1) ** nu - 1) // 2], dtype=np.int64)
+        center = np.array([out._position((0,) * nu)], dtype=np.int64)
         for c in lattice.clusters:
             out.stacks[(c.alpha_sq, c.alpha_sq)] = (
                 center, np.eye(c.n_alpha, dtype=complex)[None])
@@ -249,7 +233,7 @@ class BlockOperator:
     def conj(self):
         """(conj R)_j^{j'}(phi) = conj(R_{-j}^{-j'}(phi)); ell flips with the phi conjugation."""
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
-        last = (2 * self.ell_max + 1) ** self.nu - 1
+        last = len(ell_table(self.nu, self.ell_max)[0]) - 1
         for (a, b), (idx, mats) in self.stacks.items():
             pa, pb = self._neg_perms(a, b)
             flipped = mats[::-1][:, pa, pb]
@@ -272,8 +256,9 @@ class BlockOperator:
     def omega_dphi(self, omega):
         omega = np.asarray(omega, dtype=float)
         out = BlockOperator(self.lattice, self.nu, self.ell_max)
+        box = ell_table(self.nu, self.ell_max)[0]
         for key, (idx, mats) in self.stacks.items():
-            f = 1j * (_ells_of(idx, self.nu, self.ell_max) @ omega)
+            f = 1j * (box[idx] @ omega)
             keep = f != 0
             if keep.any():
                 out.stacks[key] = (idx[keep], mats[keep] * f[keep, None, None])
@@ -282,10 +267,11 @@ class BlockOperator:
     # -- norms ----------------------------------------------------------------
     def decay_norm(self, s):
         """sup over (alpha, beta) of the ell-weighted HS mass, compensated sums."""
+        norms = ell_table(self.nu, self.ell_max)[1]
         best = 0.0
         for (a, b), (idx, mats) in self.stacks.items():
             floor = max(1.0, self.lattice.alpha(a), self.lattice.alpha(b))
-            base = np.maximum(_norms_of(idx, self.nu, self.ell_max), floor)
+            base = np.maximum(norms[idx], floor)
             best = max(best, math.fsum(
                 x ** (2.0 * s) * h for x, h in zip(base.tolist(), _hs_sq(mats).tolist())))
         return math.sqrt(best)
@@ -293,38 +279,6 @@ class BlockOperator:
     def hs_total(self):
         return math.sqrt(math.fsum(
             h for _, mats in self.stacks.values() for h in _hs_sq(mats).tolist()))
-
-    # -- dense oracle ---------------------------------------------------------
-    def to_dense(self, ell_box=None):
-        """Flatten to a matrix over the (ell, j) basis (test oracle; small sizes).
-
-        Entry rule: M[(ell, j), (ell', j')] = Rhat_j^{j'}(ell - ell').
-        """
-        ell_box = self.ell_max if ell_box is None else ell_box
-        ells = _ell_box_list(self.nu, ell_box)
-        pts = list(self.lattice.all_points())
-        index = {}
-        for i, ell in enumerate(ells):
-            for k, j in enumerate(pts):
-                index[(ell, j)] = i * len(pts) + k
-        n = len(ells) * len(pts)
-        M = np.zeros((n, n), dtype=complex)
-        for (ell, a, b), mat in self.items():
-            ca = self.lattice.cluster(a)
-            cb = self.lattice.cluster(b)
-            for lp in ells:
-                lo = tuple(x + y for x, y in zip(ell, lp))
-                if max(abs(x) for x in lo) > ell_box:
-                    continue
-                for r, jr in enumerate(ca.points):
-                    row = index[(lo, jr)]
-                    for c, jc in enumerate(cb.points):
-                        M[row, index[(lp, jc)]] += mat[r, c]
-        return M, ells, pts
-
-
-def _ell_box_list(nu, ell_max):
-    return sorted(itertools.product(range(-ell_max, ell_max + 1), repeat=nu))
 
 
 def _op_close(x, y, tol):
@@ -352,13 +306,14 @@ def _scatter_pattern(nu, ell_max, i1, i2):
     sorted stably by output position, the starts of their runs, the output
     position of each run, and the products outside the box.
     """
-    e1, e2 = _ells_of(i1, nu, ell_max), _ells_of(i2, nu, ell_max)
+    box = ell_table(nu, ell_max)[0]
+    e1, e2 = box[i1], box[i2]
     inbox = np.ones((len(i1), len(i2)), dtype=bool)
     for k in range(nu):
         inbox &= np.abs(e1[:, k, None] + e2[None, :, k]) <= ell_max
     inbox = inbox.ravel()
     # inside the box flat positions add: (ell1 + L) + (ell2 + L) - center
-    pos = (i1[:, None] + i2[None, :]).ravel() - ((2 * ell_max + 1) ** nu - 1) // 2
+    pos = (i1[:, None] + i2[None, :]).ravel() - len(box) // 2
     order = np.flatnonzero(inbox)
     order = order[np.argsort(pos[order], kind="stable")]
     pos = pos[order]
@@ -416,9 +371,9 @@ def smoothing_projector(R, N):
         raise ParameterError("N must be >= 1")
     low = BlockOperator(R.lattice, R.nu, R.ell_max)
     high = BlockOperator(R.lattice, R.nu, R.ell_max)
+    norms = ell_table(R.nu, R.ell_max)[1]
     for (a, b), (idx, mats) in R.stacks.items():
-        size = np.maximum(_norms_of(idx, R.nu, R.ell_max),
-                          max(R.lattice.alpha(a), R.lattice.alpha(b)))
+        size = np.maximum(norms[idx], max(R.lattice.alpha(a), R.lattice.alpha(b)))
         below = size <= N
         for target, sel in ((low, below), (high, ~below)):
             if sel.all():
@@ -431,7 +386,7 @@ def smoothing_projector(R, N):
 def diagonal_part(R):
     """Keep only the ell = 0, alpha = beta blocks."""
     out = BlockOperator(R.lattice, R.nu, R.ell_max)
-    center = ((2 * R.ell_max + 1) ** R.nu - 1) // 2
+    center = R._position((0,) * R.nu)
     for (a, b), (idx, mats) in R.stacks.items():
         i = int(np.searchsorted(idx, center))
         if a == b and i < len(idx) and idx[i] == center:
@@ -545,46 +500,37 @@ class PairedBlockOperator:
         out = np.block([[m1, m2], [conj_perm(m2), conj_perm(m1)]])
         return out[0] if phi.ndim == 1 else out
 
-    def to_dense(self, ell_box=None):
-        """Flatten the full 2x2 arrangement (test oracle)."""
-        m11, ells, pts = self.r1.to_dense(ell_box)
-        m12, _, _ = self.r2.to_dense(ell_box)
-        m21, _, _ = self.r2.conj().to_dense(ell_box)
-        m22, _, _ = self.r1.conj().to_dense(ell_box)
-        top = np.hstack([m11, m12])
-        bot = np.hstack([m21, m22])
-        return np.vstack([top, bot]), ells, pts
-
 
 def _matrices_at(op, phis):
     """op(phi) for each row of phis as (m, n, n) over the flat index."""
     lat = op.lattice
     n = lat.n_points
     out = np.zeros((len(phis), n, n), dtype=complex)
+    box = ell_table(op.nu, op.ell_max)[0]
     for (a, b), (idx, mats) in op.stacks.items():
-        ells = _ells_of(idx, op.nu, op.ell_max).astype(float)
+        ells = box[idx].astype(float)
         out[:, lat.slices[a], lat.slices[b]] = np.tensordot(
             np.exp(1j * (phis @ ells.T)), mats, axes=1
         )
     return out
 
 
-def operator_exponential(psi, tol=1e-15, max_terms=60, warn_threshold=1.0, s_check=None):
+def operator_exponential(psi, tol=1e-15, max_terms=60):
     """exp(Psi) for a paired operator via the plain scaled power series.
 
     The a-priori tail bound from decay-norm submultiplicativity stops the
-    series; exceeding ``max_terms`` raises DivergenceError.  A norm above
-    ``warn_threshold`` at the checking index only flags ``meta['size_warning']``
-    (a smallness hypothesis, not a hard precondition).
+    series; exceeding ``max_terms`` raises DivergenceError.  A decay norm
+    |Psi|_0 above 1 only flags ``meta['size_warning']`` (a smallness
+    hypothesis, not a hard precondition).
     """
-    nrm = psi.decay_norm(0.0 if s_check is None else s_check)
+    nrm = psi.decay_norm(0.0)
     out = truncated_series(
         PairedBlockOperator.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max),
         lambda t, k: t.compose(psi) * (1.0 / k), tol, max_terms,
         rate=lambda k: nrm / k, name=f"exponential series (|Psi| = {nrm:.3e})")
     out.r1.drop_zero_blocks()
     out.r2.drop_zero_blocks()
-    out.meta["size_warning"] = bool(nrm > warn_threshold)
+    out.meta["size_warning"] = bool(nrm > 1.0)
     return out
 
 

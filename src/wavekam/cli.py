@@ -208,11 +208,66 @@ def load_config(path):
     if err is not None:
         path_str = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config key '{path_str}': {err.message}")
+    _check_sizes(cfg)
     return cfg
 
 
 class ConfigError(Exception):
     pass
+
+
+def _check_sizes(cfg):
+    """What the schema cannot say: lengths against nu and d, ell inside the
+    box |ell|_inf <= ell_max, j nonzero inside the lattice |j| <= j_max."""
+    prob, run, num = cfg["problem"], cfg["run"], cfg["numerics"]
+    nu, d, ell_max, j_max = prob["nu"], prob["d"], num["ell_max"], num["j_max"]
+
+    def fail(key, message):
+        raise ConfigError(f"config key '{key}': {message}")
+
+    def length(key, v, n, name):
+        if len(v) != n:
+            fail(key, f"has {len(v)} entries, expected {name} = {n}")
+
+    def ell(key, v):
+        length(key, v, nu, "nu")
+        if max(map(abs, v)) > ell_max:
+            fail(key, f"{v} lies outside |ell|_inf <= ell_max = {ell_max}")
+
+    def support(key, spec):
+        if spec.get("support", 0) > ell_max:
+            fail(f"{key}/support", f"{spec['support']} exceeds ell_max = {ell_max}")
+
+    a = prob.get("a", {})
+    for need, kind in (("ell", "cosine"), ("modes", "modes")):
+        if a.get("kind") == kind and need not in a:
+            fail(f"problem/a/{need}", f"required by kind {kind}")
+    if "ell" in a:
+        ell("problem/a/ell", a["ell"])
+    for k, row in enumerate(a.get("modes", [])):
+        ell(f"problem/a/modes/{k}/ell", row["ell"])
+    support("problem/a", a)
+    spaces = [(f"problem/rank_pairs/{i}/{x}", pair[x])
+              for i, pair in enumerate(prob.get("rank_pairs", [])) for x in "bc"]
+    if "kirchhoff_v0" in prob:
+        spaces.append(("problem/kirchhoff_v0", prob["kirchhoff_v0"]))
+    for key, spec in spaces:
+        for k, row in enumerate(spec.get("modes", [])):
+            ell(f"{key}/modes/{k}/ell", row["ell"])
+            j = row.get("j", [])
+            length(f"{key}/modes/{k}/j", j, d, "d")
+            if not 0 < sum(x * x for x in j) <= j_max * j_max:
+                fail(f"{key}/modes/{k}/j",
+                     f"{j} is 0 or outside |j| <= j_max = {j_max}")
+        support(f"{key}/random", spec.get("random", {}))
+    length("run/omega", run["omega"], nu, "nu")
+    for k, w in enumerate(run.get("omegas") or []):
+        length(f"run/omegas/{k}", w, nu, "nu")
+    if run.get("contrast_omega"):
+        length("run/contrast_omega", run["contrast_omega"], nu, "nu")
+    if "omega_grid" in run:
+        for key in ("box", "counts"):
+            length(f"run/omega_grid/{key}", run["omega_grid"][key], nu, "nu")
 
 
 def _add_conjugate_pair(add, v, *key):
@@ -457,48 +512,30 @@ def phase_dynamics(problem, cfg, kam_results, omegas, outdir, summary,
         for coeffs in (v0, psi0):
             val = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
             _add_conjugate_pair(adder(coeffs), val, j)
+    # each converged omega with its conjugacy check, then the contrast omega
+    runs = [(i, omega, res) for i, (omega, res)
+            in enumerate(zip(omegas, kam_results or [])) if res[1].converged]
+    if run.get("contrast_omega"):
+        runs.append(("contrast", run["contrast_omega"], None))
     dyn_rows = []
-    for i, (omega, (reg_i, kres)) in enumerate(
-        zip(omegas, kam_results or [])
-    ):
-        if not kres.converged:
-            continue
+    for label, omega, res in runs:
         omega = np.asarray(omega, float)
         times, vm, pm, _ = evolve_original(
             problem, omega, v0, psi0, horizon, dt, keep_states=False
         )
         runrec = run_norms(times, vm, pm, s)
-        write_trajectory(outdir / f"trajectory_{i}.csv", runrec.times,
+        write_trajectory(outdir / f"trajectory_{label}.csv", runrec.times,
                          runrec.norm_v, runrec.norm_psi)
         stab = stability_check(times, vm, pm, s)
-        chain = ConjugationChain(problem, omega, reg_i, kres.state)
-        conj = conjugacy_roundtrip(chain, times, vm, pm)
-        write_json(outdir / f"conjugacy_{i}.json", conj)
-        dyn_rows.append(
-            {
-                "omega_index": i,
-                "sup_ratio": stab["sup_ratio"],
-                "bounded": stab["bounded"],
-                "trajectory_residual": conj["trajectory_residual"],
-            }
-        )
-    if run.get("contrast_omega"):
-        omega = np.asarray(run["contrast_omega"], float)
-        times, vm, pm, _ = evolve_original(
-            problem, omega, v0, psi0, horizon, dt, keep_states=False
-        )
-        runrec = run_norms(times, vm, pm, s)
-        write_trajectory(outdir / "trajectory_contrast.csv", runrec.times,
-                         runrec.norm_v, runrec.norm_psi)
-        stab = stability_check(times, vm, pm, s)
-        dyn_rows.append(
-            {
-                "omega_index": "contrast",
-                "sup_ratio": stab["sup_ratio"],
-                "bounded": stab["bounded"],
-                "trajectory_residual": float("nan"),
-            }
-        )
+        residual = float("nan")
+        if res is not None:
+            chain = ConjugationChain(problem, omega, res[0], res[1].state)
+            conj = conjugacy_roundtrip(chain, times, vm, pm)
+            write_json(outdir / f"conjugacy_{label}.json", conj)
+            residual = conj["trajectory_residual"]
+        dyn_rows.append({"omega_index": label, "sup_ratio": stab["sup_ratio"],
+                         "bounded": stab["bounded"],
+                         "trajectory_residual": residual})
     summary["dynamics"] = dyn_rows
     return dyn_rows
 
@@ -717,10 +754,7 @@ def main(argv=None):
             return cmd_dump(args)
         if args.verb == "verify":
             return cmd_verify(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ConfigError, OSError, UnicodeDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     return 0

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import blockop
 from .errors import ParameterError
+from .spectrum import ell_table
 
 __all__ = [
     "EvolutionRun",
@@ -88,7 +89,7 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
     coef = np.stack([f.coeffs.ravel() for f in cols], axis=1)
     keep = np.any(coef != 0, axis=1)
     coef = coef[keep]
-    ells = np.argwhere(keep.reshape(problem.a.coeffs.shape)) - problem.a.ell_max
+    ells = ell_table(problem.a.nu, problem.a.ell_max)[0][keep]
 
     def rhs(lin, rank, state):
         # rows of u: eps b_k, eps c_k on the modes; of w: c_k, b_k at -j

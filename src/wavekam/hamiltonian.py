@@ -117,8 +117,8 @@ class ExpMap:
         self.inverse = inverse
 
     @classmethod
-    def from_generator(cls, psi, **kw):
-        return cls(operator_exponential(psi, **kw), operator_exponential(psi * (-1.0), **kw))
+    def from_generator(cls, psi):
+        return cls(operator_exponential(psi), operator_exponential(psi * (-1.0)))
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):

@@ -35,7 +35,7 @@ from .errors import (NonConvergenceError, ParameterError, ResonanceError,
 from .hamiltonian import ExpMap, push_forward
 from .resonance import divisor_check, sorted_combos
 from .series import truncated_series
-from .spectrum import default_s0, diophantine_check
+from .spectrum import default_s0, diophantine_check, ell_box
 
 __all__ = [
     "KamConfig",
@@ -56,7 +56,8 @@ MAX_SCAN_ELLS = 10**6
 
 @dataclass
 class KamConfig:
-    """Iteration constants; defaults follow the measure-estimate choices."""
+    """Iteration constants; defaults follow the measure-estimate choices.
+    The cutoff growth chi, the stall test and the norm indices are fixed."""
 
     nu: int
     d: int
@@ -64,24 +65,19 @@ class KamConfig:
     tau: float = None
     dd: float = None
     n0: int = 4
-    chi: float = 1.5
     max_steps: int = 12
     target_residual: float = 1e-12
-    s_low: float = None
-    s_high: float = None
-    stall_ratio: float = 0.9
-    stall_window: int = 3
+    chi = 1.5
+    stall_ratio = 0.9
+    stall_window = 3
 
     def __post_init__(self):
         if self.tau is None:
             self.tau = self.nu + 4 * self.d
         if self.dd is None:
             self.dd = 2.0 * self.d
-        s0 = default_s0(self.nu, self.d)
-        if self.s_low is None:
-            self.s_low = 2.0 * s0
-        if self.s_high is None:
-            self.s_high = self.s_low + 2.0
+        self.s_low = 2.0 * default_s0(self.nu, self.d)
+        self.s_high = self.s_low + 2.0
 
     def n_k(self, k):
         """N_k = N0^(chi^k), rounded up; N_{-1} = 1."""
@@ -185,7 +181,7 @@ def _melnikov_scan(state, lattice, config, omega, n_cut, nu):
     n_box = (2 * n_cut + 1) ** nu
     if n_box > MAX_SCAN_ELLS:
         raise ResourceLimitError(n_cut, nu, n_box, MAX_SCAN_ELLS)
-    ells = np.indices((2 * n_cut + 1,) * nu).reshape(nu, -1).T - n_cut
+    ells = ell_box(nu, n_cut)
     ells = ells[np.sum(ells * ells, axis=1) <= n_cut * n_cut]
     ell_arr = ells.astype(float)
     omega_ell = ell_arr @ np.asarray(omega, float)
@@ -396,7 +392,7 @@ def conjugation_residual(d0_blocks, r0, state, omega, lattice, config):
     return (pushed - dinf).decay_norm(config.s_low)
 
 
-def final_eigenvalues(state, lattice, m, mu0=None):
+def final_eigenvalues(state, lattice, m):
     """Sorted eigenvalues per cluster with the correction split lambda = m alpha + r.
 
     Returns dict alpha_sq -> dict(eigenvalues, corrections, alpha).

@@ -123,17 +123,13 @@ class FourierMultiplier:
     def mean_per_cluster(self):
         return np.array([p.mean() for p in self.parts])
 
-    def map_pointwise(self, fn, grid_n=None, order=None):
-        """Apply a scalar function to the symbol on a phi-grid, re-project.
+    def map_pointwise(self, fn, grid_n, order):
+        """Apply a scalar function to the symbol on a grid_n^nu phi-grid and
+        re-project to a multiplier of the given order.
 
-        Returns (multiplier, alias mass).  Grid defaults to 4 * ell_max + 1
-        points per dimension.
+        Returns (multiplier, alias mass).
         """
-        grid_n = grid_n or max(4 * self.ell_max + 1, 8)
-        out = FourierMultiplier(
-            self.lattice, self.nu, self.ell_max,
-            self.order if order is None else order,
-        )
+        out = FourierMultiplier(self.lattice, self.nu, self.ell_max, order)
         alias = 0.0
         for i, p in enumerate(self.parts):
             vals = fn(p.sample(grid_n))
@@ -279,7 +275,7 @@ class PairedMultiplier:
         return PairedBlockOperator(self.r1.to_blocks(), self.r2.to_blocks())
 
 
-def multiplier_exponential(psi, tol=1e-16, max_terms=60, warn_threshold=1.0, s0=None):
+def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None):
     """exp(Psi) for a paired multiplier, with the order >= 2 tail.
 
     Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m.
@@ -294,6 +290,6 @@ def multiplier_exponential(psi, tol=1e-16, max_terms=60, warn_threshold=1.0, s0=
         total=PairedMultiplier.zero(psi.lattice, psi.r1.nu, psi.r1.ell_max),
         name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
     phi = PairedMultiplier.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max) + psi + ge2
-    phi.meta["size_warning"] = bool(nrm > warn_threshold)
+    phi.meta["size_warning"] = bool(nrm > 1.0)
     ge2.r1.order = ge2.r2.order = 2 * m
     return phi, ge2

@@ -65,7 +65,6 @@ class WaveProblem:
     gamma: float = 0.05
     tau: float = None
     dd: float = None  # Melnikov space-loss exponent, default 2d
-    grid_n: int = None
     lattice: object = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -77,8 +76,7 @@ class WaveProblem:
             self.tau = self.nu + 4 * self.d
         if self.dd is None:
             self.dd = 2 * self.d
-        if self.grid_n is None:
-            self.grid_n = max(4 * self.ell_max, 8)
+        self.grid_n = max(4 * self.ell_max, 8)  # phi-grid for nonlinearities
         if self.lattice is None:
             self.lattice = enumerate_clusters(self.d, self.j_max)
         if not self.a.is_real(1e-12):
@@ -291,12 +289,13 @@ class Stage3:
     diagnostics: dict
 
 
-def invert_torus_shift(alpha_fn, omega, grid_pts, tol=1e-13, max_iter=200):
+def invert_torus_shift(alpha_fn, omega, grid_pts):
     """Solve alpha_tilde(theta) = -alpha(theta + omega alpha_tilde(theta)) pointwise.
 
     Damped fixed point; the smallness regime makes the plain iteration a
     contraction, damping kicks in only if the update grows.
     """
+    tol, max_iter = 1e-13, 200
     omega = np.asarray(omega, dtype=float)
     x = np.zeros(grid_pts.shape[0])
     lam = 1.0

@@ -58,13 +58,9 @@ def dump_function(path, fn):
 
 def dump_blocks(path, op, name=""):
     """Rows (ell-tuple, alpha_sq, beta_sq, row-major [re, im] entries)."""
-    rows = []
-    for (ell, a_sq, b_sq), mat in op.items():
-        flat = []
-        for v in mat.ravel():
-            flat.extend([float(v.real), float(v.imag)])
-        rows.append({"ell": list(ell), "alpha_sq": a_sq, "beta_sq": b_sq,
-                     "entries": flat})
+    rows = [{"ell": list(ell), "alpha_sq": a_sq, "beta_sq": b_sq,
+             "entries": np.stack((mat.real, mat.imag), -1).ravel().tolist()}
+            for (ell, a_sq, b_sq), mat in op.items()]
     write_json(path, {"name": name, "nu": op.nu, "ell_max": op.ell_max,
                       "rows": rows})
 

@@ -22,13 +22,13 @@ forms of the sum threshold coincide; and the difference-certificates at
 interval proofs.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
+from .spectrum import ell_box
 
 __all__ = [
     "EigenData",
@@ -153,8 +153,7 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     every = np.concatenate(combos)
     cond = np.repeat(np.arange(len(combos)), [d.size for d in combos])
     g2 = 2.0 * np.asarray(gammas, dtype=float)[:, None]
-    for ell in itertools.product(range(-ell_max, ell_max + 1),
-                                 repeat=samples.shape[1]):
+    for ell in ell_box(samples.shape[1], ell_max).tolist():
         ell_norm = float(np.linalg.norm(ell))
         bracket_tau = max(1.0, ell_norm) ** tau
         keep_r = ~(same & (ell_norm == 0.0))

@@ -11,6 +11,7 @@ normalized measure dphi/(2pi)^nu, dx/(2pi)^d, so pairings are plain
 coefficient sums.
 """
 
+import functools
 import itertools
 import math
 
@@ -28,12 +29,32 @@ __all__ = [
     "omega_dphi_inverse",
     "diophantine_check",
     "default_s0",
+    "ell_box",
+    "ell_table",
 ]
 
 
 def default_s0(nu, d):
     """s0 = [(nu+d)/2] + 1, the low regularity index entering constants."""
     return (nu + d) // 2 + 1
+
+
+def ell_box(nu, ell_max):
+    """A new (n^nu, nu) int array of the box |ell|_inf <= ell_max, n = 2 ell_max + 1,
+    in lexicographic order: row p is flat position p, ell = 0 is row
+    (n^nu - 1) // 2 and -ell is row n^nu - 1 - p."""
+    n = 2 * ell_max + 1
+    return np.indices((n,) * nu).reshape(nu, -1).T - ell_max
+
+
+@functools.cache
+def ell_table(nu, ell_max):
+    """(``ell_box(nu, ell_max)``, |ell| per row), read-only and cached per
+    (nu, ell_max): the operator box that flat positions index into."""
+    ells = ell_box(nu, ell_max)
+    norms = np.sqrt(np.sum(ells * ells, axis=1).astype(float))
+    ells.flags.writeable = norms.flags.writeable = False
+    return ells, norms
 
 
 class ClusterIndex:
@@ -219,11 +240,11 @@ class AngleFunction:
         self.coeffs[self._key(ell)] = value
 
     def modes(self):
-        """Yield (ell, coefficient) over nonzero modes, deterministic order."""
-        idx = np.argwhere(self.coeffs != 0)
-        for raw in sorted(map(tuple, idx)):
-            ell = tuple(int(x) - self.ell_max for x in raw)
-            yield ell, self.coeffs[raw]
+        """Yield (ell, coefficient) over nonzero modes in box order."""
+        flat = self.coeffs.ravel()
+        nz = np.flatnonzero(flat)
+        for ell, c in zip(ell_table(self.nu, self.ell_max)[0][nz].tolist(), flat[nz]):
+            yield tuple(ell), c
 
     # -- algebra ------------------------------------------------------------
     def copy(self):
@@ -273,13 +294,14 @@ class AngleFunction:
 
     def omega_dphi(self, omega):
         """omega . d/dphi, exact on coefficients."""
-        grid = _ell_grid(self.nu, self.ell_max)
-        phase = 1j * np.tensordot(np.asarray(omega, dtype=float), grid, axes=(0, 0))
-        return AngleFunction(self.nu, self.ell_max, self.coeffs * phase)
+        ells = ell_table(self.nu, self.ell_max)[0]
+        phase = 1j * (np.asarray(omega, dtype=float) @ ells.T)
+        return AngleFunction(self.nu, self.ell_max,
+                             self.coeffs * phase.reshape(self.coeffs.shape))
 
     def sobolev_norm(self, s):
-        w = _bracket_ell(self.nu, self.ell_max) ** (2.0 * s)
-        return math.sqrt(math.fsum((w * np.abs(self.coeffs) ** 2).ravel().tolist()))
+        w = np.maximum(1.0, ell_table(self.nu, self.ell_max)[1]) ** (2.0 * s)
+        return math.sqrt(math.fsum((w * np.abs(self.coeffs.ravel()) ** 2).tolist()))
 
     # -- evaluation ---------------------------------------------------------
     def sample(self, grid_n):
@@ -287,13 +309,8 @@ class AngleFunction:
         if grid_n < 2 * self.ell_max + 1:
             raise ParameterError("sampling grid too small for exact evaluation")
         spec = np.zeros((grid_n,) * self.nu, dtype=complex)
-        L = self.ell_max
-        it = np.ndindex(*self.coeffs.shape)
-        for raw in it:
-            c = self.coeffs[raw]
-            if c != 0:
-                ell = tuple((x - L) % grid_n for x in raw)
-                spec[ell] += c
+        at = ell_table(self.nu, self.ell_max)[0] % grid_n
+        spec[tuple(at.T)] += self.coeffs.ravel()  # += keeps 0 + c's signed zeros
         return np.fft.ifftn(spec) * grid_n**self.nu
 
     @classmethod
@@ -304,39 +321,28 @@ class AngleFunction:
         grid_n = values.shape[0]
         spec = np.fft.fftn(values) / grid_n**nu
         total = math.fsum((np.abs(spec) ** 2).ravel().tolist())
+        # box rows hit by a grid frequency x <= grid_n // 2 or x - grid_n
+        ells = ell_table(nu, ell_max)[0]
+        at = ells % grid_n
+        hit = np.flatnonzero(
+            (np.where(at <= grid_n // 2, at, at - grid_n) == ells).all(axis=1))
+        at = np.ravel_multi_index(tuple(at[hit].T), spec.shape)
+        c = spec.ravel()[at]
         f = cls(nu, ell_max)
-        kept = 0.0
-        for raw in np.ndindex(*spec.shape):
-            c = spec[raw]
-            if c == 0:
-                continue
-            ell = tuple(x if x <= grid_n // 2 else x - grid_n for x in raw)
-            if all(abs(x) <= ell_max for x in ell):
-                f[ell] = c
-                kept += abs(c) ** 2
-        alias = math.sqrt(max(total - kept, 0.0))
+        f.coeffs.ravel()[hit] = np.where(c != 0, c, 0)
+        # kept mass bit for bit as the per-coefficient oracle: libm hypot and
+        # pow (numpy's SIMD abs and square round differently), grid order
+        mass = np.hypot(c.real, c.imag)[np.argsort(at)].astype(object) ** 2
+        alias = math.sqrt(max(total - float(np.sum(mass)), 0.0))
         return f, alias
 
     def eval_at(self, points):
         """Evaluate at arbitrary angles; points shape (n, nu)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.argwhere(self.coeffs != 0)
-        if len(idx) == 0:
-            return np.zeros(points.shape[0], dtype=complex)
-        ells = idx - self.ell_max
-        cs = self.coeffs[tuple(idx.T)]
-        phases = np.exp(1j * points @ ells.T)
-        return phases @ cs
-
-
-def _ell_grid(nu, ell_max):
-    ax = np.arange(-ell_max, ell_max + 1)
-    return np.stack(np.meshgrid(*([ax] * nu), indexing="ij"), axis=0)
-
-
-def _bracket_ell(nu, ell_max):
-    grid = _ell_grid(nu, ell_max)
-    return np.maximum(1.0, np.sqrt(np.sum(grid.astype(float) ** 2, axis=0)))
+        flat = self.coeffs.ravel()
+        nz = np.flatnonzero(flat)
+        ells = ell_table(self.nu, self.ell_max)[0][nz]
+        return np.exp(1j * points @ ells.T) @ flat[nz]
 
 
 def _convolve_full(a, b):
@@ -519,9 +525,9 @@ class SpaceTimeFunction:
     def sobolev_norm(self, s):
         terms = []
         for j, f in self.comps.items():
-            nj = math.sqrt(sum(x * x for x in j))
-            w = np.maximum(_bracket_ell(self.nu, self.ell_max), nj) ** (2.0 * s)
-            terms.extend((w * np.abs(f.coeffs) ** 2).ravel().tolist())
+            nj = math.sqrt(sum(x * x for x in j))  # >= 1: the <ell> floor is moot
+            w = np.maximum(ell_table(self.nu, self.ell_max)[1], nj) ** (2.0 * s)
+            terms.extend((w * np.abs(f.coeffs.ravel()) ** 2).tolist())
         return math.sqrt(math.fsum(terms))
 
     def to_rows(self):
@@ -542,12 +548,6 @@ def sobolev_norm(u, s):
 # ---------------------------------------------------------------------------
 # small divisors
 # ---------------------------------------------------------------------------
-
-
-def _ell_iter(nu, ell_max):
-    for ell in itertools.product(range(-ell_max, ell_max + 1), repeat=nu):
-        if any(ell):
-            yield ell
 
 
 def omega_dphi_inverse(h, omega, gamma=None, tau=None, floor=None):
@@ -587,9 +587,11 @@ def diophantine_check(omega, gamma, tau, ell_max):
     if ell_max < 1:
         raise ParameterError("ell_max must be >= 1")
     omega = np.asarray(omega, dtype=float)
-    worst = math.inf
-    for ell in _ell_iter(omega.size, ell_max):
-        div = abs(float(np.dot(omega, ell)))
-        margin = div * np.linalg.norm(ell) ** tau / gamma
-        worst = min(worst, margin)
+    ells, norms = ell_table(omega.size, ell_max)
+    nonzero = ells.any(axis=1)
+    # bit for bit as the per-ell oracle: a (1, nu) @ (nu,) product per ell
+    # rounds as np.dot (a matvec does not), object pow is libm's scalar pow
+    div = np.abs(ells[nonzero][:, None, :] @ omega)[:, 0]
+    margin = div * (norms[nonzero].astype(object) ** tau).astype(float) / gamma
+    worst = np.min(margin)
     return worst >= 1.0, worst

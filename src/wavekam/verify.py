@@ -36,6 +36,7 @@ from .spectrum import (
     AngleFunction,
     SpaceTimeFunction,
     enumerate_clusters,
+    ell_box,
     omega_dphi_inverse,
 )
 
@@ -64,7 +65,7 @@ def _random_block(lattice, nu, ell_max, rng, density=1.0, decay=1.5,
                   support=None):
     blocks = {}
     L = ell_max if support is None else support
-    for ell in itertools.product(range(-L, L + 1), repeat=nu):
+    for ell in map(tuple, ell_box(nu, L).tolist()):
         for ca in lattice.clusters:
             for cb in lattice.clusters:
                 if rng.random() > density:
@@ -83,7 +84,7 @@ def _random_space_time(lattice, nu, ell_max, rng, n_j=3, support=1):
     u = SpaceTimeFunction(nu, ell_max, lattice.d)
     for k in rng.permutation(len(pts))[:n_j]:
         j = pts[int(k)]
-        for ell in itertools.product(range(-support, support + 1), repeat=nu):
+        for ell in ell_box(nu, support).tolist():
             u.set_coeff(ell, j, rng.standard_normal() + 1j * rng.standard_normal())
     return u
 

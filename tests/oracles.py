@@ -12,6 +12,11 @@ the package.
 - The dict-based ``compose`` and ``decay_norm`` that the cluster-pair stacks
   of ``blockop`` replaced; they read blocks through ``items()``.
 - The Python double loop of ``spectrum._convolve_full``'s direct branch.
+- The dense flattening of block and paired block operators over the
+  (ell, j) basis, formerly their ``to_dense`` methods.
+- The per-ell loops that ``spectrum.ell_box`` and ``ell_table`` replaced:
+  ``AngleFunction.sample`` and ``from_samples``, ``diophantine_check`` and
+  the flat-position decoder of ``blockop``.
 - Test-only operators and checks that left ``blockop``: the action of a
   block operator on a space-time function, the explicit finite-rank
   operator, its block conversion and the dense Sobolev action bound.
@@ -621,7 +626,7 @@ def sobolev_action_bound_check(R, s, s0):
     z = (0,) * R.nu
     if any(ell != z for (ell, _, _), _ in R.items()):
         raise ParameterError("dense action bound check expects a phi-independent operator")
-    M, _, pts = R.to_dense(ell_box=0)
+    M, _, pts = to_dense(R, ell_box=0)
     weights = np.array([math.sqrt(sum(x * x for x in p)) for p in pts])
     Ws = np.diag(weights**s)
     op_l2_hs = float(np.linalg.norm(Ws @ M, 2))
@@ -655,6 +660,125 @@ def convolve_full_loop(a, b):
         for kb in np.argwhere(b != 0):
             out[tuple(ka + kb)] += va * b[tuple(kb)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense flattening (formerly BlockOperator.to_dense and
+# PairedBlockOperator.to_dense)
+# ---------------------------------------------------------------------------
+
+
+def to_dense(op, ell_box=None):
+    """Flatten a block or paired block operator to a matrix over the
+    (ell, j) basis, ell in |ell|_inf <= ell_box (small sizes only).
+
+    Entry rule: M[(ell, j), (ell', j')] = Rhat_j^{j'}(ell - ell'); a paired
+    operator gives the full 2x2 arrangement.
+    """
+    if isinstance(op, PairedBlockOperator):
+        m11, ells, pts = to_dense(op.r1, ell_box)
+        m12, _, _ = to_dense(op.r2, ell_box)
+        m21, _, _ = to_dense(op.r2.conj(), ell_box)
+        m22, _, _ = to_dense(op.r1.conj(), ell_box)
+        top = np.hstack([m11, m12])
+        bot = np.hstack([m21, m22])
+        return np.vstack([top, bot]), ells, pts
+    ell_box = op.ell_max if ell_box is None else ell_box
+    ells = sorted(itertools.product(range(-ell_box, ell_box + 1), repeat=op.nu))
+    pts = list(op.lattice.all_points())
+    index = {}
+    for i, ell in enumerate(ells):
+        for k, j in enumerate(pts):
+            index[(ell, j)] = i * len(pts) + k
+    n = len(ells) * len(pts)
+    M = np.zeros((n, n), dtype=complex)
+    for (ell, a, b), mat in op.items():
+        ca = op.lattice.cluster(a)
+        cb = op.lattice.cluster(b)
+        for lp in ells:
+            lo = tuple(x + y for x, y in zip(ell, lp))
+            if max(abs(x) for x in lo) > ell_box:
+                continue
+            for r, jr in enumerate(ca.points):
+                row = index[(lo, jr)]
+                for c, jc in enumerate(cb.points):
+                    M[row, index[(lp, jc)]] += mat[r, c]
+    return M, ells, pts
+
+
+# ---------------------------------------------------------------------------
+# Per-ell loops over the box (formerly AngleFunction.sample,
+# AngleFunction.from_samples, spectrum.diophantine_check and blockop._ells_of)
+# ---------------------------------------------------------------------------
+
+
+def sample(self, grid_n):
+    """Values on the uniform grid (2pi k / grid_n), shape (grid_n,)*nu."""
+    if grid_n < 2 * self.ell_max + 1:
+        raise ParameterError("sampling grid too small for exact evaluation")
+    spec = np.zeros((grid_n,) * self.nu, dtype=complex)
+    L = self.ell_max
+    it = np.ndindex(*self.coeffs.shape)
+    for raw in it:
+        c = self.coeffs[raw]
+        if c != 0:
+            ell = tuple((x - L) % grid_n for x in raw)
+            spec[ell] += c
+    return np.fft.ifftn(spec) * grid_n**self.nu
+
+
+def from_samples(cls, values, ell_max):
+    """Project grid values back to the box; returns (function, alias mass)."""
+    values = np.asarray(values, dtype=complex)
+    nu = values.ndim
+    grid_n = values.shape[0]
+    spec = np.fft.fftn(values) / grid_n**nu
+    total = math.fsum((np.abs(spec) ** 2).ravel().tolist())
+    f = cls(nu, ell_max)
+    kept = 0.0
+    for raw in np.ndindex(*spec.shape):
+        c = spec[raw]
+        if c == 0:
+            continue
+        ell = tuple(x if x <= grid_n // 2 else x - grid_n for x in raw)
+        if all(abs(x) <= ell_max for x in ell):
+            f[ell] = c
+            kept += abs(c) ** 2
+    alias = math.sqrt(max(total - kept, 0.0))
+    return f, alias
+
+
+def _ell_iter(nu, ell_max):
+    for ell in itertools.product(range(-ell_max, ell_max + 1), repeat=nu):
+        if any(ell):
+            yield ell
+
+
+def diophantine_check(omega, gamma, tau, ell_max):
+    """Check |omega . ell| >= gamma/|ell|^tau for 0 < |ell|_inf <= ell_max.
+
+    Returns (ok, worst margin) with margin = min over ell of
+    |omega.ell| |ell|^tau / gamma.
+    """
+    if ell_max < 1:
+        raise ParameterError("ell_max must be >= 1")
+    omega = np.asarray(omega, dtype=float)
+    worst = math.inf
+    for ell in _ell_iter(omega.size, ell_max):
+        div = abs(float(np.dot(omega, ell)))
+        margin = div * np.linalg.norm(ell) ** tau / gamma
+        worst = min(worst, margin)
+    return worst >= 1.0, worst
+
+
+def _ells_of(idx, nu, ell_max):
+    """(k, nu) ell vectors at flat box positions idx."""
+    n = 2 * ell_max + 1
+    out = np.empty((len(idx), nu), dtype=np.int64)
+    rem = np.asarray(idx, dtype=np.int64)
+    for k in range(nu - 1, -1, -1):
+        rem, out[:, k] = np.divmod(rem, n)
+    return out - ell_max
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,9 @@ class TestComposeKernel:
         loss, want_loss = got.meta["truncation_loss"], want.meta["truncation_loss"]
         assert abs(loss - want_loss) <= 1e-12 * want_loss
         # the dense product's l' = 0 column sums exactly the in-box products
-        mr, ells, pts = r.to_dense()
-        mt, _, _ = t.to_dense()
-        mo, _, _ = got.to_dense()
+        mr, ells, pts = oracles.to_dense(r)
+        mt, _, _ = oracles.to_dense(t)
+        mo, _, _ = oracles.to_dense(got)
         dense = mr @ _column0(mt, ells, len(pts))
         assert np.max(np.abs(dense - _column0(mo, ells, len(pts))),
                       initial=0.0) <= 1e-13 * scale
@@ -155,8 +155,8 @@ class TestPairedTruncationLoss:
                                       ((-1,), 4, 2): block(4, 2)}),
             BlockOperator(lat, 1, L))
         out = p.compose(q)
-        mp, ells, pts = p.to_dense(2 * L)
-        mq, _, _ = q.to_dense(2 * L)
+        mp, ells, pts = oracles.to_dense(p, 2 * L)
+        mq, _, _ = oracles.to_dense(q, 2 * L)
         n, c = len(pts), ells.index((0,))
         full = (mp @ mq).reshape(2, len(ells), n, 2, len(ells), n)
         outside = [i for i, ell in enumerate(ells) if abs(ell[0]) > L]

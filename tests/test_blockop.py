@@ -25,6 +25,7 @@ from conftest import (
     random_space_time,
     rng_for,
 )
+import oracles
 from oracles import (
     FiniteRankOperator,
     block_apply,
@@ -96,9 +97,9 @@ class TestCompose:
         out = compose(r, t)
         assert out.meta["truncation_loss"] == 0.0
         box = 4
-        mr, ells, pts = r.to_dense(box)
-        mt, _, _ = t.to_dense(box)
-        mo, _, _ = out.to_dense(box)
+        mr, ells, pts = oracles.to_dense(r, box)
+        mt, _, _ = oracles.to_dense(t, box)
+        mo, _, _ = oracles.to_dense(out, box)
         dense = mr @ mt
         # compare on central columns where no intermediate mode is clipped
         center = [i for i, ell in enumerate(ells) if max(map(abs, ell)) <= 2]
@@ -308,7 +309,7 @@ class TestExponential:
         rng = rng_for("exp-warn")
         psi = random_paired(lat_d2, 2, 1, rng, ell_support=0)
         psi = psi * (1.5 / psi.decay_norm(0.0))
-        out = operator_exponential(psi, warn_threshold=1.0)
+        out = operator_exponential(psi)
         assert out.meta["size_warning"]
 
 
@@ -409,9 +410,9 @@ class TestPairedStructure:
         q = random_paired(lat, 2, 4, rng, ell_support=1, density=0.5)
         out = p.compose(q)
         box = 4
-        mp, ells, pts = p.to_dense(box)
-        mq, _, _ = q.to_dense(box)
-        mo, _, _ = out.to_dense(box)
+        mp, ells, pts = oracles.to_dense(p, box)
+        mq, _, _ = oracles.to_dense(q, box)
+        mo, _, _ = oracles.to_dense(out, box)
         dense = mp @ mq
         n = len(ells) * len(pts)
         center = [i for i, ell in enumerate(ells) if max(map(abs, ell)) <= 2]
@@ -437,7 +438,7 @@ class TestFrozenAngle:
         # over rows ell with weights e^{i phi.ell}
         lat = enumerate_clusters(2, 2)
         op = random_paired(lat, 2, 2, rng_for("frozen-dense"), density=0.5)
-        dense, ells, pts = op.to_dense()
+        dense, ells, pts = oracles.to_dense(op)
         assert pts == lat.points
         n, nl = len(pts), len(ells)
         col0 = dense.reshape(2, nl, n, 2, nl, n)[:, :, :, :, ells.index((0, 0))]

@@ -46,6 +46,60 @@ class TestConfigValidation:
     def test_missing_file_exit_2(self):
         assert run_cli("run", "--config", "/nonexistent.yaml") == 2
 
+    def test_directory_or_non_utf8_config_exit_2(self, tmp_path, capsys):
+        binary = tmp_path / "latin1.yaml"
+        binary.write_bytes("problem: {d: 2}  # \xe9\n".encode("latin-1"))
+        for path in (tmp_path, binary):
+            assert run_cli("run", "--config", str(path),
+                           "--out", str(tmp_path / "out")) == 2
+            assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # (base config, key path, value, key named): each value is malformed for
+    # nu = d = 2, j_max = 2, ell_max = 4
+    SIZE_CASES = [
+        ("eps0", "problem/a", {"kind": "cosine", "ell": [1]}, "problem/a/ell"),
+        ("eps0", "problem/a", {"kind": "cosine", "ell": [20, 0]}, "problem/a/ell"),
+        ("eps0", "problem/a", {"kind": "cosine"}, "problem/a/ell"),
+        ("eps0", "problem/a", {"kind": "modes", "modes": [{"ell": [1, 2, 0]}]},
+         "problem/a/modes/0/ell"),
+        ("eps0", "problem/a", {"kind": "random", "support": 5},
+         "problem/a/support"),
+        ("eps0", "problem/rank_pairs/0/b/modes/0/j", [1],
+         "problem/rank_pairs/0/b/modes/0/j"),
+        ("eps0", "problem/rank_pairs/0/c/modes/0/j", [0, 0],
+         "problem/rank_pairs/0/c/modes/0/j"),
+        ("eps0", "problem/rank_pairs/0/c/modes/0/j", [2, 1],
+         "problem/rank_pairs/0/c/modes/0/j"),
+        ("eps0", "problem/rank_pairs/0/b/modes/0/ell", [0, -5],
+         "problem/rank_pairs/0/b/modes/0/ell"),
+        ("kirchhoff-lin", "problem/kirchhoff_v0/modes/1", {"ell": [0, 1]},
+         "problem/kirchhoff_v0/modes/1/j"),
+        ("kirchhoff-lin", "problem/kirchhoff_v0/random", {"support": 9},
+         "problem/kirchhoff_v0/random/support"),
+        ("eps0", "run/omega", [1.0], "run/omega"),
+        ("kirchhoff-lin", "run/omegas/1", [1.3, 1.8, 1.1], "run/omegas/1"),
+        ("eps0", "run/contrast_omega", [1.5], "run/contrast_omega"),
+        ("kirchhoff-lin", "run/omega_grid/box", [[1.0, 2.0]], "run/omega_grid/box"),
+        ("kirchhoff-lin", "run/omega_grid/counts", [40], "run/omega_grid/counts"),
+    ]
+
+    @pytest.mark.parametrize("base,path,value,key", SIZE_CASES)
+    def test_size_violation_exit_2(self, tmp_path, capsys, base, path, value,
+                                   key):
+        cfg = yaml.safe_load((CONFIG_DIR / f"{base}.yaml").read_text())
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+        node = cfg
+        for k in parents:
+            node = node[k]
+        node[last] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(bad), "--out", str(out)) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schema_is_a_valid_schema(self):
         from jsonschema.validators import validator_for
 

@@ -1,10 +1,13 @@
-"""Static guard: every exported name is used by the package or documented.
+"""Static guards on the package's structure.
 
 A name in a ``wavekam`` module's ``__all__`` or imported by
 ``wavekam/__init__`` must appear as an identifier (a name or an attribute)
 in some other module of ``src/wavekam``, or be listed in the README's
 "Public API" section.  Code reached only by its own tests belongs in
 ``tests/oracles.py`` instead.
+
+The |ell|_inf <= L box has one enumerator, ``spectrum.ell_box``: no other
+module calls the idioms that rebuild its order or decode a flat position.
 """
 
 import ast
@@ -67,3 +70,46 @@ def test_every_export_is_used_or_documented():
     assert not orphans, (
         "exported but used by no other wavekam module and not in the README "
         f"'Public API' list: {orphans}")
+
+
+# box idioms allowed outside spectrum, by (module, enclosing def), with why
+BOX_IDIOM_EXEMPT = {
+    ("verify", "suite_norms"):
+        "brute-force count of the j lattice, the oracle of enumerate_clusters",
+}
+
+
+def _box_idiom_calls(tree):
+    """(enclosing def, line, idiom) of each np.indices, np.ndindex,
+    np.divmod and itertools.product(..., repeat=...) call."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = getattr(child.func.value, "id", None)
+                attr = child.func.attr
+                if owner in ("np", "numpy") and attr in ("indices", "ndindex", "divmod"):
+                    found.append((where, child.lineno, f"np.{attr}"))
+                if (owner == "itertools" and attr == "product"
+                        and any(k.arg == "repeat" for k in child.keywords)):
+                    found.append((where, child.lineno, "itertools.product(repeat=)"))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_spectrum_enumerates_the_ell_box():
+    stray, used = [], set()
+    for stem, tree in _modules().items():
+        if stem == "spectrum":
+            continue
+        for where, line, idiom in _box_idiom_calls(tree):
+            if (stem, where) in BOX_IDIOM_EXEMPT:
+                used.add((stem, where))
+            else:
+                stray.append(f"{stem}.py:{line} ({where}): {idiom}")
+    assert not stray, f"use spectrum.ell_box / ell_table instead: {stray}"
+    assert used == set(BOX_IDIOM_EXEMPT), "stale exemption"

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from wavekam import (
     AngleFunction,
     SpaceTimeFunction,
@@ -12,8 +15,9 @@ from wavekam import (
     omega_dphi_inverse,
     sobolev_norm,
 )
+from wavekam.blockop import BlockOperator
 from wavekam.errors import DiophantineViolation, ParameterError
-from wavekam.spectrum import _convolve_full
+from wavekam.spectrum import _convolve_full, ell_box, ell_table
 
 from conftest import rng_for
 from oracles import (LipschitzQuotientError, OmegaGrid, convolve_full_loop,
@@ -101,6 +105,68 @@ class TestEnumerateClusters:
             enumerate_clusters(0, 3)
         with pytest.raises(ParameterError):
             enumerate_clusters(2, 0)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestEllBox:
+    """The box order is one data format: box rows, BlockOperator flat
+    positions and AngleFunction coefficients agree, and the vectorised
+    readers equal the per-ell loops they replaced bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 4))
+    def test_one_order_everywhere(self, nu, L):
+        box = ell_box(nu, L)
+        rows = box.tolist()
+        assert rows == [list(e) for e in sorted(
+            itertools.product(range(-L, L + 1), repeat=nu))]
+        n = len(rows)
+        assert rows[(n - 1) // 2] == [0] * nu
+        assert all(rows[n - 1 - p] == [-x for x in e] for p, e in enumerate(rows))
+        op = BlockOperator(enumerate_clusters(1, 1), nu, L)
+        assert [op._position(e) for e in rows] == list(range(n))
+        assert np.array_equal(oracles._ells_of(np.arange(n), nu, L), box)
+        ells, norms = ell_table(nu, L)
+        assert np.array_equal(ells, box) and ells is ell_table(nu, L)[0]
+        assert not (ells.flags.writeable or norms.flags.writeable)
+        assert box.flags.writeable and box is not ell_box(nu, L)
+        assert _bits(norms) == _bits([np.linalg.norm(e) for e in rows])
+        f = AngleFunction(nu, L)
+        for p, e in enumerate(rows):
+            f[e] = p
+        assert np.array_equal(f.coeffs.ravel(), np.arange(n))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_loops_match_oracles(self, nu, L, seed):
+        rng = rng_for("ell-box-oracles", nu, L, seed)
+        f = AngleFunction(nu, L)
+        shape = f.coeffs.shape
+        f.coeffs[...] = np.where(
+            rng.random(shape) < 0.5,
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                        complex(-0.0, 2.0)], shape))
+        grid_n = 2 * L + 1 + int(rng.integers(0, 2 * L + 2))
+        assert _bits(f.sample(grid_n)) == _bits(oracles.sample(f, grid_n))
+        m = int(rng.integers(1, 4 * L + 4))
+        values = rng.standard_normal((m,) * nu) + 1j * rng.standard_normal((m,) * nu)
+        for vals in (values, f.sample(grid_n)):
+            got, alias = AngleFunction.from_samples(vals, L)
+            want, alias_ref = oracles.from_samples(AngleFunction, vals, L)
+            assert _bits(got.coeffs) == _bits(want.coeffs)
+            assert _bits(alias) == _bits(alias_ref)
+        for k in range(25 if L >= 1 else 0):
+            omega = rng.standard_normal(nu) * rng.uniform(0.1, 10.0)
+            if k == 0:
+                omega[-1] = 0.0  # a resonant omega: margin 0
+            gamma, tau = rng.uniform(1e-3, 1.0), rng.uniform(0.5, 12.0)
+            ok, worst = diophantine_check(omega, gamma, tau, L)
+            ok_ref, worst_ref = oracles.diophantine_check(omega, gamma, tau, L)
+            assert ok == ok_ref and _bits(worst) == _bits(worst_ref)
 
 
 class TestConvolveFull:
