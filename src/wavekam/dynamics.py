@@ -46,9 +46,31 @@ def _space_norm(coeffs, s):
     return math.sqrt(math.fsum(acc))
 
 
-# steps per forcing table: the table holds 2 * _BLOCK_STEPS + 1 stage times,
+# steps per block: the forcing table holds 2 * _BLOCK_STEPS + 1 stage times,
 # so its memory does not grow with the horizon
 _BLOCK_STEPS = 64
+
+
+def _rk4_increments(h, l1, lm, l4):
+    """E with I + E the RK4 map of y' = (0 I; L 0) y over one step of length
+    h, for stacks of L at the step's start, middle and end: (..., 2k, 2k)."""
+    h = h.reshape((-1,) + (1,) * (l1.ndim - 1))
+    a = h / 2
+    p1, p2 = lm @ l1, l4 @ lm
+    e11 = h / 6 * (2 * a * (l1 + lm) + h * (lm + a * a * p1))
+    e12 = h * np.eye(l1.shape[-1]) + h / 6 * (2 * a * a + h * a) * lm
+    e21 = h / 6 * (l1 + 4 * lm + 2 * a * a * p1 + l4 + h * a * p2)
+    e22 = h / 6 * (4 * a * lm + h * (l4 + a * a * p2))
+    return np.block([[e11, e12], [e21, e22]])
+
+
+def _chain(e):
+    """F with I + F = (I + e[-1]) ... (I + e[0]), multiplied pairwise as
+    (I + b)(I + a) = I + a + b + b a so the increments keep their low bits."""
+    while len(e) > 1:
+        a, b = e[0:-1:2], e[1::2]
+        e = np.concatenate([a + b + b @ a, e[2 * len(b):]])
+    return e[0]
 
 
 def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
@@ -61,9 +83,17 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
 
     The state lives on the initial modes and, when eps != 0, on the x-support
     of every b_k, c_k.  This set is closed under the flow: Lap and a(omega t)
-    are diagonal, and the rank forcing b_k <c_k, v> + c_k <b_k, v> lands only
-    on that support.  The forcing is tabulated at the stage times of
-    ``_BLOCK_STEPS`` steps at a time.
+    are diagonal, and the rank forcing b_k <c_k, v> + c_k <b_k, v> reads and
+    writes only the coupled set C of modes with nonzero rank columns (empty
+    when eps = 0).  Every other mode is a Hill equation
+    v'' = -(1 + eps a(omega t)) |j|^2 v.  Blocks of steps end after
+    ``_BLOCK_STEPS`` steps or at a sample.  Per block, the forcing is
+    tabulated at the stage times, each step's RK4 map I + E is formed in
+    closed form (one (2|C|, 2|C|) matrix, one 2 x 2 per other mode), the steps
+    are multiplied pairwise in that increment form and applied once as
+    y <- y + E y.  A step costs O(|C|^3 + n); a block's (steps, 2|C|, 2|C|)
+    stack fits ``blockop._CHUNK_BYTES``.  The states agree with the
+    stage-by-stage vector RK4 to rounding; the sampled times are its floats.
     """
     omega = np.asarray(omega, dtype=float)
     cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
@@ -81,21 +111,23 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
     nsq = np.array([float(sum(x * x for x in j)) for j in modes])
     y = np.array([v0.get(j, 0j) for j in modes]
                  + [psi0.get(j, 0j) for j in modes], dtype=complex)
-    # columns: a, then b_j, c_j of each pair on the modes, then c_-j, b_-j
+    # columns: a, then b_j, c_j of each pair on the modes, then c_-j, b_-j;
+    # the rank columns are cut to the coupled set C
     negs = [tuple(-x for x in j) for j in modes]
     cols = [problem.a]
     cols += [f.angle_part(j) for b, c in pairs for f in (b, c) for j in modes]
     cols += [f.angle_part(j) for b, c in pairs for f in (c, b) for j in negs]
     coef = np.stack([f.coeffs.ravel() for f in cols], axis=1)
+    rank = coef[:, 1:].reshape(len(coef), 4 * len(pairs), n)
+    coupled = np.flatnonzero(np.any(rank, axis=(0, 1)))
+    single, k = np.setdiff1d(np.arange(n), coupled), len(coupled)
+    coef = np.concatenate(
+        [coef[:, :1], rank[..., coupled].reshape(len(coef), -1)], axis=1)
     keep = np.any(coef != 0, axis=1)
     coef = coef[keep]
     ells = ell_table(problem.a.nu, problem.a.ell_max)[0][keep]
-
-    def rhs(lin, rank, state):
-        # rows of u: eps b_k, eps c_k on the modes; of w: c_k, b_k at -j
-        u, w = rank
-        vpart = state[:n]
-        return np.concatenate([state[n:], lin * vpart + (w @ vpart) @ u])
+    block_steps = min(_BLOCK_STEPS,
+                      max(1, blockop._CHUNK_BYTES // (64 * max(k, 1) ** 2)))
 
     n_steps = int(math.ceil(horizon / dt))
     sample_every = max(1, n_steps // max(1, n_samples - 1))
@@ -110,28 +142,34 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
             states.append(state.copy())
 
     record(t, y)
-    for k0 in range(0, n_steps, _BLOCK_STEPS):
+    yc, ys = np.r_[coupled, n + coupled], np.c_[single, n + single]
+    k0 = 0
+    while k0 < n_steps:
+        k1 = min(k0 + block_steps, n_steps,
+                 (k0 // sample_every + 1) * sample_every)
         # stage times t_k, t_k + h_k / 2, t_k + h_k = t_(k+1) of the block
         hs, stage_t = [], [t]
-        for _ in range(min(_BLOCK_STEPS, n_steps - k0)):
+        for _ in range(k1 - k0):
             tk = stage_t[-1]
             hs.append(min(dt, horizon - tk))
             stage_t += [tk + hs[-1] / 2, tk + hs[-1]]
+        t, hs = stage_t[-1], np.asarray(hs)
         phi = np.asarray(stage_t)[:, None] * omega
         vals = np.exp(1j * (phi @ ells.T)) @ coef
         lin = -(1.0 + eps * vals[:, :1].real) * nsq
-        rank = vals[:, 1:].reshape(len(stage_t), 2, 2 * len(pairs), n)
-        rank[:, 0] *= eps
-        for k, h in enumerate(hs, k0):
-            r = 2 * (k - k0)
-            k1 = rhs(lin[r], rank[r], y)
-            k2 = rhs(lin[r + 1], rank[r + 1], y + h / 2 * k1)
-            k3 = rhs(lin[r + 1], rank[r + 1], y + h / 2 * k2)
-            k4 = rhs(lin[r + 2], rank[r + 2], y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = t + h
-            if (k + 1) % sample_every == 0 or k == n_steps - 1:
-                record(t, y)
+        # rows of u: eps b_k, eps c_k on C; of w: c_k, b_k at -j
+        u, w = np.moveaxis(
+            vals[:, 1:].reshape(len(stage_t), 2, 2 * len(pairs), k), 1, 0)
+        big = eps * np.swapaxes(u, 1, 2) @ w
+        big[:, range(k), range(k)] += lin[:, coupled]
+        small = lin[:, single, None, None]
+        for ls, idx in ((big, yc), (small, ys)):
+            if len(idx):
+                step = _chain(_rk4_increments(hs, ls[0:-1:2], ls[1::2], ls[2::2]))
+                y[idx] += (step @ y[idx][..., None])[..., 0]
+        if k1 % sample_every == 0 or k1 == n_steps:
+            record(t, y)
+        k0 = k1
     return times, nv, npsi, states
 
 
@@ -141,35 +179,31 @@ def run_norms(times, v_maps, psi_maps, s):
     return EvolutionRun(times=np.asarray(times), norm_v=nv, norm_psi=npsi, s=s)
 
 
-def evolve_reduced(d_blocks, lattice, u0, times, t0=0.0):
-    """Exact reduced evolution du/dt = -i D^(1) u per cluster.
+def _reduced_flow(d_blocks, lattice, u0, times, t0=0.0):
+    """Exact reduced evolution du/dt = -i D^(1) u per cluster on flat vectors.
 
-    u0: dict j -> complex.  Returns the list of coefficient dicts at the
-    requested times (propagated from t0) plus the per-time H^s drift check
-    data.
+    u0: length-n vector over ``lattice.points``.  Returns the (len(times), n)
+    array of u(t), propagated from t0; a cluster where u0 vanishes stays 0
+    and needs no block.
     """
-    by_cluster = {}
-    for j, v in u0.items():
-        a_sq = lattice.cluster_of_point[tuple(j)]
-        by_cluster.setdefault(a_sq, {})[tuple(j)] = v
-    evo = {}
-    for a_sq, comp in by_cluster.items():
-        cl = lattice.cluster(a_sq)
-        vec = np.zeros(cl.n_alpha, dtype=complex)
-        for j, v in comp.items():
-            vec[cl.index_of[j]] = v
+    out = np.zeros((len(times), lattice.n_points), dtype=complex)
+    for a_sq, sl in lattice.slices.items():
+        if not np.any(u0[sl]):
+            continue
         lam, u = np.linalg.eigh(np.asarray(d_blocks[a_sq]))
-        evo[a_sq] = (cl, lam, u, u.conj().T @ vec)
-    out = []
-    for t in np.atleast_1d(times):
-        coeffs = {}
-        for a_sq, (cl, lam, u, y0) in evo.items():
-            vec = u @ (np.exp(-1j * lam * (t - t0)) * y0)
-            for j, i in cl.index_of.items():
-                if vec[i] != 0:
-                    coeffs[j] = vec[i]
-        out.append(coeffs)
+        y0 = u.conj().T @ u0[sl]
+        for row, t in zip(out, times):
+            row[sl] = u @ (np.exp(-1j * lam * (t - t0)) * y0)
     return out
+
+
+def evolve_reduced(d_blocks, lattice, u0, times, t0=0.0):
+    """``_reduced_flow`` on dicts: u0 is a dict j -> complex, and the result
+    one dict of the nonzero coefficients per requested time."""
+    flat = _reduced_flow(d_blocks, lattice, lattice.vector(u0),
+                         np.atleast_1d(times), t0)
+    return [{j: v for j, v in zip(lattice.points, row) if v != 0}
+            for row in flat]
 
 
 def reduced_norm_drift(snapshots, s):
@@ -239,7 +273,8 @@ class ConjugationChain:
             for op in self._w2_inv if inverse else self._w2:
                 mat = op.matrix_at_phi(phis)
                 out = mat if out is None else out @ mat
-            yield from out
+            del mat  # copies, so no matrix held keeps its chunk alive
+            yield from map(np.copy, out)
 
     def w1(self, t, inverse=False):
         """S(omega t) C, or C^{-1} S(omega t)^{-1}, as a (2n, 2n) matrix.
@@ -271,12 +306,13 @@ class ConjugationChain:
             if self.kam_state is not None
             else self.reg.d_blocks(lat)
         )
-        snaps = evolve_reduced(d_blocks, lat, dict(zip(lat.points, u0)), taus,
-                               t0=self.tau_of_t(0.0))
-        u = np.array([lat.vector(snap) for snap in snaps])
-        full = np.concatenate([u, np.conj(u[:, lat.neg_perm])], axis=1)
-        return np.array([self.w1(t) @ (w2 @ x)
-                         for t, w2, x in zip(times, self.w2(taus), full)])
+        u = _reduced_flow(d_blocks, lat, u0, taus, t0=self.tau_of_t(0.0))
+        out = np.concatenate([u, np.conj(u[:, lat.neg_perm])], axis=1)
+        del u
+        # each row is read before it is overwritten by its solution
+        for row, t, w2 in zip(out, times, self.w2(taus)):
+            row[:] = self.w1(t) @ (w2 @ row)
+        return out
 
     def initial_reduced_data(self, x0):
         """(u1; u2) at tau0 from (v; psi)(0) through the inverse chain."""

@@ -231,7 +231,11 @@ class AngleFunction:
 
     # -- indexing -----------------------------------------------------------
     def _key(self, ell):
-        return tuple(int(x) + self.ell_max for x in ell)
+        key = tuple(int(x) + self.ell_max for x in ell)
+        if min(key, default=0) < 0:  # numpy would wrap it to the far side
+            raise IndexError(
+                f"ell = {tuple(ell)} outside |ell|_inf <= {self.ell_max}")
+        return key
 
     def __getitem__(self, ell):
         return self.coeffs[self._key(ell)]
@@ -430,9 +434,9 @@ class SpaceTimeFunction:
 
     def set_coeff(self, ell, j, value):
         j = tuple(int(x) for x in j)
-        if j not in self.comps:
-            self._store(j, AngleFunction(self.nu, self.ell_max))
-        self.comps[j][ell] = value
+        f = self.comps.get(j) or AngleFunction(self.nu, self.ell_max)
+        f[ell] = value
+        self._store(j, f)
 
     def coeff(self, ell, j):
         j = tuple(int(x) for x in j)

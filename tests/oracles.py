@@ -6,6 +6,9 @@ the package.
   |omega.ell + lambda -+ mu| for each cluster pair and takes its minimum.
 - The dict-based RK4 integrator that ``dynamics.evolve_original`` replaced: it
   rebuilds ``dict j -> complex`` of the forcing at every stage.
+- The stage-by-stage vector RK4 that the per-block step propagators of
+  ``dynamics.evolve_original`` replaced: four right-hand sides per step on
+  one dense mode vector, the forcing tabulated per block of 64 steps.
 - The dict-based frozen-angle evaluators that
   ``PairedBlockOperator.matrix_at_phi`` replaced, for block operators, paired
   block operators, multipliers and the rank terms of the pipeline.
@@ -42,7 +45,7 @@ from wavekam.hamiltonian import BlockMatrix2, ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
 from wavekam.resonance import ResonanceReport
-from wavekam.spectrum import AngleFunction, SpaceTimeFunction
+from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +359,101 @@ def evolve_original_dicts(problem, omega, v0, psi0, horizon, dt, n_samples=33,
         t = t + h
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(t, y)
+    return times, nv, npsi, states
+
+
+# ---------------------------------------------------------------------------
+# RK4 on one dense mode vector, stage by stage (formerly
+# dynamics.evolve_original)
+# ---------------------------------------------------------------------------
+
+
+# steps per forcing table: the table holds 2 * _BLOCK_STEPS + 1 stage times,
+# so its memory does not grow with the horizon
+_BLOCK_STEPS = 64
+
+
+def evolve_original_stages(problem, omega, v0, psi0, horizon, dt,
+                            n_samples=33, keep_states=True):
+    """RK4 trajectory of the first-order system on the Fourier truncation.
+
+    v0, psi0: dicts j -> complex (zero-average x-data).  dt must resolve the
+    forcing and the largest retained spatial frequency: dt <= 0.5/(|omega| +
+    j_max).
+
+    The state lives on the initial modes and, when eps != 0, on the x-support
+    of every b_k, c_k.  This set is closed under the flow: Lap and a(omega t)
+    are diagonal, and the rank forcing b_k <c_k, v> + c_k <b_k, v> lands only
+    on that support.  The forcing is tabulated at the stage times of
+    ``_BLOCK_STEPS`` steps at a time.
+    """
+    omega = np.asarray(omega, dtype=float)
+    cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
+    if dt > cfl:
+        raise ParameterError(f"dt = {dt:.3e} violates the step bound {cfl:.3e}")
+    eps = problem.epsilon
+    pairs = problem.rank_pairs if eps else []
+    modes = sorted(set(v0).union(psi0, *(f.space_modes() for pair in pairs
+                                         for f in pair)))
+    lat = problem.lattice
+    for j in modes:
+        if tuple(j) not in lat.cluster_of_point:
+            raise ParameterError(f"mode {j} outside the lattice")
+    n = len(modes)
+    nsq = np.array([float(sum(x * x for x in j)) for j in modes])
+    y = np.array([v0.get(j, 0j) for j in modes]
+                 + [psi0.get(j, 0j) for j in modes], dtype=complex)
+    # columns: a, then b_j, c_j of each pair on the modes, then c_-j, b_-j
+    negs = [tuple(-x for x in j) for j in modes]
+    cols = [problem.a]
+    cols += [f.angle_part(j) for b, c in pairs for f in (b, c) for j in modes]
+    cols += [f.angle_part(j) for b, c in pairs for f in (c, b) for j in negs]
+    coef = np.stack([f.coeffs.ravel() for f in cols], axis=1)
+    keep = np.any(coef != 0, axis=1)
+    coef = coef[keep]
+    ells = ell_table(problem.a.nu, problem.a.ell_max)[0][keep]
+
+    def rhs(lin, rank, state):
+        # rows of u: eps b_k, eps c_k on the modes; of w: c_k, b_k at -j
+        u, w = rank
+        vpart = state[:n]
+        return np.concatenate([state[n:], lin * vpart + (w @ vpart) @ u])
+
+    n_steps = int(math.ceil(horizon / dt))
+    sample_every = max(1, n_steps // max(1, n_samples - 1))
+    times, nv, npsi, states = [], [], [], []
+    t = 0.0
+
+    def record(t, state):
+        times.append(t)
+        nv.append({j: state[i] for i, j in enumerate(modes)})
+        npsi.append({j: state[n + i] for i, j in enumerate(modes)})
+        if keep_states:
+            states.append(state.copy())
+
+    record(t, y)
+    for k0 in range(0, n_steps, _BLOCK_STEPS):
+        # stage times t_k, t_k + h_k / 2, t_k + h_k = t_(k+1) of the block
+        hs, stage_t = [], [t]
+        for _ in range(min(_BLOCK_STEPS, n_steps - k0)):
+            tk = stage_t[-1]
+            hs.append(min(dt, horizon - tk))
+            stage_t += [tk + hs[-1] / 2, tk + hs[-1]]
+        phi = np.asarray(stage_t)[:, None] * omega
+        vals = np.exp(1j * (phi @ ells.T)) @ coef
+        lin = -(1.0 + eps * vals[:, :1].real) * nsq
+        rank = vals[:, 1:].reshape(len(stage_t), 2, 2 * len(pairs), n)
+        rank[:, 0] *= eps
+        for k, h in enumerate(hs, k0):
+            r = 2 * (k - k0)
+            k1 = rhs(lin[r], rank[r], y)
+            k2 = rhs(lin[r + 1], rank[r + 1], y + h / 2 * k1)
+            k3 = rhs(lin[r + 1], rank[r + 1], y + h / 2 * k2)
+            k4 = rhs(lin[r + 2], rank[r + 2], y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t + h
+            if (k + 1) % sample_every == 0 or k == n_steps - 1:
+                record(t, y)
     return times, nv, npsi, states
 
 

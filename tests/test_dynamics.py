@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavekam import AngleFunction, SpaceTimeFunction, blockop
-from wavekam.cli import build_problem, load_config
+from wavekam.cli import _add_conjugate_pair, build_problem, load_config
 from wavekam.dynamics import (
     ConjugationChain,
     conjugacy_roundtrip,
@@ -20,11 +20,54 @@ from wavekam.kam import KamConfig, kam_run
 from wavekam.regularization import WaveProblem, run_pipeline
 
 from conftest import rng_for
-from oracles import evolve_original_dicts
+from oracles import evolve_original_dicts, evolve_original_stages
 from test_acceptance import desk_problem
 
 # strongly non-resonant against the toy spectrum {1, sqrt 2, 2}
 OMEGA = np.array([1.66991901, 1.54742436])
+CONFIGS = Path(__file__).resolve().parents[1] / "src/wavekam/configs"
+
+
+def cli_draw(problem, seed):
+    """The (v0, psi0) that `wavekam run --seed` draws in its dynamics phase:
+    4 random lattice points, real data on each and its negative."""
+    rng = rng_for(seed, "dynamics-initial")
+    pts = list(problem.lattice.all_points())
+    v0, psi0 = {}, {}
+    for k in rng.permutation(len(pts))[:4]:
+        for coeffs in (v0, psi0):
+            val = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
+
+            def add(j, v, coeffs=coeffs):
+                coeffs[j] = coeffs.get(j, 0j) + v
+            _add_conjugate_pair(add, val, pts[int(k)])
+    return v0, psi0
+
+
+def every_point(problem):
+    """Real initial data on every lattice point."""
+    rng = rng_for("every-point", problem.lattice.n_points)
+    v0 = {}
+    for j in problem.lattice.points:
+        neg = tuple(-x for x in j)
+        v0[j] = np.conj(v0[neg]) if neg in v0 else complex(
+            *rng.standard_normal(2))
+    return v0
+
+
+def rank_everywhere(eps, n_modes):
+    """The desk problem with b, c on the first n_modes lattice points (and
+    their negatives), so the coupled set C holds them all."""
+    p = desk_problem(eps)
+    pts = p.lattice.points[:n_modes]
+    b = SpaceTimeFunction.from_modes(2, p.ell_max, 2, {
+        (ell, tuple(s * x for x in j)): 0.5 / (1 + k)
+        for k, j in enumerate(pts) for s, ell in ((1, (1, 0)), (-1, (-1, 0)))})
+    c = SpaceTimeFunction.from_modes(2, p.ell_max, 2, {
+        (ell, tuple(s * x for x in j)): 0.25
+        for j in pts for s, ell in ((1, (0, 1)), (-1, (0, -1)))})
+    p.rank_pairs = [(b, c)]
+    return p
 
 
 def make_problem(eps, **kw):
@@ -121,6 +164,44 @@ class TestEvolveOriginal:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert [list(m) for m in vm] == [list(m) for m in want[1]]
 
+    def assert_matches_stages(self, p, omega, v0, psi0, horizon, dt,
+                              n_samples=33):
+        got = evolve_original(p, omega, v0, psi0, horizon, dt, n_samples)
+        want = evolve_original_stages(p, omega, v0, psi0, horizon, dt,
+                                      n_samples)
+        assert got[0] == want[0]
+        states, ref = np.array(got[3]), np.array(want[3])
+        assert states.shape == ref.shape
+        assert np.max(np.abs(states - ref)) <= 1e-13 * np.max(np.abs(ref))
+        return got
+
+    @pytest.mark.parametrize("config", ["kirchhoff-lin", "eps0"])
+    def test_matches_stage_oracle_on_cli_draw(self, config):
+        # the modes and data of `wavekam run --seed 1`, at the config's dt
+        p = build_problem(load_config(CONFIGS / f"{config}.yaml"), 1)
+        v0, psi0 = cli_draw(p, 1)
+        for omega in (OMEGA, np.array([1.33294561, 1.80752905])):
+            self.assert_matches_stages(p, omega, v0, psi0, 8.0, 0.004)
+
+    @pytest.mark.parametrize("horizon, n_samples", [
+        (5.0, 33),
+        (5.0037, 33),  # short last step
+        (2.0, 1), (2.0, 2), (2.0, 33), (2.0, 129),
+        (0.5, 129),  # more samples than steps: a block per step
+    ])
+    def test_matches_stage_oracle_on_every_desk_point(self, horizon,
+                                                      n_samples):
+        p = desk_problem(1e-3)
+        v0 = every_point(p)
+        times, vm, _, _ = self.assert_matches_stages(
+            p, OMEGA, v0, {}, horizon, 0.01, n_samples)
+        assert len(vm[0]) == p.lattice.n_points == 112
+        assert times[-1] == pytest.approx(horizon, abs=1e-12)
+
+    def test_matches_stage_oracle_with_every_mode_coupled(self):
+        p = rank_everywhere(1e-3, 24)
+        self.assert_matches_stages(p, OMEGA, every_point(p), {}, 1.0, 0.01)
+
     def test_state_closed_under_rank_forcing(self):
         # initial modes miss +-(0, 1), where the rank pair's c lives: a run
         # holding every lattice mode from the start must give the same states
@@ -152,6 +233,35 @@ class TestEvolveOriginal:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0]
+
+    def test_memory_against_stage_oracle(self):
+        # every mode outside the rank support is a scalar equation: no
+        # (steps, 2n, 2n) stack over all 112 points
+        p = desk_problem(1e-3)
+        v0 = every_point(p)
+        peaks = []
+        for evolve in (evolve_original, evolve_original_stages):
+            tracemalloc.start()
+            try:
+                evolve(p, OMEGA, v0, {}, 20.0, dt=0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2 * peaks[1]
+
+    def test_coupled_block_fits_chunk(self, monkeypatch):
+        # all 112 points coupled: 64 steps of (224, 224) would be 51 MB
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES", 2**21)
+        p = rank_everywhere(1e-3, 112)
+        v0 = every_point(p)
+        tracemalloc.start()
+        try:
+            evolve_original(p, OMEGA, v0, {}, 0.7, dt=0.01, n_samples=2,
+                            keep_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * blockop._CHUNK_BYTES
 
 
 class TestEvolveReduced:
@@ -246,7 +356,9 @@ class TestConjugacy:
         assert rep["inverse_residual"] <= 1e-9
         assert rep["trajectory_residual"] <= 1e-6
 
-    def test_roundtrip_memory_independent_of_sample_count(self, monkeypatch):
+    def roundtrip_peaks(self, monkeypatch):
+        """tracemalloc peaks of conjugacy_roundtrip at 21 and 201 sample
+        times, with W2 in stacks of 20 angles (10 chunks for 200 times)."""
         # j_max = 3 (n = 28): the (2n, 2n) stacks outweigh the per-time data
         p = make_problem(1e-3, j_max=3)
         chain = ConjugationChain(p, OMEGA, run_pipeline(p, OMEGA))
@@ -254,7 +366,6 @@ class TestConjugacy:
         runs = [evolve_original(p, OMEGA, v0, {}, 4.0, dt=0.01, n_samples=k)
                 for k in (20, 200)]
         reps = [conjugacy_roundtrip(chain, *run[:3]) for run in runs]
-        # W2 stacks of 20 angles: 200 sample times take 10 chunks
         monkeypatch.setattr(blockop, "_CHUNK_BYTES",
                             20 * 16 * (2 * p.lattice.n_points) ** 2)
         peaks = []
@@ -266,7 +377,17 @@ class TestConjugacy:
             finally:
                 tracemalloc.stop()
             assert chunked == pytest.approx(rep, rel=1e-12, abs=1e-15)
+        return peaks
+
+    def test_roundtrip_memory_independent_of_sample_count(self, monkeypatch):
+        peaks = self.roundtrip_peaks(monkeypatch)
         assert peaks[1] < 2 * peaks[0]
+
+    def test_roundtrip_memory_per_sample_time(self, monkeypatch):
+        # one 2n state is 0.9 kB here: 180 more sample times may add a few
+        # such vectors each, not per-time dicts or a second W2 chunk
+        peaks = self.roundtrip_peaks(monkeypatch)
+        assert peaks[1] - peaks[0] < 0.8e6
 
     def test_t0_slice_matches_initial_transform(self):
         p, res, chain = self.chain_for(1e-3, with_kam=True)

@@ -169,6 +169,44 @@ class TestEllBox:
             assert ok == ok_ref and _bits(worst) == _bits(worst_ref)
 
 
+class TestAngleIndexing:
+    # ell_max = 4: the box holds -4..4 per component; a component below -4
+    # used to wrap to the far side, (-5, 0) to (4, 0) and (0, -7) to (0, 2)
+    OUTSIDE = [(-5, 0), (0, -7), (5, 0), (0, 9), (-5, 5)]
+
+    @pytest.mark.parametrize("ell", OUTSIDE)
+    def test_getitem_outside_box_raises(self, ell):
+        f = AngleFunction.cosine(2, 4, (1, 0))
+        with pytest.raises(IndexError):
+            f[ell]
+
+    @pytest.mark.parametrize("ell", OUTSIDE)
+    def test_setitem_outside_box_raises_and_writes_nothing(self, ell):
+        f = AngleFunction.zero(2, 4)
+        with pytest.raises(IndexError):
+            f[ell] = 1.0
+        assert not np.any(f.coeffs)
+
+    @pytest.mark.parametrize("ell", OUTSIDE)
+    def test_set_coeff_outside_box_raises_and_stores_nothing(self, ell):
+        u = SpaceTimeFunction(2, 4, 2)
+        with pytest.raises(IndexError):
+            u.set_coeff(ell, (1, 0), 2.0)
+        assert u.space_modes() == []
+        u.set_coeff((1, 0), (1, 0), 1.0)
+        with pytest.raises(IndexError):
+            u.set_coeff(ell, (1, 0), 2.0)
+        assert u.coeff((1, 0), (1, 0)) == 1.0
+        assert np.count_nonzero(u.angle_part((1, 0)).coeffs) == 1
+
+    def test_box_corners_still_reachable(self):
+        f = AngleFunction.zero(2, 4)
+        for ell in itertools.product((-4, 4), repeat=2):
+            f[ell] = 1.0
+            assert f[ell] == 1.0
+        assert np.count_nonzero(f.coeffs) == 4
+
+
 class TestConvolveFull:
     @pytest.mark.parametrize("nu, n, fill", [
         (1, 9, 0.5), (2, 5, 0.3), (2, 7, 0.0), (3, 5, 0.2), (3, 3, 1.0)])
