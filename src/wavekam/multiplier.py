@@ -2,16 +2,22 @@
 
 Symbols are stored per cluster, never per lattice point: the problem's
 symbols depend on |j| only, so the per-cluster table is exact and small.
-The order m is metadata used by the norm family and the bookkeeping checks;
-truncation makes any asymptotic reading of it meaningless.
+It is one complex (n_clusters, (2L+1)^nu) array, a row per cluster in
+lattice order and a column per ell in ``spectrum.ell_box`` order, so every
+operation is a few array operations over all clusters at once.  The order m
+is metadata used by the norm family and the bookkeeping checks; truncation
+makes any asymptotic reading of it meaningless.
 """
+
+import math
 
 import numpy as np
 
 from .blockop import BlockOperator, PairedBlockOperator
 from .errors import ParameterError
 from .series import truncated_series
-from .spectrum import AngleFunction, SpaceTimeFunction
+from .spectrum import (AngleFunction, SpaceTimeFunction, _product_rows,
+                       _project_rows, _sample_rows, ell_table)
 
 __all__ = [
     "FourierMultiplier",
@@ -24,23 +30,20 @@ __all__ = [
 
 
 class FourierMultiplier:
-    """Symbol table: one truncated angle series per cluster, plus an order tag."""
+    """Symbol table: one row of angle coefficients per cluster, plus an order tag."""
 
-    __slots__ = ("lattice", "nu", "ell_max", "order", "parts")
+    __slots__ = ("lattice", "nu", "ell_max", "order", "coeffs")
 
-    def __init__(self, lattice, nu, ell_max, order=0.0, parts=None):
+    def __init__(self, lattice, nu, ell_max, order=0.0, coeffs=None):
         self.lattice = lattice
         self.nu = int(nu)
         self.ell_max = int(ell_max)
         self.order = float(order)
-        if parts is None:
-            self.parts = [
-                AngleFunction(self.nu, self.ell_max) for _ in lattice.clusters
-            ]
-        else:
-            if len(parts) != len(lattice.clusters):
-                raise ParameterError("one angle series per cluster required")
-            self.parts = list(parts)
+        shape = (len(lattice.clusters), (2 * self.ell_max + 1) ** self.nu)
+        coeffs = np.zeros(shape, complex) if coeffs is None else np.asarray(coeffs, complex)
+        if coeffs.shape[:1] != shape[:1] or coeffs.size != shape[0] * shape[1]:
+            raise ParameterError("one angle series per cluster required")
+        self.coeffs = coeffs.reshape(shape)
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -51,33 +54,44 @@ class FourierMultiplier:
     def from_alpha_symbol(cls, lattice, nu, ell_max, fn, order=0.0):
         """phi-independent symbol alpha -> fn(alpha)."""
         out = cls(lattice, nu, ell_max, order)
-        for i, c in enumerate(lattice.clusters):
-            out.parts[i] = AngleFunction.constant(nu, ell_max, fn(c.alpha))
+        out.coeffs[:, out._center] = [fn(c.alpha) for c in lattice.clusters]
         return out
 
     @classmethod
     def from_angle_function(cls, lattice, g, order=0.0):
         """alpha-independent symbol r(phi, alpha) = g(phi)."""
-        out = cls(lattice, g.nu, g.ell_max, order)
-        out.parts = [g.copy() for _ in lattice.clusters]
-        return out
+        rows = np.broadcast_to(g.coeffs.ravel(), (len(lattice.clusters), g.coeffs.size))
+        return cls(lattice, g.nu, g.ell_max, order, rows.copy())
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):
         return cls.from_alpha_symbol(lattice, nu, ell_max, lambda a: 1.0, order=0.0)
 
-    def coeff(self, ell, alpha_sq):
-        i = self.lattice.alpha_sqs.index(int(alpha_sq))
-        return complex(self.parts[i][ell])
+    @property
+    def _center(self):
+        """Column of ell = 0."""
+        return (self.coeffs.shape[1] - 1) // 2
 
-    def copy(self, order=None):
-        return FourierMultiplier(
-            self.lattice,
-            self.nu,
-            self.ell_max,
-            self.order if order is None else order,
-            [p.copy() for p in self.parts],
-        )
+    def _stack(self):
+        """``coeffs`` as a (n_clusters, n, ..., n) stack of angle arrays."""
+        return self.coeffs.reshape((-1,) + (2 * self.ell_max + 1,) * self.nu)
+
+    def row(self, i):
+        """Cluster i's symbol as an AngleFunction viewing row i."""
+        return AngleFunction(self.nu, self.ell_max, self._stack()[i])
+
+    def plus_mean(self, values):
+        """The symbol plus values[i] at ell = 0 of cluster i."""
+        out = self.copy()
+        out.coeffs[:, self._center] += values
+        return out
+
+    def copy(self):
+        return self._like(self.coeffs.copy())
+
+    def _like(self, coeffs, order=None):
+        return FourierMultiplier(self.lattice, self.nu, self.ell_max,
+                                 self.order if order is None else order, coeffs)
 
     def _check(self, other):
         if self.lattice != other.lattice or self.ell_max != other.ell_max:
@@ -86,95 +100,87 @@ class FourierMultiplier:
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other):
         self._check(other)
-        return FourierMultiplier(
-            self.lattice,
-            self.nu,
-            self.ell_max,
-            max(self.order, other.order),
-            [a + b for a, b in zip(self.parts, other.parts)],
-        )
+        return self._like(self.coeffs + other.coeffs, max(self.order, other.order))
 
     def __sub__(self, other):
         return self + (other * (-1.0))
 
     def __mul__(self, scalar):
-        return FourierMultiplier(
-            self.lattice, self.nu, self.ell_max, self.order,
-            [p * scalar for p in self.parts],
-        )
+        return self._like(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
+    def scaled(self, weights, order=None):
+        """Row i times weights[i]: the symbol times a function of alpha."""
+        return self._like(self.coeffs * np.asarray(weights, dtype=complex)[:, None], order)
+
     def conj(self):
-        return FourierMultiplier(
-            self.lattice, self.nu, self.ell_max, self.order,
-            [p.conj() for p in self.parts],
-        )
+        """Pointwise complex conjugate in phi: hat(ell) -> conj(hat(-ell))."""
+        return self._like(np.conj(self.coeffs[:, ::-1]))
 
     def is_real_symbol(self, tol=1e-13):
-        return all(p.is_real(tol) for p in self.parts)
+        dist = np.abs(self.coeffs - self.conj().coeffs).max(axis=1)
+        scale = np.maximum(1.0, np.abs(self.coeffs).sum(axis=1))
+        return bool(np.all(dist <= tol * scale))
 
     def omega_dphi(self, omega):
-        return FourierMultiplier(
-            self.lattice, self.nu, self.ell_max, self.order,
-            [p.omega_dphi(omega) for p in self.parts],
-        )
+        """omega . d/dphi, exact on coefficients."""
+        ells = ell_table(self.nu, self.ell_max)[0]
+        return self._like(self.coeffs * (1j * (np.asarray(omega, dtype=float) @ ells.T)))
 
     def mean_per_cluster(self):
-        return np.array([p.mean() for p in self.parts])
+        return self.coeffs[:, self._center].copy()
 
     def map_pointwise(self, fn, grid_n, order):
         """Apply a scalar function to the symbol on a grid_n^nu phi-grid and
         re-project to a multiplier of the given order.
 
-        Returns (multiplier, alias mass).
+        Returns (multiplier, largest alias mass of a cluster).
         """
-        out = FourierMultiplier(self.lattice, self.nu, self.ell_max, order)
-        alias = 0.0
-        for i, p in enumerate(self.parts):
-            vals = fn(p.sample(grid_n))
-            g, a = AngleFunction.from_samples(vals, self.ell_max)
-            out.parts[i] = g
-            alias = max(alias, a)
-        return out, alias
+        vals = fn(_sample_rows(self.coeffs, self.nu, self.ell_max, grid_n))
+        coeffs, alias = _project_rows(vals, self.ell_max)
+        return self._like(coeffs, order), max(alias, default=0.0)
 
     # -- norms -----------------------------------------------------------------
     def norm(self, m=None, s=0.0):
         m = self.order if m is None else m
-        best = 0.0
-        for c, p in zip(self.lattice.clusters, self.parts):
-            best = max(best, p.sobolev_norm(s) * c.alpha ** (-m))
-        return best
+        w = np.maximum(1.0, ell_table(self.nu, self.ell_max)[1]) ** (2.0 * s)
+        terms = (w * np.abs(self.coeffs) ** 2).tolist()
+        return max((math.sqrt(math.fsum(t)) * c.alpha ** (-m)
+                    for t, c in zip(terms, self.lattice.clusters)), default=0.0)
 
     # -- action ----------------------------------------------------------------
     def apply(self, u):
         """Op(r) u: per cluster of each space mode, ell-convolution."""
+        if u.nu != self.nu or u.ell_max != self.ell_max:
+            raise ParameterError("angle function truncation mismatch")
         out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
-        for j in u.space_modes():
-            a_sq = self.lattice.cluster_of_point.get(j)
-            if a_sq is None:
-                continue
-            i = self.lattice.alpha_sqs.index(a_sq)
-            prod, _ = u.angle_part(j).product(self.parts[i])
-            out.comps[j] = prod
+        lat = self.lattice
+        modes = [j for j in u.space_modes() if j in lat.cluster_of_point]
+        rows = [lat.alpha_sqs.index(lat.cluster_of_point[j]) for j in modes]
+        if modes:
+            prods = _product_rows(np.stack([u.comps[j].coeffs for j in modes]),
+                                  self._stack()[rows])
+            out.comps = {j: AngleFunction(u.nu, u.ell_max, p.copy())
+                         for j, p in zip(modes, prods)}
         return out
 
     def to_blocks(self):
-        blocks = {}
-        for c, p in zip(self.lattice.clusters, self.parts):
-            eye = np.eye(c.n_alpha, dtype=complex)
-            for ell, v in p.modes():
-                blocks[(ell, c.alpha_sq, c.alpha_sq)] = v * eye
-        return BlockOperator(self.lattice, self.nu, self.ell_max, blocks)
+        out = BlockOperator(self.lattice, self.nu, self.ell_max)
+        for c, row in zip(self.lattice.clusters, self.coeffs):
+            idx = np.flatnonzero(row)
+            if len(idx):
+                out.stacks[(c.alpha_sq, c.alpha_sq)] = (
+                    idx, row[idx][:, None, None] * np.eye(c.n_alpha, dtype=complex))
+        return out
 
     def to_rows(self):
-        rows = []
-        for c, p in zip(self.lattice.clusters, self.parts):
-            for ell, v in p.modes():
-                rows.append(
-                    (list(ell), c.alpha_sq, float(v.real), float(v.imag), self.order)
-                )
-        return rows
+        """(ell, alpha^2, re, im, order) of every nonzero coefficient."""
+        i, p = np.nonzero(self.coeffs)
+        v = self.coeffs[i, p]
+        return list(zip(ell_table(self.nu, self.ell_max)[0][p].tolist(),
+                        np.array(self.lattice.alpha_sqs)[i].tolist(),
+                        v.real.tolist(), v.imag.tolist(), [self.order] * len(v)))
 
 
 def multiplier_norm(r, m, s):
@@ -183,15 +189,15 @@ def multiplier_norm(r, m, s):
 
 
 def multiplier_compose(r, b):
-    """Op(r) Op(b) = Op(rb), orders add, symbols ell-convolve per cluster."""
+    """Op(r) Op(b) = Op(rb), orders add, symbols ell-convolve per cluster.
+
+    All clusters go through one batched convolution, where a zero row costs
+    nothing; each row comes out bit for bit as ``AngleFunction.product`` of
+    the two rows.
+    """
     r._check(b)
-    parts = []
-    for pr, pb in zip(r.parts, b.parts):
-        prod, _ = pr.product(pb)
-        parts.append(prod)
-    return FourierMultiplier(
-        r.lattice, r.nu, r.ell_max, r.order + b.order, parts
-    )
+    prod = _product_rows(r._stack(), b._stack()).reshape(r.coeffs.shape)
+    return r._like(prod, r.order + b.order)
 
 
 def multiplier_to_blocks(r):
@@ -201,27 +207,22 @@ def multiplier_to_blocks(r):
 class PairedMultiplier:
     """Top row (r1, r2) of the multiplier arrangement (Op r1, Op r2; conj row)."""
 
-    __slots__ = ("r1", "r2", "meta")
+    __slots__ = ("r1", "r2")
 
     def __init__(self, r1, r2):
         r1._check(r2)
         self.r1 = r1
         self.r2 = r2
-        self.meta = {}
 
     @classmethod
     def zero(cls, lattice, nu, ell_max, order=0.0):
-        return cls(
-            FourierMultiplier.zero(lattice, nu, ell_max, order),
-            FourierMultiplier.zero(lattice, nu, ell_max, order),
-        )
+        z = FourierMultiplier.zero(lattice, nu, ell_max, order)
+        return cls(z, z.copy())
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):
-        return cls(
-            FourierMultiplier.identity(lattice, nu, ell_max),
-            FourierMultiplier.zero(lattice, nu, ell_max),
-        )
+        return cls(FourierMultiplier.identity(lattice, nu, ell_max),
+                   FourierMultiplier.zero(lattice, nu, ell_max))
 
     @classmethod
     def diagonal(cls, r):
@@ -230,9 +231,6 @@ class PairedMultiplier:
     @property
     def lattice(self):
         return self.r1.lattice
-
-    def copy(self):
-        return PairedMultiplier(self.r1.copy(), self.r2.copy())
 
     def __add__(self, other):
         return PairedMultiplier(self.r1 + other.r1, self.r2 + other.r2)
@@ -275,21 +273,34 @@ class PairedMultiplier:
         return PairedBlockOperator(self.r1.to_blocks(), self.r2.to_blocks())
 
 
-def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None):
+def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None, inverse=False):
     """exp(Psi) for a paired multiplier, with the order >= 2 tail.
 
-    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m.
-    The smallness hypothesis |||Psi|||_{-m, s0} <= 1 is a warning flag, not
-    an error; divergence past ``max_terms`` raises DivergenceError.
+    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m,
+    and with ``inverse`` also exp(-Psi) as a third value, summed from the
+    same terms times (-1)^k: negation is exact, so it is bit for bit the
+    series of -Psi.  The smallness |||Psi|||_{-m, s0} <= 1 is not checked;
+    divergence past ``max_terms`` raises DivergenceError.
     """
     m = psi.r1.order
     nrm = psi.norm(m, 0.0 if s0 is None else s0)
+    lat, nu, L = psi.lattice, psi.r1.nu, psi.r1.ell_max
+    terms = []
+
+    def step(t, k):
+        terms.append(t.compose(psi) * (1.0 / k))
+        return terms[-1]
+
     ge2 = truncated_series(
-        psi, lambda t, k: t.compose(psi) * (1.0 / k), tol, max_terms,
+        psi, step, tol, max_terms,
         norm=lambda t: t.norm(0.0, 0.0), rate=lambda k: nrm / k, bound=nrm, k0=1,
-        total=PairedMultiplier.zero(psi.lattice, psi.r1.nu, psi.r1.ell_max),
+        total=PairedMultiplier.zero(lat, nu, L),
         name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
-    phi = PairedMultiplier.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max) + psi + ge2
-    phi.meta["size_warning"] = bool(nrm > 1.0)
+    phi = PairedMultiplier.identity(lat, nu, L) + psi + ge2
     ge2.r1.order = ge2.r2.order = 2 * m
-    return phi, ge2
+    if not inverse:
+        return phi, ge2
+    neg = PairedMultiplier.zero(lat, nu, L)
+    for k, t in enumerate(terms, 2):
+        neg = neg + (t if k % 2 == 0 else t * (-1.0))
+    return phi, ge2, PairedMultiplier.identity(lat, nu, L) + psi * (-1.0) + neg

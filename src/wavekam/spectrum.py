@@ -97,6 +97,7 @@ class SpectralLattice:
         self.j_max = int(j_max)
         self.clusters = clusters
         self.alpha_sqs = [c.alpha_sq for c in clusters]
+        self.alphas = np.array([c.alpha for c in clusters])
         self.by_alpha_sq = {c.alpha_sq: c for c in clusters}
         self.cluster_of_point = {}
         self.slices = {}
@@ -310,35 +311,16 @@ class AngleFunction:
     # -- evaluation ---------------------------------------------------------
     def sample(self, grid_n):
         """Values on the uniform grid (2pi k / grid_n), shape (grid_n,)*nu."""
-        if grid_n < 2 * self.ell_max + 1:
-            raise ParameterError("sampling grid too small for exact evaluation")
-        spec = np.zeros((grid_n,) * self.nu, dtype=complex)
-        at = ell_table(self.nu, self.ell_max)[0] % grid_n
-        spec[tuple(at.T)] += self.coeffs.ravel()  # += keeps 0 + c's signed zeros
-        return np.fft.ifftn(spec) * grid_n**self.nu
+        return _sample_rows(self.coeffs.reshape(1, -1), self.nu, self.ell_max,
+                            grid_n)[0]
 
     @classmethod
     def from_samples(cls, values, ell_max):
         """Project grid values back to the box; returns (function, alias mass)."""
         values = np.asarray(values, dtype=complex)
-        nu = values.ndim
-        grid_n = values.shape[0]
-        spec = np.fft.fftn(values) / grid_n**nu
-        total = math.fsum((np.abs(spec) ** 2).ravel().tolist())
-        # box rows hit by a grid frequency x <= grid_n // 2 or x - grid_n
-        ells = ell_table(nu, ell_max)[0]
-        at = ells % grid_n
-        hit = np.flatnonzero(
-            (np.where(at <= grid_n // 2, at, at - grid_n) == ells).all(axis=1))
-        at = np.ravel_multi_index(tuple(at[hit].T), spec.shape)
-        c = spec.ravel()[at]
-        f = cls(nu, ell_max)
-        f.coeffs.ravel()[hit] = np.where(c != 0, c, 0)
-        # kept mass bit for bit as the per-coefficient oracle: libm hypot and
-        # pow (numpy's SIMD abs and square round differently), grid order
-        mass = np.hypot(c.real, c.imag)[np.argsort(at)].astype(object) ** 2
-        alias = math.sqrt(max(total - float(np.sum(mass)), 0.0))
-        return f, alias
+        coeffs, alias = _project_rows(values[None], ell_max)
+        shape = (2 * ell_max + 1,) * values.ndim
+        return cls(values.ndim, ell_max, coeffs.reshape(shape)), alias[0]
 
     def eval_at(self, points):
         """Evaluate at arbitrary angles; points shape (n, nu)."""
@@ -349,32 +331,98 @@ class AngleFunction:
         return np.exp(1j * points @ ells.T) @ flat[nz]
 
 
-def _convolve_full(a, b):
-    """Full linear convolution of two equal-shape dense coefficient arrays.
+def _sample_rows(coeffs, nu, ell_max, grid_n):
+    """Values of each row of a (k, (2 ell_max + 1)^nu) coefficient stack on the
+    uniform grid (2pi m / grid_n), shape (k,) + (grid_n,)*nu."""
+    if grid_n < 2 * ell_max + 1:
+        raise ParameterError("sampling grid too small for exact evaluation")
+    spec = np.zeros((len(coeffs),) + (grid_n,) * nu, dtype=complex)
+    at = ell_table(nu, ell_max)[0] % grid_n
+    spec[(slice(None),) + tuple(at.T)] += coeffs  # += keeps 0 + c's signed zeros
+    return np.fft.ifftn(spec, axes=tuple(range(1, nu + 1))) * grid_n**nu
 
-    Direct summation when the data is sparse (exact), FFT otherwise.
+
+def _project_rows(values, ell_max):
+    """Project (k,) + (grid_n,)*nu grid values back to the box.
+
+    Returns the (k, (2 ell_max + 1)^nu) coefficient stack and, per row, the
+    alias mass: the l2 norm of the grid frequencies outside the box.
     """
-    nu = a.ndim
-    n = a.shape[0]
-    out_n = 2 * n - 1
-    ia = np.argwhere(a != 0)
-    ib = np.argwhere(b != 0)
-    if len(ia) * len(ib) <= 16384:
-        # every product at once; index sums need no carry in the output grid,
-        # and bincount adds each bin's products in (ka, kb) order
-        shape = (out_n,) * nu
-        at = (np.ravel_multi_index(ia.T, shape)[:, None]
-              + np.ravel_multi_index(ib.T, shape)[None, :]).ravel()
-        prods = np.multiply.outer(a[tuple(ia.T)], b[tuple(ib.T)]).ravel()
-        out = np.empty(out_n**nu, dtype=complex)
-        out.real = np.bincount(at, prods.real, out_n**nu)
-        out.imag = np.bincount(at, prods.imag, out_n**nu)
-        return out.reshape(shape)
-    fa = np.fft.fftn(a, s=(out_n,) * nu)
-    fb = np.fft.fftn(b, s=(out_n,) * nu)
-    out = np.fft.ifftn(fa * fb)
+    k, nu, grid_n = len(values), values.ndim - 1, values.shape[1]
+    spec = (np.fft.fftn(values, axes=tuple(range(1, nu + 1))) / grid_n**nu).reshape(k, -1)
+    # box rows hit by a grid frequency x <= grid_n // 2 or x - grid_n
+    ells = ell_table(nu, ell_max)[0]
+    at = ells % grid_n
+    hit = np.flatnonzero(
+        (np.where(at <= grid_n // 2, at, at - grid_n) == ells).all(axis=1))
+    at = np.ravel_multi_index(tuple(at[hit].T), (grid_n,) * nu)
+    c = spec[:, at]
+    coeffs = np.zeros((k, len(ells)), dtype=complex)
+    coeffs[:, hit] = np.where(c != 0, c, 0)
+    outside = np.ones(spec.shape[1], dtype=bool)
+    outside[at] = False
+    lost = (np.abs(spec[:, outside]) ** 2).tolist()
+    return coeffs, [math.sqrt(math.fsum(row)) for row in lost]
+
+
+def _convolve_full(a, b):
+    """Full linear convolution of two equal-shape dense coefficient arrays."""
+    return _convolve_rows(a[None], b[None])[0]
+
+
+def _convolve_rows(a, b):
+    """Full linear convolutions of the rows of two (k, n, ..., n) coefficient
+    stacks, shape (k, 2n - 1, ..., 2n - 1), each row bit for bit as if alone.
+
+    A row with over 16384 products goes by FFT; the others are summed
+    directly (exact) in one bincount over the union of their supports:
+    index sums need no carry in the output grid, rows sit a grid apart, each
+    bin adds its row's products in (ka, kb) order and the union's extra
+    products are exact zeros.  A lone product is formed as numpy's scalar
+    loop forms it, without the fused multiply-add of its SIMD loop.
+    """
+    k, box = len(a), a.shape[1:]
+    shape = tuple(2 * n - 1 for n in box)
+    size = math.prod(shape)
+    fa, fb = a.reshape(k, -1), b.reshape(k, -1)
+    nza, nzb = fa != 0, fb != 0
+    count = nza.sum(axis=1) * nzb.sum(axis=1)
+    out = np.zeros((k, size), dtype=complex)
+    for i in np.flatnonzero(count > 16384):
+        out[i] = _fft_convolve(a[i], b[i]).ravel()
+
+    def at(flat):  # box positions -> output grid positions
+        return np.ravel_multi_index(np.unravel_index(flat, box), shape)
+
+    lone = np.flatnonzero(count == 1)
+    ia, ib = nza[lone].argmax(axis=1), nzb[lone].argmax(axis=1)
+    x, y = fa[lone, ia], fb[lone, ib]
+    out.real[lone, at(ia) + at(ib)] += x.real * y.real - x.imag * y.imag
+    out.imag[lone, at(ia) + at(ib)] += x.real * y.imag + x.imag * y.real
+    rows = np.flatnonzero((count > 1) & (count <= 16384))
+    ia = np.flatnonzero(nza[rows].any(axis=0))
+    ib = np.flatnonzero(nzb[rows].any(axis=0))
+    pos = ((np.arange(len(rows)) * size)[:, None, None]
+           + at(ia)[:, None] + at(ib)).ravel()
+    prods = fa[rows[:, None], ia][:, :, None] * fb[rows[:, None], ib][:, None, :]
+    for part, w in ((out.real, prods.real), (out.imag, prods.imag)):
+        part[rows] = np.bincount(pos, w.ravel(), len(rows) * size).reshape(-1, size)
+    return out.reshape((k,) + shape)
+
+
+def _product_rows(a, b):
+    """Row-wise truncated products of two (k, n, ..., n) coefficient stacks:
+    row i is the first value of ``AngleFunction.product`` on rows i."""
+    lo, hi = (a.shape[1] - 1) // 2, 3 * (a.shape[1] - 1) // 2 + 1
+    return _convolve_rows(a, b)[(slice(None),) + (slice(lo, hi),) * (a.ndim - 1)]
+
+
+def _fft_convolve(a, b):
+    """Full linear convolution by FFT, with the FFT noise floor cut."""
+    s = (2 * a.shape[0] - 1,) * a.ndim
+    out = np.fft.ifftn(np.fft.fftn(a, s=s) * np.fft.fftn(b, s=s))
     # inputs are exact trig polynomials; kill fft noise below the double floor
-    scale = np.max(np.abs(out)) if out.size else 0.0
+    scale = np.max(np.abs(out))
     if scale > 0:
         out[np.abs(out) < 1e-15 * scale] = 0.0
     return out
@@ -507,19 +555,6 @@ class SpaceTimeFunction:
 
     def linf_bound(self):
         return sum(f.linf_bound() for f in self.comps.values())
-
-    def pairing(self, other):
-        """<g, h> = normalized integral of g*h over x, per phi: an AngleFunction.
-
-        In coefficients: sum_j ghat_{-j}(.) conv hhat_j(.).
-        """
-        acc = AngleFunction(self.nu, self.ell_max)
-        for j, f in other.comps.items():
-            mj = tuple(-x for x in j)
-            if mj in self.comps:
-                prod, _ = self.comps[mj].product(f)
-                acc = acc + prod
-        return acc
 
     def x_coeffs_at_phi(self, phi):
         """dict j -> u_j(phi)."""

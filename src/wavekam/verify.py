@@ -176,11 +176,11 @@ def suite_norms(seed=0, trials=20):
         m = -s - (lat.d - 1) / 2.0
         r = FourierMultiplier(lat, 2, 2, m)
         for i, c in enumerate(lat.clusters):
-            f = AngleFunction(2, 2)
+            f = r.row(i)
             for _ in range(4):
                 ell = tuple(int(x) for x in rng.integers(-2, 3, 2))
                 f[ell] = rng.standard_normal() + 1j * rng.standard_normal()
-            r.parts[i] = f * c.alpha**m
+        r = r.scaled([c.alpha**m for c in lat.clusters])
         lhs = block_decay_norm(multiplier_to_blocks(r), s)
         rhs = c_trunc * r.norm(m, s)
         worst = max(worst, lhs / rhs)

@@ -14,7 +14,9 @@ the package.
   block operators, multipliers and the rank terms of the pipeline.
 - The dict-based ``compose`` and ``decay_norm`` that the cluster-pair stacks
   of ``blockop`` replaced; they read blocks through ``items()``.
-- The Python double loop of ``spectrum._convolve_full``'s direct branch.
+- The Python double loop of ``spectrum._convolve_full``'s direct branch,
+  and the one-pair ``_convolve_full`` that the row-batched
+  ``spectrum._convolve_rows`` replaced.
 - The dense flattening of block and paired block operators over the
   (ell, j) basis, formerly their ``to_dense`` methods.
 - The per-ell loops that ``spectrum.ell_box`` and ``ell_table`` replaced:
@@ -26,6 +28,13 @@ the package.
 - The KAM step whose order >= 2 remainder is the telescoped double sum
   Psi^i (Pi_N R_diag - Pi_N R) Psi^j, which the Lie series of ``kam_step``
   replaced.
+- The list-of-parts ``FourierMultiplier`` and ``PairedMultiplier`` (one
+  ``AngleFunction`` per cluster, one ``AngleFunction.product`` per cluster in
+  ``multiplier_compose``) that the (clusters x ell-box) symbol array
+  replaced, with ``from_array``/``to_array`` between the two, and the
+  test-only ``FourierMultiplier.coeff`` and ``PairedMultiplier.copy``,
+  and the x-pairing of two space-time functions (formerly
+  ``SpaceTimeFunction.pairing``).
 - Test-only references that left the package: the frequency grid with its
   weighted Lipschitz norm and eigenvalue audit, the real-coordinate fields
   of stages 1 and 2 with their complexification, and the action of a block
@@ -45,6 +54,7 @@ from wavekam.hamiltonian import BlockMatrix2, ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
 from wavekam.resonance import ResonanceReport
+from wavekam.series import truncated_series
 from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
 
 
@@ -509,7 +519,8 @@ def _merge(a, b):
 def values_at_phi(r, phi):
     """Symbol values r(phi, alpha) per cluster, at one frozen angle."""
     phi = np.asarray(phi, dtype=float).reshape(1, -1)
-    return np.array([complex(p.eval_at(phi)[0]) for p in r.parts])
+    return np.array([complex(r.row(i).eval_at(phi)[0])
+                     for i in range(len(r.coeffs))])
 
 
 def multiplier_apply_pair_at_phi(mult, c1, c2, phi):
@@ -695,8 +706,23 @@ class FiniteRankOperator:
         return out
 
 
+def pairing(self, other):
+    """<g, h> = normalized integral of g*h over x, per phi: an AngleFunction
+    (formerly SpaceTimeFunction.pairing).
+
+    In coefficients: sum_j ghat_{-j}(.) conv hhat_j(.).
+    """
+    acc = AngleFunction(self.nu, self.ell_max)
+    for j, f in other.comps.items():
+        mj = tuple(-x for x in j)
+        if mj in self.comps:
+            prod, _ = self.comps[mj].product(f)
+            acc = acc + prod
+    return acc
+
+
 def _angle_pair(g, h):
-    return g.pairing(h), 0.0
+    return pairing(g, h), 0.0
 
 
 def finite_rank_to_blocks(K, lattice, check_reality_tol=1e-12):
@@ -744,8 +770,40 @@ def sobolev_action_bound_check(R, s, s0):
 
 
 # ---------------------------------------------------------------------------
-# Direct convolution (formerly the loop in spectrum._convolve_full)
+# Direct convolution (formerly the loop in spectrum._convolve_full, and
+# spectrum._convolve_full itself, one pair of arrays per call)
 # ---------------------------------------------------------------------------
+
+
+def convolve_full(a, b):
+    """Full linear convolution of two equal-shape dense coefficient arrays.
+
+    Direct summation when the data is sparse (exact), FFT otherwise.
+    """
+    nu = a.ndim
+    n = a.shape[0]
+    out_n = 2 * n - 1
+    ia = np.argwhere(a != 0)
+    ib = np.argwhere(b != 0)
+    if len(ia) * len(ib) <= 16384:
+        # every product at once; index sums need no carry in the output grid,
+        # and bincount adds each bin's products in (ka, kb) order
+        shape = (out_n,) * nu
+        at = (np.ravel_multi_index(ia.T, shape)[:, None]
+              + np.ravel_multi_index(ib.T, shape)[None, :]).ravel()
+        prods = np.multiply.outer(a[tuple(ia.T)], b[tuple(ib.T)]).ravel()
+        out = np.empty(out_n**nu, dtype=complex)
+        out.real = np.bincount(at, prods.real, out_n**nu)
+        out.imag = np.bincount(at, prods.imag, out_n**nu)
+        return out.reshape(shape)
+    fa = np.fft.fftn(a, s=(out_n,) * nu)
+    fb = np.fft.fftn(b, s=(out_n,) * nu)
+    out = np.fft.ifftn(fa * fb)
+    # inputs are exact trig polynomials; kill fft noise below the double floor
+    scale = np.max(np.abs(out)) if out.size else 0.0
+    if scale > 0:
+        out[np.abs(out) < 1e-15 * scale] = 0.0
+    return out
 
 
 def convolve_full_loop(a, b):
@@ -1171,3 +1229,304 @@ def _shift_coeffs(coeffs, ell, ell_max):
         dst.append(slice(lo_src + off, hi_src + off))
     out[tuple(dst)] = coeffs[tuple(src)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Multipliers as a list of per-cluster angle series (formerly
+# wavekam.multiplier, verbatim), and the test-only members that left it:
+# FourierMultiplier.coeff and PairedMultiplier.copy
+# ---------------------------------------------------------------------------
+
+
+def multiplier_coeff(r, ell, alpha_sq):
+    """Coefficient of r at (ell, alpha^2) (formerly FourierMultiplier.coeff)."""
+    i = r.lattice.alpha_sqs.index(int(alpha_sq))
+    return complex(r.row(i)[ell])
+
+
+def paired_copy(p):
+    """Deep copy of a paired multiplier (formerly PairedMultiplier.copy)."""
+    return type(p)(p.r1.copy(), p.r2.copy())
+
+
+def from_array(r):
+    """The list-of-parts oracle of an array multiplier, with copied rows."""
+    return FourierMultiplier(r.lattice, r.nu, r.ell_max, r.order,
+                             [r.row(i).copy() for i in range(len(r.coeffs))])
+
+
+def to_array(r):
+    """(n_clusters, (2L+1)^nu) coefficient array of a list-of-parts multiplier."""
+    return np.stack([p.coeffs.ravel() for p in r.parts])
+
+
+class FourierMultiplier:
+    """Symbol table: one truncated angle series per cluster, plus an order tag."""
+
+    __slots__ = ("lattice", "nu", "ell_max", "order", "parts")
+
+    def __init__(self, lattice, nu, ell_max, order=0.0, parts=None):
+        self.lattice = lattice
+        self.nu = int(nu)
+        self.ell_max = int(ell_max)
+        self.order = float(order)
+        if parts is None:
+            self.parts = [
+                AngleFunction(self.nu, self.ell_max) for _ in lattice.clusters
+            ]
+        else:
+            if len(parts) != len(lattice.clusters):
+                raise ParameterError("one angle series per cluster required")
+            self.parts = list(parts)
+
+    # -- constructors --------------------------------------------------------
+    @classmethod
+    def zero(cls, lattice, nu, ell_max, order=0.0):
+        return cls(lattice, nu, ell_max, order)
+
+    @classmethod
+    def from_alpha_symbol(cls, lattice, nu, ell_max, fn, order=0.0):
+        """phi-independent symbol alpha -> fn(alpha)."""
+        out = cls(lattice, nu, ell_max, order)
+        for i, c in enumerate(lattice.clusters):
+            out.parts[i] = AngleFunction.constant(nu, ell_max, fn(c.alpha))
+        return out
+
+    @classmethod
+    def from_angle_function(cls, lattice, g, order=0.0):
+        """alpha-independent symbol r(phi, alpha) = g(phi)."""
+        out = cls(lattice, g.nu, g.ell_max, order)
+        out.parts = [g.copy() for _ in lattice.clusters]
+        return out
+
+    @classmethod
+    def identity(cls, lattice, nu, ell_max):
+        return cls.from_alpha_symbol(lattice, nu, ell_max, lambda a: 1.0, order=0.0)
+
+    def coeff(self, ell, alpha_sq):
+        i = self.lattice.alpha_sqs.index(int(alpha_sq))
+        return complex(self.parts[i][ell])
+
+    def copy(self, order=None):
+        return FourierMultiplier(
+            self.lattice,
+            self.nu,
+            self.ell_max,
+            self.order if order is None else order,
+            [p.copy() for p in self.parts],
+        )
+
+    def _check(self, other):
+        if self.lattice != other.lattice or self.ell_max != other.ell_max:
+            raise ParameterError("multiplier truncation mismatch")
+
+    # -- algebra ---------------------------------------------------------------
+    def __add__(self, other):
+        self._check(other)
+        return FourierMultiplier(
+            self.lattice,
+            self.nu,
+            self.ell_max,
+            max(self.order, other.order),
+            [a + b for a, b in zip(self.parts, other.parts)],
+        )
+
+    def __sub__(self, other):
+        return self + (other * (-1.0))
+
+    def __mul__(self, scalar):
+        return FourierMultiplier(
+            self.lattice, self.nu, self.ell_max, self.order,
+            [p * scalar for p in self.parts],
+        )
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return FourierMultiplier(
+            self.lattice, self.nu, self.ell_max, self.order,
+            [p.conj() for p in self.parts],
+        )
+
+    def is_real_symbol(self, tol=1e-13):
+        return all(p.is_real(tol) for p in self.parts)
+
+    def omega_dphi(self, omega):
+        return FourierMultiplier(
+            self.lattice, self.nu, self.ell_max, self.order,
+            [p.omega_dphi(omega) for p in self.parts],
+        )
+
+    def mean_per_cluster(self):
+        return np.array([p.mean() for p in self.parts])
+
+    def map_pointwise(self, fn, grid_n, order):
+        """Apply a scalar function to the symbol on a grid_n^nu phi-grid and
+        re-project to a multiplier of the given order.
+
+        Returns (multiplier, alias mass).
+        """
+        out = FourierMultiplier(self.lattice, self.nu, self.ell_max, order)
+        alias = 0.0
+        for i, p in enumerate(self.parts):
+            vals = fn(p.sample(grid_n))
+            g, a = AngleFunction.from_samples(vals, self.ell_max)
+            out.parts[i] = g
+            alias = max(alias, a)
+        return out, alias
+
+    # -- norms -----------------------------------------------------------------
+    def norm(self, m=None, s=0.0):
+        m = self.order if m is None else m
+        best = 0.0
+        for c, p in zip(self.lattice.clusters, self.parts):
+            best = max(best, p.sobolev_norm(s) * c.alpha ** (-m))
+        return best
+
+    # -- action ----------------------------------------------------------------
+    def apply(self, u):
+        """Op(r) u: per cluster of each space mode, ell-convolution."""
+        out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
+        for j in u.space_modes():
+            a_sq = self.lattice.cluster_of_point.get(j)
+            if a_sq is None:
+                continue
+            i = self.lattice.alpha_sqs.index(a_sq)
+            prod, _ = u.angle_part(j).product(self.parts[i])
+            out.comps[j] = prod
+        return out
+
+    def to_blocks(self):
+        blocks = {}
+        for c, p in zip(self.lattice.clusters, self.parts):
+            eye = np.eye(c.n_alpha, dtype=complex)
+            for ell, v in p.modes():
+                blocks[(ell, c.alpha_sq, c.alpha_sq)] = v * eye
+        return BlockOperator(self.lattice, self.nu, self.ell_max, blocks)
+
+    def to_rows(self):
+        rows = []
+        for c, p in zip(self.lattice.clusters, self.parts):
+            for ell, v in p.modes():
+                rows.append(
+                    (list(ell), c.alpha_sq, float(v.real), float(v.imag), self.order)
+                )
+        return rows
+
+
+def multiplier_norm(r, m, s):
+    """|||Op(r)|||_{m,s} = sup_alpha ||r(., alpha)||_s alpha^{-m}."""
+    return r.norm(m=m, s=s)
+
+
+def multiplier_compose(r, b):
+    """Op(r) Op(b) = Op(rb), orders add, symbols ell-convolve per cluster."""
+    r._check(b)
+    parts = []
+    for pr, pb in zip(r.parts, b.parts):
+        prod, _ = pr.product(pb)
+        parts.append(prod)
+    return FourierMultiplier(
+        r.lattice, r.nu, r.ell_max, r.order + b.order, parts
+    )
+
+
+def multiplier_to_blocks(r):
+    return r.to_blocks()
+
+
+class PairedMultiplier:
+    """Top row (r1, r2) of the multiplier arrangement (Op r1, Op r2; conj row)."""
+
+    __slots__ = ("r1", "r2", "meta")
+
+    def __init__(self, r1, r2):
+        r1._check(r2)
+        self.r1 = r1
+        self.r2 = r2
+        self.meta = {}
+
+    @classmethod
+    def zero(cls, lattice, nu, ell_max, order=0.0):
+        return cls(
+            FourierMultiplier.zero(lattice, nu, ell_max, order),
+            FourierMultiplier.zero(lattice, nu, ell_max, order),
+        )
+
+    @classmethod
+    def identity(cls, lattice, nu, ell_max):
+        return cls(
+            FourierMultiplier.identity(lattice, nu, ell_max),
+            FourierMultiplier.zero(lattice, nu, ell_max),
+        )
+
+    @classmethod
+    def diagonal(cls, r):
+        return cls(r, FourierMultiplier.zero(r.lattice, r.nu, r.ell_max, r.order))
+
+    @property
+    def lattice(self):
+        return self.r1.lattice
+
+    def copy(self):
+        return PairedMultiplier(self.r1.copy(), self.r2.copy())
+
+    def __add__(self, other):
+        return PairedMultiplier(self.r1 + other.r1, self.r2 + other.r2)
+
+    def __sub__(self, other):
+        return PairedMultiplier(self.r1 - other.r1, self.r2 - other.r2)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, complex) and scalar.imag != 0:
+            raise ParameterError("non-real scaling breaks the conjugate row")
+        return PairedMultiplier(self.r1 * scalar, self.r2 * scalar)
+
+    __rmul__ = __mul__
+
+    def compose(self, other):
+        a = multiplier_compose(self.r1, other.r1) + multiplier_compose(
+            self.r2, other.r2.conj()
+        )
+        b = multiplier_compose(self.r1, other.r2) + multiplier_compose(
+            self.r2, other.r1.conj()
+        )
+        return PairedMultiplier(a, b)
+
+    def transpose(self):
+        return PairedMultiplier(self.r1.copy(), self.r2.conj())
+
+    def omega_dphi(self, omega):
+        return PairedMultiplier(self.r1.omega_dphi(omega), self.r2.omega_dphi(omega))
+
+    def norm(self, m, s):
+        return self.r1.norm(m=m, s=s) + self.r2.norm(m=m, s=s)
+
+    def is_hamiltonian(self, tol=1e-12):
+        """r1* = -r1 (symbols: conj r1 = -r1) and r2 symmetric (automatic)."""
+        res = (self.r1.conj() + self.r1).norm(m=0.0, s=0.0)
+        scale = max(self.r1.norm(m=0.0, s=0.0), 1.0)
+        return res <= tol * scale
+
+    def to_paired_blocks(self):
+        return PairedBlockOperator(self.r1.to_blocks(), self.r2.to_blocks())
+
+
+def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None):
+    """exp(Psi) for a paired multiplier, with the order >= 2 tail.
+
+    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m.
+    The smallness hypothesis |||Psi|||_{-m, s0} <= 1 is a warning flag, not
+    an error; divergence past ``max_terms`` raises DivergenceError.
+    """
+    m = psi.r1.order
+    nrm = psi.norm(m, 0.0 if s0 is None else s0)
+    ge2 = truncated_series(
+        psi, lambda t, k: t.compose(psi) * (1.0 / k), tol, max_terms,
+        norm=lambda t: t.norm(0.0, 0.0), rate=lambda k: nrm / k, bound=nrm, k0=1,
+        total=PairedMultiplier.zero(psi.lattice, psi.r1.nu, psi.r1.ell_max),
+        name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
+    phi = PairedMultiplier.identity(psi.lattice, psi.r1.nu, psi.r1.ell_max) + psi + ge2
+    phi.meta["size_warning"] = bool(nrm > 1.0)
+    ge2.r1.order = ge2.r2.order = 2 * m
+    return phi, ge2

@@ -174,7 +174,7 @@ def test_criterion_1_norm_algebra():
             f = AngleFunction(nu, ell_max)
             for ell in ells:
                 f[ell] = phase()
-            mult.parts[i] = f * cl.alpha**m_ord
+            mult.coeffs[i] = (f * cl.alpha**m_ord).coeffs.ravel()
         mult_ratios.append(
             block_decay_norm(multiplier_to_blocks(mult), s) / mult.norm(m_ord, s)
         )
@@ -342,8 +342,8 @@ def test_criterion_5_structure_preservation(desk_runs):
     half = FourierMultiplier(lat, p.nu, p.ell_max, -0.5)
     halfinv = FourierMultiplier(lat, p.nu, p.ell_max, 0.5)
     for i, cl in enumerate(lat.clusters):
-        half.parts[i] = s1.beta * cl.alpha ** (-0.5)
-        halfinv.parts[i] = s1.beta_inv * cl.alpha**0.5
+        half.coeffs[i] = (s1.beta * cl.alpha ** (-0.5)).coeffs.ravel()
+        halfinv.coeffs[i] = (s1.beta_inv * cl.alpha**0.5).coeffs.ravel()
     zero = BlockOperator(lat, p.nu, p.ell_max)
     smap = BlockMatrix2(half.to_blocks(), zero.copy(), zero.copy(),
                         halfinv.to_blocks())

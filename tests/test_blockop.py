@@ -338,7 +338,7 @@ class TestFiniteRank:
         # oracle: apply both to random functions and compare with q <g, u>
         for trial in range(3):
             u = random_space_time(lat_d2, 2, 3, rng, n_j=4, ell_support=1)
-            ip = g.pairing(u)
+            ip = oracles.pairing(g, u)
             want, _ = q.mul_angle(ip)
             got = block_apply(op, u)
             diff = (got + want * (-1.0)).sobolev_norm(0.0)
@@ -458,9 +458,8 @@ class TestFrozenAngle:
         rng = rng_for("frozen-oracle")
         blocks = random_paired(lat, 2, 3, rng, density=0.5)
         mult = PairedMultiplier(*(
-            FourierMultiplier(lat, 2, 3, parts=[
-                AngleFunction(2, 3, rng.standard_normal((7, 7))
-                              + 1j * rng.standard_normal((7, 7)))
+            FourierMultiplier(lat, 2, 3, coeffs=[
+                rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
                 for _ in lat.clusters])
             for _ in range(2)))
         cases = [

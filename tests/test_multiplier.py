@@ -1,7 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from wavekam import AngleFunction, enumerate_clusters
 from wavekam.blockop import block_decay_norm
@@ -13,9 +18,10 @@ from wavekam.multiplier import (
     multiplier_norm,
     multiplier_to_blocks,
 )
+from wavekam.spectrum import _convolve_full
 
 from conftest import random_space_time, rng_for
-from oracles import block_apply
+from oracles import block_apply, multiplier_coeff
 
 
 def random_multiplier(lattice, nu, ell_max, rng, order=0.0, scale=1.0, support=None):
@@ -26,7 +32,7 @@ def random_multiplier(lattice, nu, ell_max, rng, order=0.0, scale=1.0, support=N
         for _ in range(4):
             ell = tuple(int(x) for x in rng.integers(-support, support + 1, nu))
             f[ell] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        out.parts[i] = f * c.alpha**order
+        out.coeffs[i] = (f * c.alpha**order).coeffs.ravel()
     return out
 
 
@@ -47,7 +53,7 @@ class TestNorm:
         g = AngleFunction.cosine(2, 2, (1, 0))
         r = FourierMultiplier(lat_d2, 2, 2, order=-1.0)
         for i, c in enumerate(lat_d2.clusters):
-            r.parts[i] = g * (1.0 / c.alpha)
+            r.coeffs[i] = (g * (1.0 / c.alpha)).coeffs.ravel()
         for s in (0.0, 1.5):
             assert multiplier_norm(r, -1.0, s) == pytest.approx(g.sobolev_norm(s))
 
@@ -64,7 +70,8 @@ class TestCompose:
         r = random_multiplier(lat_d2, 2, 2, rng)
         one = FourierMultiplier.identity(lat_d2, 2, 2)
         out = multiplier_compose(r, one)
-        for p, q in zip(out.parts, r.parts):
+        for i in range(len(r.coeffs)):
+            p, q = out.row(i), r.row(i)
             assert p.distance(q) <= 1e-15 * max(1.0, q.linf_bound())
 
     def test_single_mode_convolution(self, lat_d2):
@@ -75,7 +82,7 @@ class TestCompose:
             lat_d2, AngleFunction.from_modes(2, 3, {(0, 1): 0.5j})
         )
         out = multiplier_compose(r, b)
-        assert out.coeff((1, 1), 1) == pytest.approx(1.0j)
+        assert multiplier_coeff(out, (1, 1), 1) == pytest.approx(1.0j)
         assert out.order == 0.0
 
     def test_commutative(self, lat_d2):
@@ -84,7 +91,8 @@ class TestCompose:
         b = random_multiplier(lat_d2, 2, 2, rng)
         ab = multiplier_compose(r, b)
         ba = multiplier_compose(b, r)
-        for p, q in zip(ab.parts, ba.parts):
+        for i in range(len(ab.coeffs)):
+            p, q = ab.row(i), ba.row(i)
             assert p.distance(q) <= 1e-13 * max(1.0, q.linf_bound())
 
     def test_orders_add(self, lat_d2):
@@ -135,7 +143,7 @@ class TestExponential:
         phi, _ = multiplier_exponential(psi)
         for i, c in enumerate(lat_d2.clusters):
             want = math.exp(0.3 / c.alpha)
-            assert phi.r1.parts[i].mean() == pytest.approx(want, rel=1e-12)
+            assert phi.r1.row(i).mean() == pytest.approx(want, rel=1e-12)
 
     def test_exp_exp_minus_identity(self, lat_d2):
         # keep supports small so box-edge truncation stays beyond reach
@@ -176,7 +184,7 @@ class TestBlocksConversion:
     def test_single_mode_single_cluster(self, lat_d2):
         r = FourierMultiplier.zero(lat_d2, 2, 2)
         i5 = lat_d2.alpha_sqs.index(5)
-        r.parts[i5][(1, 0)] = 2.5
+        r.row(i5)[(1, 0)] = 2.5
         blocks = multiplier_to_blocks(r)
         assert len(blocks) == 1
         m = blocks.block((1, 0), 5, 5)
@@ -228,3 +236,140 @@ class TestAdjointness:
         b = multiplier_to_blocks(random_multiplier(lat_d2, 2, 2, rng))
         comm = compose(a, b) - compose(b, a)
         assert comm.hs_total() <= 1e-12 * max(1.0, a.hs_total() * b.hs_total())
+
+
+# ---------------------------------------------------------------------------
+# the (clusters x ell-box) array against the list-of-parts oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _random_rows(lattice, nu, ell_max, rng, order=0.0, scale=1.0):
+    """Rows that are zero, sparse on their own support or dense, with signed
+    zeros among the stored coefficients."""
+    shape = (len(lattice.clusters), (2 * ell_max + 1) ** nu)
+    fill = rng.choice([0.0, 0.1, 0.5, 1.0], shape[0])[:, None]
+    vals = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    zeros = rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0)], shape)
+    return FourierMultiplier(lattice, nu, ell_max, order,
+                             np.where(rng.random(shape) < fill, vals, zeros))
+
+
+def _assert_same(arr, lst):
+    assert _bits(arr.coeffs) == _bits(oracles.to_array(lst))
+    assert arr.order == lst.order
+
+
+def _assert_same_blocks(x, y):
+    assert list(x.stacks) == list(y.stacks)
+    for key, (idx, mats) in x.stacks.items():
+        assert _bits(idx) == _bits(y.stacks[key][0])
+        assert _bits(mats) == _bits(y.stacks[key][1])
+
+
+class TestArrayMatchesListOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 2), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_operations_bit_equal(self, nu, L, seed):
+        rng = rng_for("mult-array-oracle", nu, L, seed)
+        lat = enumerate_clusters(2, 3)
+        a = _random_rows(lat, nu, L, rng, order=float(rng.integers(-2, 2)))
+        b = _random_rows(lat, nu, L, rng, order=-1.0)
+        la, lb = oracles.from_array(a), oracles.from_array(b)
+        box = (2 * L + 1,) * nu
+        for x, y in ((a, b), (b, a), (a, a)):
+            lx, ly = oracles.from_array(x), oracles.from_array(y)
+            _assert_same(multiplier_compose(x, y), oracles.multiplier_compose(lx, ly))
+            for i in range(len(lat.clusters)):
+                assert _bits(_convolve_full(x.row(i).coeffs, y.row(i).coeffs)) \
+                    == _bits(oracles.convolve_full(lx.parts[i].coeffs,
+                                                   ly.parts[i].coeffs))
+        _assert_same(a + b, la + lb)
+        _assert_same(a - b, la - lb)
+        for scalar in (-1.0, 0.5, 1j, -1j / 3.0):
+            _assert_same(a * scalar, la * scalar)
+        _assert_same(a.conj(), la.conj())
+        omega = rng.standard_normal(nu)
+        _assert_same(a.omega_dphi(omega), la.omega_dphi(omega))
+        assert _bits(a.mean_per_cluster()) == _bits(la.mean_per_cluster())
+        for tol in (1e-13, 1.0):
+            assert a.is_real_symbol(tol) == la.is_real_symbol(tol)
+        for m, s in ((None, 0.0), (0.0, 0.0), (-1.0, 1.5), (2.0, 3.0)):
+            assert _bits(a.norm(m, s)) == _bits(la.norm(m, s))
+        _assert_same_blocks(a.to_blocks(), la.to_blocks())
+        assert a.to_rows() == la.to_rows()
+        u = random_space_time(lat, nu, L, rng, n_j=4, ell_support=L)
+        u.comps[(4, 4)] = AngleFunction(nu, L, rng.standard_normal(box))  # off the lattice
+        got, want = a.apply(u), la.apply(u)
+        assert list(got.comps) == list(want.comps)
+        for j, f in want.comps.items():
+            assert _bits(got.comps[j].coeffs) == _bits(f.coeffs)
+        grid_n = 2 * L + 1 + int(rng.integers(0, 4))
+        got, alias = a.map_pointwise(lambda v: np.exp(1j * v), grid_n, -1.0)
+        want, alias_ref = la.map_pointwise(lambda v: np.exp(1j * v), grid_n, -1.0)
+        _assert_same(got, want)
+        assert _bits(alias) == _bits(alias_ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compose_fft_and_direct_rows(self, seed):
+        # nu = 2, L = 6: dense rows have 169^2 > 16384 products and go by
+        # FFT, sparse rows share the direct bincount, zero rows stay zero and
+        # a row with one product each side forms it alone
+        rng = rng_for("mult-array-fft", seed)
+        lat = enumerate_clusters(2, 3)
+        a = _random_rows(lat, 2, 6, rng)
+        b = _random_rows(lat, 2, 6, rng)
+        a.coeffs[0] = b.coeffs[1] = 0.0
+        a.coeffs[2] = rng.standard_normal(169)
+        b.coeffs[2] = rng.standard_normal(169) + 1j * rng.standard_normal(169)
+        a.coeffs[3] = b.coeffs[3] = 0.0
+        a.coeffs[3, 40], b.coeffs[3, 100] = complex(*rng.standard_normal(2)), 0.3 - 0.7j
+        _assert_same(multiplier_compose(a, b), oracles.multiplier_compose(
+            oracles.from_array(a), oracles.from_array(b)))
+
+    def test_exponential_pair_is_two_series(self, lat_d2):
+        rng = rng_for("mult-exp-pair")
+        for nu, L in ((1, 3), (2, 2), (2, 4)):
+            psi = PairedMultiplier(
+                _random_rows(lat_d2, nu, L, rng, order=-1.0, scale=0.05),
+                _random_rows(lat_d2, nu, L, rng, order=-1.0, scale=0.05))
+            fwd, ge2, bwd = multiplier_exponential(psi, inverse=True)
+            lfwd, lge2 = oracles.multiplier_exponential(oracles.PairedMultiplier(
+                oracles.from_array(psi.r1), oracles.from_array(psi.r2)))
+            lbwd, _ = oracles.multiplier_exponential(oracles.PairedMultiplier(
+                oracles.from_array(psi.r1), oracles.from_array(psi.r2)) * (-1.0))
+            for x, y in ((fwd, lfwd), (ge2, lge2), (bwd, lbwd)):
+                _assert_same(x.r1, y.r1)
+                _assert_same(x.r2, y.r2)
+
+
+def test_desk_pipeline_multiplier_calls(monkeypatch):
+    """One desk pipeline: no per-cluster products from multiplier.py, and one
+    exponential series per decoupling step."""
+    from test_acceptance import OMEGA_REF, desk_problem
+    from wavekam import regularization
+
+    callers = []
+    product = AngleFunction.product
+
+    def counted_product(self, other):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return product(self, other)
+
+    exps = []
+    exponential = regularization.multiplier_exponential
+
+    def counted_exponential(*args, **kwargs):
+        exps.append(1)
+        return exponential(*args, **kwargs)
+
+    monkeypatch.setattr(AngleFunction, "product", counted_product)
+    monkeypatch.setattr(regularization, "multiplier_exponential", counted_exponential)
+    p = desk_problem(1e-3)
+    regularization.run_pipeline(p, OMEGA_REF)
+    assert callers.count("wavekam.multiplier") == 0
+    assert len(exps) == p.M == 4

@@ -29,6 +29,7 @@ from oracles import (
     field_apply_at_phi,
     finite_rank_to_blocks,
     paired_apply_pair_at_phi,
+    paired_copy,
 )
 
 OMEGA = np.array([1.0, (1 + math.sqrt(5)) / 2])
@@ -60,7 +61,7 @@ def original_field_blocks(problem, lattice=None):
     one_plus = problem.a * problem.epsilon
     one_plus[(0,) * nu] = one_plus[(0,) * nu] + 1.0
     for i, c in enumerate(lat.clusters):
-        sym.parts[i] = one_plus * (-c.alpha_sq)
+        sym.coeffs[i] = (one_plus * (-c.alpha_sq)).coeffs.ravel()
     lower = sym.to_blocks()
     if problem.rank_pairs and problem.epsilon:
         rk = finite_rank_to_blocks(FiniteRankOperator(problem.rank_pairs), lat)
@@ -74,7 +75,7 @@ def stage1_field_blocks(problem, s1):
     a0b = FourierMultiplier.from_angle_function(lat, s1.a0).to_blocks()
     a1D = FourierMultiplier(lat, nu, L, order=1.0)
     for i, c in enumerate(lat.clusters):
-        a1D.parts[i] = s1.a1 * c.alpha
+        a1D.coeffs[i] = (s1.a1 * c.alpha).coeffs.ravel()
     a1Db = a1D.to_blocks()
     low = a1Db * (-1.0)
     if problem.rank_pairs and problem.epsilon:
@@ -138,8 +139,8 @@ class TestSymmetrize:
         half = FourierMultiplier(lat, nu, L, order=-0.5)
         halfinv = FourierMultiplier(lat, nu, L, order=0.5)
         for i, c in enumerate(lat.clusters):
-            half.parts[i] = s1.beta * c.alpha ** (-0.5)
-            halfinv.parts[i] = s1.beta_inv * c.alpha**0.5
+            half.coeffs[i] = (s1.beta * c.alpha ** (-0.5)).coeffs.ravel()
+            halfinv.coeffs[i] = (s1.beta_inv * c.alpha**0.5).coeffs.ravel()
         zero = BlockOperator(lat, nu, L)
         smap = BlockMatrix2(half.to_blocks(), zero.copy(), zero.copy(),
                             halfinv.to_blocks())
@@ -296,13 +297,13 @@ class TestDecoupling:
         # q at one (ell0, alpha0): v = -i q / (2 m alpha0), one coefficient
         p, s3 = self.setup_stage3(0.0)
         lat = p.lattice
-        fld = s3.field.copy()
+        fld = paired_copy(s3.field)
         i0 = 1
         q_val = 0.37 - 0.11j
-        fld.r2.parts[i0][(1, -1)] = 1j * q_val  # g2 = i q
+        fld.r2.row(i0)[(1, -1)] = 1j * q_val  # g2 = i q
         _, (fw, bw), vn, diag = decouple_step(fld, 0, s3.m, OMEGA, p)
         alpha0 = lat.clusters[i0].alpha
-        assert vn.parts[i0][(1, -1)] == pytest.approx(
+        assert vn.row(i0)[(1, -1)] == pytest.approx(
             -1j * q_val / (2 * s3.m * alpha0)
         )
         assert diag["homological_residual"] <= 1e-14
@@ -350,7 +351,7 @@ class TestDecoupling:
             fld, _, _, _ = decouple_step(fld, n, s3.m, OMEGA, p)
             _, q = split_multiplier_state(fld, s3.m)
             assert q.norm(-(n + 1.0), 0.0) <= base * 1.5
-            prof = [q.parts[i].sobolev_norm(0.0) for i in range(len(alphas))]
+            prof = [q.row(i).sobolev_norm(0.0) for i in range(len(alphas))]
             ratio = prof[-1] / prof[0]
             expect = (alphas[0] / alphas[-1]) ** (n + 1)
             assert ratio <= 1.5 * expect
@@ -375,9 +376,9 @@ class TestReduceDiagonal:
     def test_phi_independent_symbol_untouched(self):
         p, s3, _ = self.run_chain(0.0)
         lat, nu, L = p.lattice, p.nu, p.ell_max
-        fld = s3.field.copy()
+        fld = paired_copy(s3.field)
         for i, c in enumerate(lat.clusters):
-            fld.r1.parts[i][(0, 0)] += 1j * 0.01 / c.alpha  # g1 = -im a + i r: r = 0.01/a
+            fld.r1.row(i)[(0, 0)] += 1j * 0.01 / c.alpha  # g1 = -im a + i r: r = 0.01/a
         new_fld, maps, c_raw, e, mu, diag = reduce_diagonal(fld, s3.m, OMEGA, p)
         assert e.norm(-1.0, 0.0) <= 1e-14
         for i, c in enumerate(lat.clusters):
@@ -386,18 +387,18 @@ class TestReduceDiagonal:
     def test_single_mode_formula(self):
         p, s3, _ = self.run_chain(0.0)
         lat = p.lattice
-        fld = s3.field.copy()
+        fld = paired_copy(s3.field)
         rho_hat = 0.02
         ell0 = (1, 0)
         # r symbol = rho_hat cos(ell0 . phi) per cluster: real, zero mean
         for i, c in enumerate(lat.clusters):
-            fld.r1.parts[i][ell0] += 1j * rho_hat / 2
-            fld.r1.parts[i][(-1, 0)] += 1j * rho_hat / 2
+            fld.r1.row(i)[ell0] += 1j * rho_hat / 2
+            fld.r1.row(i)[(-1, 0)] += 1j * rho_hat / 2
         new_fld, maps, c_raw, e, mu, diag = reduce_diagonal(fld, s3.m, OMEGA, p)
         div = 1j * float(np.dot(OMEGA, ell0))
         for i in range(len(lat.clusters)):
             assert c_raw[i] == pytest.approx(0.0, abs=1e-14)
-            assert e.parts[i][ell0] == pytest.approx(rho_hat / 2 / div)
+            assert e.row(i)[ell0] == pytest.approx(rho_hat / 2 / div)
         assert diag["homological_residual"] <= 1e-13
 
     def test_full_chain_residuals(self):
