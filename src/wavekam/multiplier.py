@@ -9,15 +9,14 @@ is metadata used by the norm family and the bookkeeping checks; truncation
 makes any asymptotic reading of it meaningless.
 """
 
-import math
-
 import numpy as np
 
 from .blockop import BlockOperator, PairedBlockOperator
 from .errors import ParameterError
 from .series import truncated_series
-from .spectrum import (AngleFunction, SpaceTimeFunction, _product_rows,
-                       _project_rows, _sample_rows, ell_table)
+from .spectrum import (AngleFunction, SpaceTimeFunction, _conj_rows, _omega_phase,
+                       _product_rows, _project_rows, _real_rows, _sample_rows,
+                       _sobolev_norm_rows, ell_table)
 
 __all__ = [
     "FourierMultiplier",
@@ -116,17 +115,14 @@ class FourierMultiplier:
 
     def conj(self):
         """Pointwise complex conjugate in phi: hat(ell) -> conj(hat(-ell))."""
-        return self._like(np.conj(self.coeffs[:, ::-1]))
+        return self._like(_conj_rows(self.coeffs))
 
     def is_real_symbol(self, tol=1e-13):
-        dist = np.abs(self.coeffs - self.conj().coeffs).max(axis=1)
-        scale = np.maximum(1.0, np.abs(self.coeffs).sum(axis=1))
-        return bool(np.all(dist <= tol * scale))
+        return bool(np.all(_real_rows(self.coeffs, tol)))
 
     def omega_dphi(self, omega):
         """omega . d/dphi, exact on coefficients."""
-        ells = ell_table(self.nu, self.ell_max)[0]
-        return self._like(self.coeffs * (1j * (np.asarray(omega, dtype=float) @ ells.T)))
+        return self._like(self.coeffs * _omega_phase(omega, self.nu, self.ell_max))
 
     def mean_per_cluster(self):
         return self.coeffs[:, self._center].copy()
@@ -144,10 +140,9 @@ class FourierMultiplier:
     # -- norms -----------------------------------------------------------------
     def norm(self, m=None, s=0.0):
         m = self.order if m is None else m
-        w = np.maximum(1.0, ell_table(self.nu, self.ell_max)[1]) ** (2.0 * s)
-        terms = (w * np.abs(self.coeffs) ** 2).tolist()
-        return max((math.sqrt(math.fsum(t)) * c.alpha ** (-m)
-                    for t, c in zip(terms, self.lattice.clusters)), default=0.0)
+        rows = _sobolev_norm_rows(self.coeffs, self.nu, self.ell_max, s)
+        return max((n * c.alpha ** (-m) for n, c in zip(rows, self.lattice.clusters)),
+                   default=0.0)
 
     # -- action ----------------------------------------------------------------
     def apply(self, u):
@@ -273,14 +268,14 @@ class PairedMultiplier:
         return PairedBlockOperator(self.r1.to_blocks(), self.r2.to_blocks())
 
 
-def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None, inverse=False):
-    """exp(Psi) for a paired multiplier, with the order >= 2 tail.
+def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None):
+    """exp(Psi) for a paired multiplier, with the order >= 2 tail and the inverse.
 
-    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m,
-    and with ``inverse`` also exp(-Psi) as a third value, summed from the
-    same terms times (-1)^k: negation is exact, so it is bit for bit the
-    series of -Psi.  The smallness |||Psi|||_{-m, s0} <= 1 is not checked;
-    divergence past ``max_terms`` raises DivergenceError.
+    Returns (Phi, Phi_ge2, Phi_inv) with Phi_ge2 = sum_{k>=2} Psi^k / k! of
+    order 2m and Phi_inv = exp(-Psi), summed from the same terms times
+    (-1)^k: negation is exact, so it is bit for bit the series of -Psi.  The
+    smallness |||Psi|||_{-m, s0} <= 1 is not checked; divergence past
+    ``max_terms`` raises DivergenceError.
     """
     m = psi.r1.order
     nrm = psi.norm(m, 0.0 if s0 is None else s0)
@@ -298,8 +293,6 @@ def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None, inverse=False)
         name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
     phi = PairedMultiplier.identity(lat, nu, L) + psi + ge2
     ge2.r1.order = ge2.r2.order = 2 * m
-    if not inverse:
-        return phi, ge2
     neg = PairedMultiplier.zero(lat, nu, L)
     for k, t in enumerate(terms, 2):
         neg = neg + (t if k % 2 == 0 else t * (-1.0))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockop import BlockOperator, PairedBlockOperator, rank_one_blocks
+from .blockop import PairedBlockOperator, rank_one_blocks
 from .errors import FixedPointError, ParameterError
 from .hamiltonian import ExpMap, push_forward
 from .multiplier import (
@@ -100,7 +100,9 @@ def kirchhoff_linearization(v0, problem_kwargs):
         )
         a = a + prod * nj2
     lap = v0.apply_D_power(2.0)
-    return WaveProblem(a=a, rank_pairs=[(lap * (-1.0), lap.copy())], **problem_kwargs)
+    b1 = lap * (-1.0)
+    c1 = lap.copy()
+    return WaveProblem(a=a, rank_pairs=[(b1, c1)], **problem_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,8 @@ def _phi_grid(nu, grid_n):
 
 
 def _project(values, shape, ell_max):
-    return AngleFunction.from_samples(np.asarray(values).reshape(shape), ell_max)
+    f, alias = AngleFunction.from_samples(np.asarray(values).reshape(shape), ell_max)
+    return f, alias
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,8 @@ class PairedRankTerm:
         return PairedRankTerm((l1, l2), (r1, r2))
 
     def to_paired_blocks(self, lattice, nu, ell_max):
+        from .blockop import BlockOperator
+
         p1 = rank_one_blocks(self.left[0], self.right[0], lattice)
         p2 = rank_one_blocks(self.left[0], self.right[1], lattice)
         if not (len(p1) or len(p2)):
@@ -209,8 +214,11 @@ def symmetrize(problem, omega):
     dbeta = beta.omega_dphi(omega)
     a0_vals = dbeta.sample(grid_n) * (vals**0.25)
     a0, al4 = _project(a0_vals, shape, problem.ell_max)
-    rank1 = [tuple(f.apply_D_power(-0.5).mul_angle(beta)[0] for f in pair)
-             for pair in problem.rank_pairs]
+    rank1 = []
+    for b, c in problem.rank_pairs:
+        b1, _ = b.apply_D_power(-0.5).mul_angle(beta)
+        c1, _ = c.apply_D_power(-0.5).mul_angle(beta)
+        rank1.append((b1, c1))
     alias = max(al1, al2, al3, al4)
     diag = {
         "beta_minus_1": (beta - AngleFunction.constant(problem.nu, problem.ell_max, 1.0)).sobolev_norm(0.0),
@@ -250,8 +258,16 @@ def complexify_stage(problem, stage1):
     terms = []
     for b, c in stage1.rank_pairs_1:
         bs, cs = b * s, c * s
-        for x, y in ((bs, cs), (cs, bs)):
-            terms.append(PairedRankTerm((x * 1j, x * (-1j)), (y.copy(), y.copy())))
+        terms.append(
+            PairedRankTerm(
+                (bs * 1j, bs * (-1j)), (cs.copy(), cs.copy())
+            )
+        )
+        terms.append(
+            PairedRankTerm(
+                (cs * 1j, cs * (-1j)), (bs.copy(), bs.copy())
+            )
+        )
     return Stage2(fld, terms, {"hamiltonian": fld.is_hamiltonian(1e-12)})
 
 
@@ -331,19 +347,22 @@ def reparametrize_time(problem, stage1, stage2, omega):
     # transformed rank functions: 2^{-1/2} goes in at stage 2; here the extra
     # rho^{-1} splits as rho^{-1/2} on each side of every term
     scale_vals = rho_vals ** (-0.5)
-    aliases = []
-
-    def pull_back(f):
-        out = SpaceTimeFunction(nu, L, problem.d)
-        for j in f.space_modes():
-            vals = f.angle_part(j).eval_at(shifted) * scale_vals
-            out.comps[j], al = _project(vals, shape, L)
-            aliases.append(al)
-        return out
-
-    new_terms = [PairedRankTerm(*(tuple(map(pull_back, side))
-                                  for side in (t.left, t.right)))
-                 for t in stage2.rank_terms]
+    new_terms = []
+    alias_rank = 0.0
+    for term in stage2.rank_terms:
+        new_sides = []
+        for side in (term.left, term.right):
+            fns = []
+            for f in side:
+                comp = SpaceTimeFunction(nu, L, problem.d)
+                for j in f.space_modes():
+                    vals = f.angle_part(j).eval_at(shifted) * scale_vals
+                    g, al = _project(vals, shape, L)
+                    comp.comps[j] = g
+                    alias_rank = max(alias_rank, al)
+                fns.append(comp)
+            new_sides.append(tuple(fns))
+        new_terms.append(PairedRankTerm(new_sides[0], new_sides[1]))
     g1 = FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * m * a, 1.0)
     g2 = FourierMultiplier.from_angle_function(lat, a2 * (-1.0), order=0.0)
     fld = PairedMultiplier(g1, g2)
@@ -354,7 +373,7 @@ def reparametrize_time(problem, stage1, stage2, omega):
         "w1_mean": w1_const.real,
         "w1_nonconstant": w1_fluct.sobolev_norm(0.0),
         "diffeo_roundtrip": float(np.max(np.abs(fwd_back))),
-        "alias": max(alias_w1, alias_a2, *aliases),
+        "alias": max(alias_w1, alias_a2, alias_rank),
         "alpha_norm": alpha_fn.sobolev_norm(0.0),
         "a2_norm": a2.sobolev_norm(0.0),
         "rho_minus_1": float(np.max(np.abs(rho_vals - 1.0))),
@@ -391,16 +410,23 @@ def decouple_step(fld, n, m, omega, problem):
     lat, nu, L = fld.lattice, fld.r1.nu, fld.r1.ell_max
     _, q = split_multiplier_state(fld, m)
     vn = q.scaled([-1j / (2.0 * m * c.alpha) for c in lat.clusters], -(n + 1.0))
-    gen = PairedMultiplier(FourierMultiplier.zero(lat, nu, L, -(n + 1.0)), vn * 1j)
-    fwd, _, bwd = multiplier_exponential(gen, inverse=True)
+    gen = PairedMultiplier(
+        FourierMultiplier.zero(lat, nu, L, order=-(n + 1.0)), vn * 1j
+    )
+    fwd, _, bwd = multiplier_exponential(gen)
     new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)
     # exact homological residual on stored symbols
     dmult = PairedMultiplier.diagonal(
-        FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * m * a, 1.0))
-    qmult = PairedMultiplier(FourierMultiplier.zero(lat, nu, L), q * 1j)
+        FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * m * a, 1.0)
+    )
+    qmult = PairedMultiplier(
+        FourierMultiplier.zero(lat, nu, L), q * 1j
+    )
     comm = dmult.compose(gen) - gen.compose(dmult) + qmult
     resid = comm.norm(0.0, 0.0)
     r_new, q_new = split_multiplier_state(new_fld, m)
+    q_new.order = -(n + 1.0)
+    r_new.order = -1.0
     diag = {
         "n": n,
         "homological_residual": resid,
@@ -423,18 +449,20 @@ def reduce_diagonal(fld, m, omega, problem):
     e = (omega . dphi)^{-1}(r_M - c); the conjugation by exp(iE) is exact on
     multipliers and maps the off-diagonal symbol to q_M exp(-2ie).
     """
-    lat, grid_n = fld.lattice, problem.grid_n
+    lat, nu, L = fld.lattice, fld.r1.nu, fld.r1.ell_max
+    grid_n = problem.grid_n
     r_m, q_m = split_multiplier_state(fld, m)
     if not r_m.is_real_symbol(1e-10):
         raise ParameterError("diagonal remainder symbol is not real")
     c_raw = r_m.mean_per_cluster().real
     h = r_m.plus_mean(-c_raw)
-    e = FourierMultiplier(lat, h.nu, h.ell_max, -1.0, [
+    e = FourierMultiplier(lat, nu, L, -1.0, [
         omega_dphi_inverse(h.row(i), omega, problem.gamma, problem.tau).coeffs
         for i in range(len(lat.clusters))])
     exp_pos, alias1 = e.map_pointwise(lambda v: np.exp(1j * v), grid_n, order=0.0)
     exp_neg, alias2 = e.map_pointwise(lambda v: np.exp(-1j * v), grid_n, order=0.0)
-    fwd, bwd = PairedMultiplier.diagonal(exp_pos), PairedMultiplier.diagonal(exp_neg)
+    fwd = PairedMultiplier.diagonal(exp_pos)
+    bwd = PairedMultiplier.diagonal(exp_neg)
     new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)
     # residual of the homological equation, worst cluster
     lhs = (e.omega_dphi(omega) * (-1.0) + r_m).plus_mean(-c_raw)
@@ -510,19 +538,20 @@ def run_pipeline(problem, omega):
     # off-diagonal multiplier remainder of the reduced field
     _, q_m4 = split_multiplier_state(fld, s3.m)
     q_m4.order = -float(problem.M)
-    r4_mult = PairedMultiplier(FourierMultiplier.zero(lat, nu, L, -float(problem.M)),
-                               q_m4 * 1j)
+    r4_mult = PairedMultiplier(
+        FourierMultiplier.zero(lat, nu, L, order=-float(problem.M)), q_m4 * 1j
+    )
     # finite-rank part conjugated through T
     rank_terms = [t.conjugate(t_fwd, t_bwd) for t in s3.rank_terms]
     r4 = r4_mult.to_paired_blocks() + rank_terms_to_paired_blocks(
         rank_terms, lat, nu, L, scale=problem.epsilon
     )
-    c_final = mu - s3.m * lat.alphas
+    c_final = mu - s3.m * np.array([c.alpha for c in lat.clusters])
     diagnostics = {
         "m": s3.m,
         "w1_nonconstant": s3.diagnostics["w1_nonconstant"],
         "c_final_max_weighted": float(
-            np.max(np.abs(c_final) * lat.alphas)
+            np.max(np.abs(c_final) * np.array([c.alpha for c in lat.clusters]))
         ) if len(c_final) else 0.0,
         "r4_decay_norm_s0": r4.decay_norm(0.0),
         "diagonal_fluctuation": dg5["diagonal_fluctuation"],

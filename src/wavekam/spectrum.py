@@ -97,7 +97,6 @@ class SpectralLattice:
         self.j_max = int(j_max)
         self.clusters = clusters
         self.alpha_sqs = [c.alpha_sq for c in clusters]
-        self.alphas = np.array([c.alpha for c in clusters])
         self.by_alpha_sq = {c.alpha_sq: c for c in clusters}
         self.cluster_of_point = {}
         self.slices = {}
@@ -285,11 +284,11 @@ class AngleFunction:
 
     def conj(self):
         """Pointwise complex conjugate in phi: hat(ell) -> conj(hat(-ell))."""
-        flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.nu])
-        return AngleFunction(self.nu, self.ell_max, flipped)
+        flipped = _conj_rows(self.coeffs.reshape(1, -1))
+        return AngleFunction(self.nu, self.ell_max, flipped.reshape(self.coeffs.shape))
 
     def is_real(self, tol=1e-13):
-        return self.distance(self.conj()) <= tol * max(1.0, self.linf_bound())
+        return bool(_real_rows(self.coeffs.reshape(1, -1), tol)[0])
 
     def distance(self, other):
         return float(np.max(np.abs(self.coeffs - other.coeffs)))
@@ -299,14 +298,12 @@ class AngleFunction:
 
     def omega_dphi(self, omega):
         """omega . d/dphi, exact on coefficients."""
-        ells = ell_table(self.nu, self.ell_max)[0]
-        phase = 1j * (np.asarray(omega, dtype=float) @ ells.T)
+        phase = _omega_phase(omega, self.nu, self.ell_max)
         return AngleFunction(self.nu, self.ell_max,
                              self.coeffs * phase.reshape(self.coeffs.shape))
 
     def sobolev_norm(self, s):
-        w = np.maximum(1.0, ell_table(self.nu, self.ell_max)[1]) ** (2.0 * s)
-        return math.sqrt(math.fsum((w * np.abs(self.coeffs.ravel()) ** 2).tolist()))
+        return _sobolev_norm_rows(self.coeffs.reshape(1, -1), self.nu, self.ell_max, s)[0]
 
     # -- evaluation ---------------------------------------------------------
     def sample(self, grid_n):
@@ -329,6 +326,34 @@ class AngleFunction:
         nz = np.flatnonzero(flat)
         ells = ell_table(self.nu, self.ell_max)[0][nz]
         return np.exp(1j * points @ ells.T) @ flat[nz]
+
+
+# Row helpers: each acts on a (k, (2 ell_max + 1)^nu) stack of coefficient
+# rows in ``ell_box`` order, the storage of an AngleFunction (k = 1) and of a
+# multiplier's symbol table (a row per cluster).
+
+
+def _conj_rows(coeffs):
+    """Pointwise complex conjugate of each row: hat(ell) -> conj(hat(-ell))."""
+    return np.conj(coeffs[:, ::-1])
+
+
+def _real_rows(coeffs, tol):
+    """Per row: real up to tol times max(1, sum of |coefficients|)."""
+    dist = np.abs(coeffs - _conj_rows(coeffs)).max(axis=1)
+    return dist <= tol * np.maximum(1.0, np.abs(coeffs).sum(axis=1))
+
+
+def _omega_phase(omega, nu, ell_max):
+    """i omega . ell per box row: the symbol of omega . d/dphi."""
+    return 1j * (np.asarray(omega, dtype=float) @ ell_table(nu, ell_max)[0].T)
+
+
+def _sobolev_norm_rows(coeffs, nu, ell_max, s):
+    """Truncated H^s norm of each row, weights max(1, |ell|)^(2s), each sum
+    exactly rounded."""
+    w = np.maximum(1.0, ell_table(nu, ell_max)[1]) ** (2.0 * s)
+    return [math.sqrt(math.fsum(t)) for t in (w * np.abs(coeffs) ** 2).tolist()]
 
 
 def _sample_rows(coeffs, nu, ell_max, grid_n):
@@ -375,12 +400,15 @@ def _convolve_rows(a, b):
     stacks, shape (k, 2n - 1, ..., 2n - 1), each row bit for bit as if alone.
 
     A row with over 16384 products goes by FFT; the others are summed
-    directly (exact) in one bincount over the union of their supports:
-    index sums need no carry in the output grid, rows sit a grid apart, each
-    bin adds its row's products in (ka, kb) order and the union's extra
-    products are exact zeros.  A lone product is formed as numpy's scalar
-    loop forms it, without the fused multiply-add of its SIMD loop.
+    directly (exact), a bincount per chunk of rows over the union of their
+    supports: index sums need no carry in the output grid, rows sit a grid
+    apart, each bin adds its row's products in (ka, kb) order and the
+    union's extra products are exact zeros.  A chunk keeps its products
+    within ``blockop._CHUNK_BYTES``.  A lone product is formed as numpy's
+    scalar loop forms it, without the fused multiply-add of its SIMD loop.
     """
+    from .blockop import _CHUNK_BYTES  # blockop imports this module
+
     k, box = len(a), a.shape[1:]
     shape = tuple(2 * n - 1 for n in box)
     size = math.prod(shape)
@@ -399,14 +427,17 @@ def _convolve_rows(a, b):
     x, y = fa[lone, ia], fb[lone, ib]
     out.real[lone, at(ia) + at(ib)] += x.real * y.real - x.imag * y.imag
     out.imag[lone, at(ia) + at(ib)] += x.real * y.imag + x.imag * y.real
-    rows = np.flatnonzero((count > 1) & (count <= 16384))
-    ia = np.flatnonzero(nza[rows].any(axis=0))
-    ib = np.flatnonzero(nzb[rows].any(axis=0))
-    pos = ((np.arange(len(rows)) * size)[:, None, None]
-           + at(ia)[:, None] + at(ib)).ravel()
-    prods = fa[rows[:, None], ia][:, :, None] * fb[rows[:, None], ib][:, None, :]
-    for part, w in ((out.real, prods.real), (out.imag, prods.imag)):
-        part[rows] = np.bincount(pos, w.ravel(), len(rows) * size).reshape(-1, size)
+    direct = np.flatnonzero((count > 1) & (count <= 16384))
+    union = nza[direct].any(axis=0).sum() * nzb[direct].any(axis=0).sum()
+    step = max(1, _CHUNK_BYTES // (16 * max(union, 1)))
+    for rows in np.split(direct, range(step, len(direct), step)):
+        ia = np.flatnonzero(nza[rows].any(axis=0))
+        ib = np.flatnonzero(nzb[rows].any(axis=0))
+        pos = ((np.arange(len(rows)) * size)[:, None, None]
+               + at(ia)[:, None] + at(ib)).ravel()
+        prods = fa[rows[:, None], ia][:, :, None] * fb[rows[:, None], ib][:, None, :]
+        for part, w in ((out.real, prods.real), (out.imag, prods.imag)):
+            part[rows] = np.bincount(pos, w.ravel(), len(rows) * size).reshape(-1, size)
     return out.reshape((k,) + shape)
 
 

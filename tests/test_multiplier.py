@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 
 from wavekam import AngleFunction, enumerate_clusters
+from wavekam import blockop
 from wavekam.blockop import block_decay_norm
 from wavekam.multiplier import (
     FourierMultiplier,
@@ -129,7 +131,7 @@ class TestCompose:
 class TestExponential:
     def test_zero_gives_identity(self, lat_d2):
         z = PairedMultiplier.zero(lat_d2, 2, 2)
-        phi, ge2 = multiplier_exponential(z)
+        phi, ge2, _ = multiplier_exponential(z)
         assert ge2.norm(0.0, 0.0) == 0.0
         eye = PairedMultiplier.identity(lat_d2, 2, 2)
         assert (phi - eye).norm(0.0, 0.0) == 0.0
@@ -140,7 +142,7 @@ class TestExponential:
             lat_d2, 2, 2, lambda a: 0.3 / a, order=-1.0
         )
         psi = PairedMultiplier.diagonal(r)
-        phi, _ = multiplier_exponential(psi)
+        phi, _, _ = multiplier_exponential(psi)
         for i, c in enumerate(lat_d2.clusters):
             want = math.exp(0.3 / c.alpha)
             assert phi.r1.row(i).mean() == pytest.approx(want, rel=1e-12)
@@ -151,8 +153,8 @@ class TestExponential:
         r1 = random_multiplier(lat_d2, 2, 5, rng, order=-1.0, scale=0.005, support=1)
         r2 = random_multiplier(lat_d2, 2, 5, rng, order=-1.0, scale=0.005, support=1)
         psi = PairedMultiplier(r1, r2)
-        fwd, _ = multiplier_exponential(psi)
-        bwd, _ = multiplier_exponential(psi * (-1.0))
+        fwd, _, _ = multiplier_exponential(psi)
+        bwd, _, _ = multiplier_exponential(psi * (-1.0))
         eye = PairedMultiplier.identity(lat_d2, 2, 5)
         assert (fwd.compose(bwd) - eye).norm(0.0, 0.0) <= 1e-12
 
@@ -162,7 +164,7 @@ class TestExponential:
             random_multiplier(lat_d2, 2, 2, rng, order=-1.0, scale=0.05),
             random_multiplier(lat_d2, 2, 2, rng, order=-1.0, scale=0.05),
         )
-        phi, ge2 = multiplier_exponential(psi, s0=1.5)
+        phi, ge2, _ = multiplier_exponential(psi, s0=1.5)
         s = 2.0
         lhs = ge2.norm(-2.0, s)
         rhs = psi.norm(-1.0, s) * psi.norm(-1.0, 1.5)
@@ -331,13 +333,35 @@ class TestArrayMatchesListOracle:
         _assert_same(multiplier_compose(a, b), oracles.multiplier_compose(
             oracles.from_array(a), oracles.from_array(b)))
 
+    def test_compose_mixed_supports_fit_chunk(self, monkeypatch):
+        # random supports of 100 of 169 ells per row: the rows' union is the
+        # whole box, 169^2 products a row against 100^2 of its own, so the
+        # direct rows go a few at a time within the chunk
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES", 2**20)
+        rng = rng_for("mult-array-chunk")
+        lat = enumerate_clusters(2, 8)
+        a, b = FourierMultiplier(lat, 2, 6), FourierMultiplier(lat, 2, 6)
+        for x in (a, b):
+            for row in x.coeffs:
+                at = rng.permutation(169)[:100]
+                row[at] = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        tracemalloc.start()
+        try:
+            got = multiplier_compose(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * blockop._CHUNK_BYTES
+        _assert_same(got, oracles.multiplier_compose(
+            oracles.from_array(a), oracles.from_array(b)))
+
     def test_exponential_pair_is_two_series(self, lat_d2):
         rng = rng_for("mult-exp-pair")
         for nu, L in ((1, 3), (2, 2), (2, 4)):
             psi = PairedMultiplier(
                 _random_rows(lat_d2, nu, L, rng, order=-1.0, scale=0.05),
                 _random_rows(lat_d2, nu, L, rng, order=-1.0, scale=0.05))
-            fwd, ge2, bwd = multiplier_exponential(psi, inverse=True)
+            fwd, ge2, bwd = multiplier_exponential(psi)
             lfwd, lge2 = oracles.multiplier_exponential(oracles.PairedMultiplier(
                 oracles.from_array(psi.r1), oracles.from_array(psi.r2)))
             lbwd, _ = oracles.multiplier_exponential(oracles.PairedMultiplier(

@@ -324,7 +324,7 @@ class TestDecoupling:
         new_fld, (fwd, bwd), vn, _ = decouple_step(fld, 0, s3.m, OMEGA, p)
         r, q = split_multiplier_state(fld, s3.m)
         gen = PairedMultiplier(FourierMultiplier.zero(lat, nu, L), vn * 1j)
-        _, ge2 = multiplier_exponential(gen)
+        _, ge2, _ = multiplier_exponential(gen)
         dmult = PairedMultiplier.diagonal(
             FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * s3.m * a, 1.0)
         )
