@@ -11,7 +11,7 @@ eigenbasis the solve is a division by omega.ell + lambda -+ mu, and the
 inverse norm is exactly 1/min|denominator|.  Dense Kronecker solves exist
 only in the test oracle.
 
-Melnikov verdicts (``resonance.divisor_check``, the classifier's kernel too)
+Melnikov verdicts (``resonance.divisor_check``, the classifier's gaps too)
 bound those denominators by gamma / (alpha^dd beta^dd <ell>^tau) (differences,
 excluding (0, a, a)) and gamma (alpha+beta) / <ell>^tau (sums) on the ball
 |ell| <= N_k; ties count as failure (closed condition).

@@ -127,15 +127,15 @@ class FourierMultiplier:
     def mean_per_cluster(self):
         return self.coeffs[:, self._center].copy()
 
-    def map_pointwise(self, fn, grid_n, order):
-        """Apply a scalar function to the symbol on a grid_n^nu phi-grid and
-        re-project to a multiplier of the given order.
+    def map_pointwise(self, fns, grid_n, order):
+        """Apply each scalar function to the symbol, sampled once on a
+        grid_n^nu phi-grid, and re-project to a multiplier of the given order.
 
-        Returns (multiplier, largest alias mass of a cluster).
+        Returns one (multiplier, largest alias mass of a cluster) per function.
         """
-        vals = fn(_sample_rows(self.coeffs, self.nu, self.ell_max, grid_n))
-        coeffs, alias = _project_rows(vals, self.ell_max)
-        return self._like(coeffs, order), max(alias, default=0.0)
+        vals = _sample_rows(self.coeffs, self.nu, self.ell_max, grid_n)
+        out = [_project_rows(fn(vals), self.ell_max) for fn in fns]
+        return [(self._like(c, order), max(alias, default=0.0)) for c, alias in out]
 
     # -- norms -----------------------------------------------------------------
     def norm(self, m=None, s=0.0):

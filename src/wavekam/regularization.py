@@ -459,8 +459,8 @@ def reduce_diagonal(fld, m, omega, problem):
     e = FourierMultiplier(lat, nu, L, -1.0, [
         omega_dphi_inverse(h.row(i), omega, problem.gamma, problem.tau).coeffs
         for i in range(len(lat.clusters))])
-    exp_pos, alias1 = e.map_pointwise(lambda v: np.exp(1j * v), grid_n, order=0.0)
-    exp_neg, alias2 = e.map_pointwise(lambda v: np.exp(-1j * v), grid_n, order=0.0)
+    (exp_pos, alias1), (exp_neg, alias2) = e.map_pointwise(
+        [lambda v: np.exp(1j * v), lambda v: np.exp(-1j * v)], grid_n, order=0.0)
     fwd = PairedMultiplier.diagonal(exp_pos)
     bwd = PairedMultiplier.diagonal(exp_neg)
     new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)

@@ -9,7 +9,7 @@ A frequency is accepted when every eigenvalue-difference condition
     |omega.ell + lambda_k + lambda_j| >= 2 gamma (alpha + beta) / <ell>^tau
 
 holds for every ell in the box |ell|_inf <= ell_max (ties pass); the KAM
-Melnikov scan shares the kernel ``divisor_check``.  Lebesgue measure is
+Melnikov scan shares the gap kernel ``_gap``.  Lebesgue measure is
 approximated by the sample fraction on a declared grid; the analytic Fubini
 argument is replaced by this sampling, which is the honest numerical
 counterpart.
@@ -104,14 +104,21 @@ def _windows(xs, d, thr_max):
             np.searchsorted(xs, -d + reach, side="right"))
 
 
+def _gap(x, combos):
+    """min_d |x + d| over the sorted combos, from the two neighbours of -x:
+    equal to the dense minimum bit for bit since fl(x + d) is monotone in d."""
+    i = np.searchsorted(combos, -x)
+    return np.minimum(np.abs(x + combos[np.maximum(i - 1, 0)]),
+                      np.abs(x + combos[np.minimum(i, combos.size - 1)]))
+
+
 def divisor_check(xs, combos, thr, closed=False):
     """The small-divisor kernel: which x fail min_d |x + d| against thr.
 
     ``xs`` ascends, ``combos`` comes from ``sorted_combos`` and ``thr``
     broadcasts against xs, with leading axes for several threshold sets.
     Only the x in a window around some -d are read (sorted range queries);
-    their min_d |x + d| comes from the two neighbours of -x in combos, which
-    equals the dense minimum bit for bit because fl(x + d) is monotone in d.
+    their min_d |x + d| is ``_gap``'s.
     Returns (pos, gap, bad): window positions in xs, their minima, and
     bad[..., p] where pos[p] fails: not gap > thr when ``closed`` (ties fail,
     the KAM rule), else not gap >= thr (ties pass, the classifier rule).
@@ -121,10 +128,7 @@ def divisor_check(xs, combos, thr, closed=False):
     edges = (np.bincount(lo, minlength=xs.size + 1)
              - np.bincount(hi, minlength=xs.size + 1))
     pos = np.flatnonzero(np.cumsum(edges[:-1]))
-    x = xs[pos]
-    i = np.searchsorted(combos, -x)
-    gap = np.minimum(np.abs(x + combos[np.maximum(i - 1, 0)]),
-                     np.abs(x + combos[np.minimum(i, combos.size - 1)]))
+    gap = _gap(xs[pos], combos)
     t = np.broadcast_to(thr, thr.shape[:-1] + xs.shape)[..., pos]
     return pos, gap, ~(gap > t) if closed else ~(gap >= t)
 
@@ -151,7 +155,9 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     combos = [sorted_combos(eigen.tables[ca.alpha_sq], eigen.tables[cb.alpha_sq],
                             sign) for ca, cb in pairs for sign in "-+"]
     every = np.concatenate(combos)
-    cond = np.repeat(np.arange(len(combos)), [d.size for d in combos])
+    sizes = [d.size for d in combos]
+    cond = np.repeat(np.arange(len(combos)), sizes)
+    starts = np.cumsum(sizes) - sizes
     g2 = 2.0 * np.asarray(gammas, dtype=float)[:, None]
     for ell in ell_box(samples.shape[1], ell_max).tolist():
         ell_norm = float(np.linalg.norm(ell))
@@ -167,15 +173,19 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
                         np.where(keep_q, g2 * (a + b) / bracket_tau, -np.inf)],
                        axis=2).reshape(len(gammas), len(combos))
         wl = samples @ np.asarray(ell, dtype=float)
-        order = np.argsort(wl, kind="stable")
-        xs = wl[order]
-        # only conditions with a sample in one of their windows can fail
+        xs = np.sort(wl)
+        # only conditions with a sample in one of their windows can fail; all
+        # samples in the hull of those windows are checked exactly, so the
+        # extra ones pass, and no verdict depends on the sample order
         lo, hi = _windows(xs, every, np.max(thr, axis=0)[cond])
-        for c in np.flatnonzero(np.bincount(cond[lo < hi], minlength=len(combos))):
-            pos, _, bad = divisor_check(xs, combos[c], thr[:, c, None])
-            g, p = np.nonzero(bad)
+        hit = lo < hi
+        lo = np.minimum.reduceat(np.where(hit, lo, xs.size), starts)
+        hi = np.maximum.reduceat(np.where(hit, hi, 0), starts)
+        for c in np.flatnonzero(lo < hi):
+            s = np.flatnonzero((wl >= xs[lo[c]]) & (wl <= xs[hi[c] - 1]))
+            g, p = np.nonzero(~(_gap(wl[s], combos[c]) >= thr[:, c, None]))
             if g.size:
-                yield ell, pairs[c // 2], "RQ"[c % 2], thr[:, c], g, order[pos[p]]
+                yield ell, pairs[c // 2], "RQ"[c % 2], thr[:, c], g, s[p]
 
 
 def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,

@@ -272,12 +272,15 @@ class AngleFunction:
             raise ParameterError("angle function truncation mismatch")
 
     def product(self, other):
-        """Pointwise product, re-truncated to the box; discarded mass is exact
-        convolution tail (returned as second value)."""
+        """Pointwise product, re-truncated to the box; the second value is the
+        discarded mass, the l2 norm of the convolution bins outside the box."""
         self._check(other)
         full = _convolve_full(self.coeffs, other.coeffs)
-        out, lost = _crop_center(full, self.ell_max)
-        return AngleFunction(self.nu, self.ell_max, out), lost
+        box = (slice(self.ell_max, 3 * self.ell_max + 1),) * self.nu
+        outside = np.ones(full.shape, dtype=bool)
+        outside[box] = False
+        lost = math.sqrt(math.fsum((np.abs(full[outside]) ** 2).tolist()))
+        return AngleFunction(self.nu, self.ell_max, full[box].copy()), lost
 
     def mean(self):
         return complex(self[(0,) * self.nu])
@@ -457,18 +460,6 @@ def _fft_convolve(a, b):
     if scale > 0:
         out[np.abs(out) < 1e-15 * scale] = 0.0
     return out
-
-
-def _crop_center(full, ell_max):
-    n_full = full.shape[0]
-    center = (n_full - 1) // 2
-    sl = tuple(
-        slice(center - ell_max, center + ell_max + 1) for _ in range(full.ndim)
-    )
-    kept = full[sl].copy()
-    total = math.fsum((np.abs(full) ** 2).ravel().tolist())
-    inside = math.fsum((np.abs(kept) ** 2).ravel().tolist())
-    return kept, math.sqrt(max(total - inside, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -311,10 +311,11 @@ class TestArrayMatchesListOracle:
         for j, f in want.comps.items():
             assert _bits(got.comps[j].coeffs) == _bits(f.coeffs)
         grid_n = 2 * L + 1 + int(rng.integers(0, 4))
-        got, alias = a.map_pointwise(lambda v: np.exp(1j * v), grid_n, -1.0)
-        want, alias_ref = la.map_pointwise(lambda v: np.exp(1j * v), grid_n, -1.0)
-        _assert_same(got, want)
-        assert _bits(alias) == _bits(alias_ref)
+        fns = [lambda v: np.exp(1j * v), lambda v: np.exp(-1j * v)]
+        for fn, (got, alias) in zip(fns, a.map_pointwise(fns, grid_n, -1.0)):
+            want, alias_ref = la.map_pointwise(fn, grid_n, -1.0)
+            _assert_same(got, want)
+            assert _bits(alias) == _bits(alias_ref)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_compose_fft_and_direct_rows(self, seed):

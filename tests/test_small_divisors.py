@@ -8,6 +8,7 @@ must give the reference verdicts and certificates.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wavekam.errors import ResourceLimitError
 from wavekam.kam import MAX_SCAN_ELLS, KamConfig, KamState, _melnikov_scan
 from wavekam.resonance import (
     EigenData,
+    _grid_masks,
     classify_grid,
     classify_omega,
     divisor_check,
@@ -71,6 +73,29 @@ frequencies = st.lists(
 )
 gammas = st.floats(1e-4, 1.0)
 exponents = st.floats(0.0, 4.0)
+
+
+def probe_rows(eig, gamma, dd, rng, k=24):
+    """Rows whose omega.ell at ell = (1, 0) is exactly -d, a window edge
+    -d -+ reach of the scan, or the midpoint of -d and its neighbour, for k
+    combinations d drawn from the condition tables.  With several
+    eigenvalues per cluster a condition's windows can be disjoint, and the
+    midpoints then lie in their hull but in none of them."""
+    clusters, xs = eig.lattice.clusters, []
+    for _ in range(k):
+        ca, cb = (clusters[i] for i in rng.integers(len(clusters), size=2))
+        sign = "-+"[int(rng.integers(2))]
+        combos = sorted_combos(eig.tables[ca.alpha_sq],
+                               eig.tables[cb.alpha_sq], sign)
+        # the scan's largest threshold at |ell| = 1, gamma the largest gamma
+        thr = (2.0 * gamma / (ca.alpha * cb.alpha) ** dd if sign == "-"
+               else 2.0 * gamma * (ca.alpha + cb.alpha))
+        i = int(rng.integers(combos.size))
+        reach = 2.0 * thr + 1e-15 * abs(combos[i])
+        xs += [-combos[i], -combos[i] - reach, -combos[i] + reach]
+        if i + 1 < combos.size:
+            xs.append(-0.5 * (combos[i] + combos[i + 1]))
+    return np.column_stack([xs, 0.3 + 2.2 * rng.random(len(xs))])
 
 
 def state_of(blocks):
@@ -197,20 +222,30 @@ class TestClassifier:
                                             ell_max):
         lattice, blocks = spec
         eig = EigenData.from_blocks(lattice, blocks)
-        samples = 0.3 + 2.2 * np.random.default_rng(seed).random((40, 2))
+        rng = np.random.default_rng(seed)
+        samples = 0.3 + 2.2 * rng.random((40, 2))
+        # exact half-integers make some conditions fail with value 0
+        exact = rng.random(samples.shape) < 0.3
+        samples[exact] = rng.choice([0.5, 1.0, 1.5, 2.0], size=int(exact.sum()))
+        samples = np.r_[samples, probe_rows(eig, gamma, dd, rng)]
+        samples = rng.permutation(
+            np.r_[samples, samples[rng.integers(len(samples), size=12)]])
         gamma_list = [gamma, gamma / 3, gamma / 10]
         masks = [oracles.classify_grid(samples, eig, g, tau, dd, ell_max)
                  for g in gamma_list]
         assert np.array_equal(
             classify_grid(samples, eig, gamma, tau, dd, ell_max), masks[0])
+        assert np.array_equal(
+            _grid_masks(samples, eig, gamma_list, tau, dd, ell_max), masks)
         rows, _ = measure_sweep(samples, eig, gamma_list, tau, dd, ell_max)
         for row, mask in zip(rows, masks):
             assert row["n_excluded"] == int(np.sum(~mask))
             assert row["fraction"] == float(np.mean(~mask))
 
 
-def test_desk_sweep_bit_identical_to_reference():
-    """Criterion 6's 10^4-sample sweep: rows equal four reference grid calls."""
+@pytest.fixture(scope="module")
+def desk_sweep():
+    """The desk problem's eigenvalue table and a 100 x 100 grid on [1, 2]^2."""
     from test_acceptance import desk_problem
     from wavekam.regularization import run_pipeline
 
@@ -221,10 +256,34 @@ def test_desk_sweep_bit_identical_to_reference():
     mesh = np.meshgrid(ax, ax, indexing="ij")
     samples = np.stack([m.ravel() for m in mesh], axis=-1)
     g0 = 0.02
-    gamma_list = [g0, g0 / 2, g0 / 4, g0 / 8]
+    return p, eig, samples, [g0, g0 / 2, g0 / 4, g0 / 8]
+
+
+def test_desk_sweep_bit_identical_to_reference(desk_sweep):
+    """Criterion 6's 10^4-sample sweep: masks and rows equal four reference
+    grid calls."""
+    p, eig, samples, gamma_list = desk_sweep
     rows, fit = measure_sweep(samples, eig, gamma_list, p.tau, p.dd, p.ell_max)
-    for row, g in zip(rows, gamma_list):
-        mask = oracles.classify_grid(samples, eig, g, p.tau, p.dd, p.ell_max)
-        assert row["n_excluded"] == int(np.sum(~mask))
-        assert row["fraction"] == float(np.mean(~mask))
+    got = _grid_masks(samples, eig, gamma_list, p.tau, p.dd, p.ell_max)
+    for row, g, mask in zip(rows, gamma_list, got):
+        want = oracles.classify_grid(samples, eig, g, p.tau, p.dd, p.ell_max)
+        assert np.array_equal(mask, want)
+        assert row["n_excluded"] == int(np.sum(~want))
+        assert row["fraction"] == float(np.mean(~want))
     assert not math.isnan(fit["r2"])
+
+
+def test_desk_sweep_memory_stays_per_ell(desk_sweep):
+    """The sweep holds a few length-n arrays per ell at a time (omega.ell,
+    its sorted copy, a hull test, the masks): about 3.3 samples.nbytes at its
+    peak.  Anything held across the 289 ells of the box, such as the stacked
+    omega.ell (144 samples.nbytes) or a whole-box threshold table (about 37),
+    breaks the bound of 8."""
+    p, eig, samples, gamma_list = desk_sweep
+    tracemalloc.start()
+    try:
+        measure_sweep(samples, eig, gamma_list, p.tau, p.dd, p.ell_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * samples.nbytes

@@ -193,6 +193,51 @@ class TestAliasMass:
             assert alias <= 1e-14 * f.sobolev_norm(0.0)
 
 
+def _product_mass_direct(a, b, ell_max):
+    """l2 mass of the full convolution outside the box, summed bin by bin."""
+    full = convolve_full_loop(a, b)
+    lost = [abs(c) ** 2 for raw, c in np.ndenumerate(full)
+            if any(abs(x - 2 * ell_max) > ell_max for x in raw)]
+    return math.sqrt(math.fsum(lost))
+
+
+class TestProductMass:
+    def test_band_limited_product_drops_nothing(self):
+        # supports |ell|_inf <= k and <= L - k: the product fits the box, no
+        # bin outside it is written and the mass is exactly 0.0
+        rng = rng_for("product-mass-zero")
+        for _ in range(100):
+            nu, L = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+            k = int(rng.integers(0, L + 1))
+            f, g = AngleFunction.zero(nu, L), AngleFunction.zero(nu, L)
+            for h, r in ((f, k), (g, L - k)):
+                shape = (2 * r + 1,) * nu
+                h.coeffs[(slice(L - r, L + r + 1),) * nu] = (
+                    rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            _, lost = f.product(g)
+            assert lost == 0.0
+
+    def test_truncating_product_matches_bin_by_bin_mass(self):
+        # a on |ell|_inf <= k, b on the box with its part beyond L - k scaled
+        # down by up to 1e-10: the dropped mass is down to ~1e-10 |a b|,
+        # far below the rounding of sqrt(total - inside)
+        rng = rng_for("product-mass-tail")
+        for _ in range(40):
+            nu, L = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            k = int(rng.integers(1, L + 1))
+            shape = (2 * L + 1,) * nu
+            a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for _ in range(2))
+            far = np.abs(ell_box(nu, L)).max(axis=1).reshape(shape)
+            a[far > k] = 0.0
+            b[far > L - k] *= 10.0 ** -rng.uniform(0.0, 10.0)
+            prod, lost = AngleFunction(nu, L, a).product(AngleFunction(nu, L, b))
+            assert lost == pytest.approx(_product_mass_direct(a, b, L),
+                                         rel=1e-13, abs=0)
+            assert np.array_equal(
+                prod.coeffs, _convolve_full(a, b)[(slice(L, 3 * L + 1),) * nu])
+
+
 class TestAngleIndexing:
     # ell_max = 4: the box holds -4..4 per component; a component below -4
     # used to wrap to the far side, (-5, 0) to (4, 0) and (0, -7) to (0, 2)
