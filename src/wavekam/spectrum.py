@@ -323,12 +323,20 @@ class AngleFunction:
         return cls(values.ndim, ell_max, coeffs.reshape(shape)), alias[0]
 
     def eval_at(self, points):
-        """Evaluate at arbitrary angles; points shape (n, nu)."""
+        """Evaluate at arbitrary angles; points shape (n, nu).  The phases are
+        one real product per chunk of points, each chunk's exp table within
+        ``blockop._CHUNK_BYTES``."""
+        from .blockop import _CHUNK_BYTES  # blockop imports this module
+
         points = np.atleast_2d(np.asarray(points, dtype=float))
         flat = self.coeffs.ravel()
         nz = np.flatnonzero(flat)
         ells = ell_table(self.nu, self.ell_max)[0][nz]
-        return np.exp(1j * points @ ells.T) @ flat[nz]
+        step = max(1, _CHUNK_BYTES // (16 * max(len(nz), 1)))
+        out = np.empty(len(points), dtype=complex)
+        for i in range(0, len(points), step):
+            out[i:i + step] = np.exp(1j * (points[i:i + step] @ ells.T)) @ flat[nz]
+        return out
 
 
 # Row helpers: each acts on a (k, (2 ell_max + 1)^nu) stack of coefficient
@@ -453,8 +461,8 @@ def _product_rows(a, b):
 
 def _fft_convolve(a, b):
     """Full linear convolution by FFT, with the FFT noise floor cut."""
-    s = (2 * a.shape[0] - 1,) * a.ndim
-    out = np.fft.ifftn(np.fft.fftn(a, s=s) * np.fft.fftn(b, s=s))
+    s, axes = (2 * a.shape[0] - 1,) * a.ndim, tuple(range(a.ndim))
+    out = np.fft.ifftn(np.fft.fftn(a, s, axes) * np.fft.fftn(b, s, axes), axes=axes)
     # inputs are exact trig polynomials; kill fft noise below the double floor
     scale = np.max(np.abs(out))
     if scale > 0:

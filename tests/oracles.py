@@ -39,6 +39,8 @@ the package.
   weighted Lipschitz norm and eigenvalue audit, the real-coordinate fields
   of stages 1 and 2 with their complexification, and the action of a block
   operator on a space-time function.
+- ``AngleFunction.eval_at`` with its phases formed as the complex product
+  ``(1j * points) @ ells.T``, which the one real product replaced.
 """
 
 import itertools
@@ -796,9 +798,10 @@ def convolve_full(a, b):
         out.real = np.bincount(at, prods.real, out_n**nu)
         out.imag = np.bincount(at, prods.imag, out_n**nu)
         return out.reshape(shape)
-    fa = np.fft.fftn(a, s=(out_n,) * nu)
-    fb = np.fft.fftn(b, s=(out_n,) * nu)
-    out = np.fft.ifftn(fa * fb)
+    axes = tuple(range(nu))
+    fa = np.fft.fftn(a, s=(out_n,) * nu, axes=axes)
+    fb = np.fft.fftn(b, s=(out_n,) * nu, axes=axes)
+    out = np.fft.ifftn(fa * fb, axes=axes)
     # inputs are exact trig polynomials; kill fft noise below the double floor
     scale = np.max(np.abs(out)) if out.size else 0.0
     if scale > 0:
@@ -1530,3 +1533,18 @@ def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None):
     phi.meta["size_warning"] = bool(nrm > 1.0)
     ge2.r1.order = ge2.r2.order = 2 * m
     return phi, ge2
+
+
+# ---------------------------------------------------------------------------
+# Frozen-angle evaluation with complex phases (formerly AngleFunction.eval_at)
+# ---------------------------------------------------------------------------
+
+
+def eval_at_complex_phase(f, points):
+    """``AngleFunction.eval_at`` as it was: ``1j * points @ ells.T`` parses as
+    ``(1j * points) @ ells.T``, a complex-by-int product per call."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    flat = f.coeffs.ravel()
+    nz = np.flatnonzero(flat)
+    ells = ell_table(f.nu, f.ell_max)[0][nz]
+    return np.exp(1j * points @ ells.T) @ flat[nz]

@@ -8,6 +8,10 @@ in some other module of ``src/wavekam``, or be listed in the README's
 
 The |ell|_inf <= L box has one enumerator, ``spectrum.ell_box``: no other
 module calls the idioms that rebuild its order or decode a flat position.
+
+No ``a @ b`` has a product with a complex literal as its left operand:
+``1j * x @ y`` parses as ``(1j * x) @ y``, a complex product where a real
+one was meant.
 """
 
 import ast
@@ -113,3 +117,32 @@ def test_only_spectrum_enumerates_the_ell_box():
                 stray.append(f"{stem}.py:{line} ({where}): {idiom}")
     assert not stray, f"use spectrum.ell_box / ell_table instead: {stray}"
     assert used == set(BOX_IDIOM_EXEMPT), "stale exemption"
+
+
+def _complex_literal_matmuls(tree):
+    """Lines of each ``a @ b`` whose left operand is a product (``*`` or
+    ``/``, nested or signed) with a complex literal."""
+
+    def has_complex(node):
+        if isinstance(node, ast.UnaryOp):
+            return has_complex(node.operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            return has_complex(node.left) or has_complex(node.right)
+        return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.left, ast.BinOp) and has_complex(node.left)]
+
+
+def test_no_complex_literal_product_left_of_matmul():
+    stray = [f"{stem}.py:{line}" for stem, tree in _modules().items()
+             for line in _complex_literal_matmuls(tree)]
+    assert not stray, f"parenthesize the real product, 1j * (x @ y): {stray}"
+
+
+def test_complex_literal_matmul_scan_flags_the_slip():
+    flagged = _complex_literal_matmuls(ast.parse(
+        "a = 1j * p @ e.T\nb = -2j * p * s @ e\nc = p * 1j @ e\n"
+        "ok = 1j * (p @ e.T)\nok2 = (1j * p) + q @ e\nok3 = 2 * p @ e\n"))
+    assert flagged == [1, 2, 3]

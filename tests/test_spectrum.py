@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wavekam import (
     omega_dphi_inverse,
     sobolev_norm,
 )
+from wavekam import blockop
 from wavekam.blockop import BlockOperator
 from wavekam.errors import DiophantineViolation, ParameterError
 from wavekam.spectrum import _convolve_full, ell_box, ell_table
@@ -236,6 +238,57 @@ class TestProductMass:
                                          rel=1e-13, abs=0)
             assert np.array_equal(
                 prod.coeffs, _convolve_full(a, b)[(slice(L, 3 * L + 1),) * nu])
+
+
+def _random_angle_function(rng, nu, ell_max, fill=0.5):
+    shape = (2 * ell_max + 1,) * nu
+    coeffs = np.where(rng.random(shape) < fill,
+                      rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0)
+    return AngleFunction(nu, ell_max, coeffs)
+
+
+class TestEvalAt:
+    @pytest.mark.parametrize("nu, L, grid_n", [(1, 8, 32), (2, 5, 16), (3, 3, 8)])
+    def test_uniform_grid_matches_sample(self, nu, L, grid_n):
+        f = _random_angle_function(rng_for("eval-at-grid", nu), nu, L)
+        axis = 2 * np.pi * np.arange(grid_n) / grid_n
+        points = np.stack(np.meshgrid(*[axis] * nu, indexing="ij"), axis=-1)
+        got = f.eval_at(points.reshape(-1, nu)).reshape((grid_n,) * nu)
+        assert np.max(np.abs(got - f.sample(grid_n))) <= 1e-14 * f.linf_bound()
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_off_grid_matches_complex_phase_oracle(self, nu):
+        # |phi_i| <= 2 pi and |ell|_inf <= 8: |ell . phi| reaches about 150
+        rng = rng_for("eval-at-off-grid", nu)
+        f = _random_angle_function(rng, nu, 8, fill=0.3)
+        points = rng.uniform(-2 * np.pi, 2 * np.pi, (500, nu))
+        got, want = f.eval_at(points), oracles.eval_at_complex_phase(f, points)
+        assert np.max(np.abs(got - want)) <= 1e-15 * f.linf_bound()
+
+    def test_single_point_shape_dtype_and_zero(self):
+        f = _random_angle_function(rng_for("eval-at-point"), 2, 3)
+        got = f.eval_at(np.array([0.3, -1.2]))
+        assert got.shape == (1,) and got.dtype == complex
+        zero = AngleFunction.zero(2, 3).eval_at(np.ones((4, 2)))
+        assert zero.dtype == complex and np.array_equal(zero, np.zeros(4))
+
+    def test_table_stays_within_chunk(self, monkeypatch):
+        # 289 modes at 4099 points: one table would be 19 MB, a 64 kB chunk
+        # holds 14 points' rows
+        rng = rng_for("eval-at-chunk")
+        f = _random_angle_function(rng, 2, 8, fill=1.0)
+        points = rng.uniform(-2 * np.pi, 2 * np.pi, (4099, 2))
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES", 2**40)
+        whole = f.eval_at(points)
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES", 2**16)
+        tracemalloc.start()
+        try:
+            got = f.eval_at(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * blockop._CHUNK_BYTES
+        assert np.max(np.abs(got - whole)) <= 1e-15 * f.linf_bound()
 
 
 class TestAngleIndexing:
