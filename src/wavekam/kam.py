@@ -8,12 +8,13 @@ operators
 
 by Hermitian eigendecomposition of the current diagonal blocks: in the joint
 eigenbasis the solve is a division by omega.ell + lambda -+ mu, and the
-inverse norm is exactly 1/min|denominator|.  Dense Kronecker solves exist
-only in the test oracle.
+inverse norm is exactly 1/min|denominator|.  One ``eigh`` per cluster and
+step (``KamState.eig``) serves the scan and one batched solve per
+cluster-pair stack; dense Kronecker and per-block solves are test oracles.
 
-Melnikov verdicts (``resonance.divisor_check``, the classifier's gaps too)
-bound those denominators by gamma / (alpha^dd beta^dd <ell>^tau) (differences,
-excluding (0, a, a)) and gamma (alpha+beta) / <ell>^tau (sums) on the ball
+Melnikov verdicts (one pass of the classifier's window kernel) bound those
+denominators by gamma / (alpha^dd beta^dd <ell>^tau) (differences, excluding
+(0, a, a)) and gamma (alpha+beta) / <ell>^tau (sums) on the ball
 |ell| <= N_k; ties count as failure (closed condition).
 """
 
@@ -33,9 +34,9 @@ from .blockop import (
 from .errors import (NonConvergenceError, ParameterError, ResonanceError,
                      ResourceLimitError)
 from .hamiltonian import ExpMap, push_forward
-from .resonance import divisor_check, sorted_combos
+from .resonance import _combo_grid, _gap, _hull_hits, sorted_combos
 from .series import truncated_series
-from .spectrum import default_s0, diophantine_check, ell_box
+from .spectrum import default_s0, diophantine_check, ell_box, ell_table
 
 __all__ = [
     "KamConfig",
@@ -95,13 +96,18 @@ class KamState:
     history: list = field(default_factory=list)
     step_maps: list = field(default_factory=list)
     keep_maps: bool = False
+    _eigh: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
-    def eig_tables(self):
-        """Eigenvalues of each diagonal block, cached per call."""
-        out = {}
-        for a_sq in sorted(self.d_blocks):
-            out[a_sq] = np.linalg.eigvalsh(self.d_blocks[a_sq])
-        return out
+    def eig(self, lattice, a_sq, sign="-"):
+        """eigh of D_a ('-') or of conj(P D_a P) ('+', P: j -> -j), once."""
+        if (a_sq, sign) not in self._eigh:
+            mat = self.d_blocks[a_sq]
+            if sign == "+":
+                perm = lattice.cluster(a_sq).neg_perm
+                mat = np.conj(mat[np.ix_(perm, perm)])
+            self._eigh[(a_sq, sign)] = np.linalg.eigh(np.asarray(mat, complex))
+        return self._eigh[(a_sq, sign)]
 
     def hermitian_residual(self):
         return max(
@@ -113,8 +119,7 @@ class KamState:
 class SylvesterOperator:
     """One blockwise homological operator A^sign(ell, alpha, beta)."""
 
-    __slots__ = ("ell", "a_sq", "b_sq", "sign", "left", "right", "omega_ell",
-                 "_eig")
+    __slots__ = ("ell", "a_sq", "b_sq", "sign", "left", "right", "omega_ell")
 
     def __init__(self, ell, a_sq, b_sq, sign, left, right, omega):
         if sign not in ("-", "+"):
@@ -126,89 +131,83 @@ class SylvesterOperator:
         self.left = np.asarray(left, dtype=complex)
         self.right = np.asarray(right, dtype=complex)
         self.omega_ell = float(np.dot(np.asarray(omega, float), self.ell))
-        self._eig = None
-
-    @classmethod
-    def from_state(cls, state, lattice, ell, a_sq, b_sq, sign, omega):
-        left = state.d_blocks[a_sq]
-        right = state.d_blocks[b_sq]
-        if sign == "+":
-            perm = lattice.cluster(b_sq).neg_perm
-            right = np.conj(right[np.ix_(perm, perm)])
-        return cls(ell, a_sq, b_sq, sign, left, right, omega)
 
     def eig(self):
-        if self._eig is None:
-            la, ua = np.linalg.eigh(self.left)
-            lb, ub = np.linalg.eigh(self.right)
-            self._eig = (la, ua, lb, ub)
-        return self._eig
+        return (*np.linalg.eigh(self.left), *np.linalg.eigh(self.right))
 
     def denominators(self):
         la, _, lb, _ = self.eig()
-        if self.sign == "-":
-            grid = la[:, None] - lb[None, :]
-        else:
-            grid = la[:, None] + lb[None, :]
-        return self.omega_ell + grid
+        return self.omega_ell + _combo_grid(la, lb, self.sign)
+
+
+def _solve_stack(ells, wl, a_sq, b_sq, sign, left, right, rhs):
+    """A^sign X_i = -i rhs_i on a (k, n_a, n_b) stack at ells, wl = omega.ell,
+    (lambda, U) = left, right: X_i = U_a((U_a^H (-i rhs_i) U_b) / den_i)U_b^H,
+    den_i = wl[i] + lambda_a -+ lambda_b.  Returns (X, min |den_i|); a zero
+    one raises ResonanceError at its block."""
+    (la, ua), (lb, ub) = left, right
+    den = wl[:, None, None] + _combo_grid(la, lb, sign)
+    dmin = np.min(np.abs(den), axis=(1, 2))
+    if not dmin.all():
+        raise ResonanceError(ells[np.argmin(dmin)], a_sq, b_sq, sign, 0.0)
+    y = ua.conj().T @ (-1j * rhs) @ ub
+    return ua @ (y / den) @ ub.conj().T, dmin
 
 
 def sylvester_solve(syl, rhs):
-    """Solve A^sign X = -i rhs in the joint eigenbasis.
-
-    Returns (X, inverse_norm).  A vanishing denominator raises
-    ResonanceError carrying the offending mode.
-    """
+    """(X, inverse_norm) of A^sign X = -i rhs: ``_solve_stack`` on one block."""
     la, ua, lb, ub = syl.eig()
-    den = syl.denominators()
-    dmin = float(np.min(np.abs(den)))
-    if dmin == 0.0:
-        raise ResonanceError(syl.ell, syl.a_sq, syl.b_sq, syl.sign, 0.0)
-    rhs = np.asarray(rhs, dtype=complex)
-    y = ua.conj().T @ (-1j * rhs) @ ub
-    x = ua @ (y / den) @ ub.conj().T
-    return x, 1.0 / dmin
+    x, dmin = _solve_stack([syl.ell], np.array([syl.omega_ell]), syl.a_sq,
+                           syl.b_sq, syl.sign, (la, ua), (lb, ub),
+                           np.asarray(rhs, dtype=complex)[None])
+    return x[0], 1.0 / float(dmin[0])
 
 
 def _melnikov_scan(state, lattice, config, omega, n_cut, nu):
     """First failing Melnikov condition for |ell| <= N and alpha, beta <= N.
 
-    Cluster pairs outer; per pair the difference condition over all ell,
-    then the sum condition, each one ``divisor_check`` (ties fail) on the
-    eigenvalues of D_a and of D_b (conj-permuted for the sum).  The ell box
-    |ell|_inf <= N is enumerated only up to MAX_SCAN_ELLS points.
+    Cluster pairs outer, per pair the difference condition then the sum
+    condition on the cached eigenvalues (conj-permuted for the sum): one
+    ``_hull_hits`` pass yields each condition's candidates in lexicographic
+    order, its reach the threshold at the smallest <ell>^tau (its largest,
+    rounding being monotone); ties fail.  The ell box |ell|_inf <= N is
+    enumerated only up to MAX_SCAN_ELLS points.
     """
     n_box = (2 * n_cut + 1) ** nu
     if n_box > MAX_SCAN_ELLS:
         raise ResourceLimitError(n_cut, nu, n_box, MAX_SCAN_ELLS)
     ells = ell_box(nu, n_cut)
     ells = ells[np.sum(ells * ells, axis=1) <= n_cut * n_cut]
+    zero = len(ells) // 2  # the ball is symmetric, in lexicographic order
     ell_arr = ells.astype(float)
     omega_ell = ell_arr @ np.asarray(omega, float)
     bracket_tau = np.maximum(1.0, np.linalg.norm(ell_arr, axis=1)) ** config.tau
-    order = np.argsort(omega_ell, kind="stable")
-    xs, bracket_tau = omega_ell[order], bracket_tau[order]
-    at_zero = ~ells[order].any(axis=1)
-    eigs = state.eig_tables()
-    eigs_conj = {}
-    for a_sq, mat in state.d_blocks.items():
-        perm = lattice.cluster(a_sq).neg_perm
-        eigs_conj[a_sq] = np.linalg.eigvalsh(np.conj(mat[np.ix_(perm, perm)]))
+
+    def threshold(ca, cb, sign, bt):
+        if sign == "-":
+            return config.gamma / ((ca.alpha * cb.alpha) ** config.dd * bt)
+        return config.gamma * (ca.alpha + cb.alpha) / bt
+
     inside = [c for c in lattice.clusters if c.alpha <= n_cut]
-    for ca, cb in itertools.product(inside, inside):
-        a_sq, b_sq = ca.alpha_sq, cb.alpha_sq
-        thr_minus = config.gamma / ((ca.alpha * cb.alpha) ** config.dd * bracket_tau)
-        thr_plus = config.gamma * (ca.alpha + cb.alpha) / bracket_tau
-        for sign, right, thr in (("-", eigs[b_sq], thr_minus),
-                                 ("+", eigs_conj[b_sq], thr_plus)):
-            pos, gap, bad = divisor_check(
-                xs, sorted_combos(eigs[a_sq], right, sign), thr, closed=True)
-            if sign == "-" and a_sq == b_sq:
-                bad &= ~at_zero[pos]
-            if bad.any():  # report the first failing ell in lexicographic order
-                p = np.flatnonzero(bad)[np.argmin(order[pos[bad]])]
-                return False, ResonanceError(ells[order[pos[p]]], a_sq, b_sq,
-                                             sign, gap[p], thr[pos[p]])
+    conds = [(ca, cb, sign) for ca, cb in itertools.product(inside, inside)
+             for sign in "-+"]
+    combos = [sorted_combos(state.eig(lattice, ca.alpha_sq)[0],
+                            state.eig(lattice, cb.alpha_sq, sign)[0], sign)
+              for ca, cb, sign in conds]
+    sizes = [d.size for d in combos]
+    reach = [threshold(*cond, 1.0) for cond in conds]  # <0>^tau = 1, the least
+    for c, s in _hull_hits(omega_ell, np.sort(omega_ell), np.concatenate(combos),
+                           np.cumsum(sizes) - sizes, np.repeat(reach, sizes)):
+        ca, cb, sign = conds[c]
+        if sign == "-" and ca is cb:
+            s = s[s != zero]  # (0, a, a) is absorbed, not solved
+        thr = threshold(ca, cb, sign, bracket_tau[s])
+        gap = _gap(omega_ell[s], combos[c])
+        bad = np.flatnonzero(~(gap > thr))
+        if bad.size:
+            p = bad[0]
+            return False, ResonanceError(ells[s[p]], ca.alpha_sq, cb.alpha_sq,
+                                         sign, gap[p], thr[p])
     return True, None
 
 
@@ -217,24 +216,29 @@ def assemble_homological_solution(state, lattice, config, omega, n_cut):
 
     On the stored top row (r1, r2) the blockwise equations read
     A^-(ell,a,b) psi1 = -i r1_hat(ell),  A^+(ell,a,b) psi2 = -i r2_hat(ell),
-    with psi1 zeroed at (0, a, a) where the diagonal is absorbed instead.
+    with psi1 zeroed at (0, a, a) where the diagonal is absorbed instead;
+    one ``_solve_stack`` call per cluster-pair stack.
     """
     rem = state.remainder
-    zero = (0,) * rem.r1.nu
-    solved = ({}, {})
-    for blocks, part, sign in ((solved[0], rem.r1, "-"), (solved[1], rem.r2, "+")):
-        for (ell, a_sq, b_sq), mat in part.items():
-            size = max(
-                np.linalg.norm(ell), lattice.alpha(a_sq), lattice.alpha(b_sq)
-            )
-            if size > n_cut or (sign == "-" and ell == zero and a_sq == b_sq):
-                continue
-            syl = SylvesterOperator.from_state(
-                state, lattice, ell, a_sq, b_sq, sign, omega
-            )
-            blocks[(ell, a_sq, b_sq)], _ = sylvester_solve(syl, mat)
-    return PairedBlockOperator(
-        *(BlockOperator(lattice, rem.r1.nu, rem.r1.ell_max, b) for b in solved))
+    nu, ell_max = rem.r1.nu, rem.r1.ell_max
+    box, norms = ell_table(nu, ell_max)
+    omega = np.asarray(omega, dtype=float)
+    psi = PairedBlockOperator.zero(lattice, nu, ell_max)
+    for part, out, sign in ((rem.r1, psi.r1, "-"), (rem.r2, psi.r2, "+")):
+        for (a_sq, b_sq), (idx, mats) in part.stacks.items():
+            keep = np.maximum(norms[idx], max(lattice.alpha(a_sq),
+                                              lattice.alpha(b_sq))) <= n_cut
+            if sign == "-" and a_sq == b_sq:
+                keep &= idx != len(box) // 2
+            if keep.any():
+                ells = box[idx[keep]]
+                # one (1, nu) @ (nu,) product per ell rounds as np.dot
+                wl = (ells[:, None, :] @ omega)[:, 0]
+                x, _ = _solve_stack(ells, wl, a_sq, b_sq, sign,
+                                    state.eig(lattice, a_sq),
+                                    state.eig(lattice, b_sq, sign), mats[keep])
+                out.stacks[(a_sq, b_sq)] = (idx[keep], x)
+    return psi
 
 
 def kam_step(state, lattice, config, omega):

@@ -9,7 +9,8 @@ A frequency is accepted when every eigenvalue-difference condition
     |omega.ell + lambda_k + lambda_j| >= 2 gamma (alpha + beta) / <ell>^tau
 
 holds for every ell in the box |ell|_inf <= ell_max (ties pass); the KAM
-Melnikov scan shares the gap kernel ``_gap``.  Lebesgue measure is
+Melnikov scan shares the window kernel ``_hull_hits`` and the gap kernel
+``_gap``.  Lebesgue measure is
 approximated by the sample fraction on a declared grid; the analytic Fubini
 argument is replaced by this sampling, which is the honest numerical
 counterpart.
@@ -35,7 +36,6 @@ __all__ = [
     "ResonanceReport",
     "classify_omega",
     "classify_grid",
-    "divisor_check",
     "measure_sweep",
     "sorted_combos",
 ]
@@ -90,10 +90,14 @@ class ResonanceReport:
         }
 
 
+def _combo_grid(la, lb, sign):
+    """The (k, j) grid of la[k] - lb[j] (sign '-') or la[k] + lb[j] ('+')."""
+    return la[:, None] - lb[None, :] if sign == "-" else la[:, None] + lb[None, :]
+
+
 def sorted_combos(la, lb, sign):
-    """The combinations la[k] - lb[j] (sign '-') or la[k] + lb[j] ('+'), sorted."""
-    grid = la[:, None] - lb[None, :] if sign == "-" else la[:, None] + lb[None, :]
-    return np.sort(grid.ravel())
+    """The combinations of ``_combo_grid``, sorted."""
+    return np.sort(_combo_grid(la, lb, sign).ravel())
 
 
 def _windows(xs, d, thr_max):
@@ -112,25 +116,19 @@ def _gap(x, combos):
                       np.abs(x + combos[np.minimum(i, combos.size - 1)]))
 
 
-def divisor_check(xs, combos, thr, closed=False):
-    """The small-divisor kernel: which x fail min_d |x + d| against thr.
-
-    ``xs`` ascends, ``combos`` comes from ``sorted_combos`` and ``thr``
-    broadcasts against xs, with leading axes for several threshold sets.
-    Only the x in a window around some -d are read (sorted range queries);
-    their min_d |x + d| is ``_gap``'s.
-    Returns (pos, gap, bad): window positions in xs, their minima, and
-    bad[..., p] where pos[p] fails: not gap > thr when ``closed`` (ties fail,
-    the KAM rule), else not gap >= thr (ties pass, the classifier rule).
-    """
-    thr = np.asarray(thr, dtype=float)
-    lo, hi = _windows(xs, combos, np.max(thr, initial=0.0))
-    edges = (np.bincount(lo, minlength=xs.size + 1)
-             - np.bincount(hi, minlength=xs.size + 1))
-    pos = np.flatnonzero(np.cumsum(edges[:-1]))
-    gap = _gap(xs[pos], combos)
-    t = np.broadcast_to(thr, thr.shape[:-1] + xs.shape)[..., pos]
-    return pos, gap, ~(gap > t) if closed else ~(gap >= t)
+def _hull_hits(wl, xs, every, starts, thr_max):
+    """The window kernel: ``wl`` holds omega.ell, ``xs`` its sorted copy,
+    ``every`` each condition's sorted combos concatenated (condition c from
+    starts[c]) and ``thr_max`` each combo's largest threshold.  Yields (c, s),
+    c ascending, for each condition with a value in one of its windows, s the
+    ascending indices of wl inside the hull of those windows; the extra ones
+    are checked exactly and pass, so no verdict depends on the order of wl."""
+    lo, hi = _windows(xs, every, thr_max)
+    hit = lo < hi
+    lo = np.minimum.reduceat(np.where(hit, lo, xs.size), starts)
+    hi = np.maximum.reduceat(np.where(hit, hi, 0), starts)
+    for c in np.flatnonzero(lo < hi):
+        yield c, np.flatnonzero((wl >= xs[lo[c]]) & (wl <= xs[hi[c] - 1]))
 
 
 def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
@@ -173,16 +171,8 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
                         np.where(keep_q, g2 * (a + b) / bracket_tau, -np.inf)],
                        axis=2).reshape(len(gammas), len(combos))
         wl = samples @ np.asarray(ell, dtype=float)
-        xs = np.sort(wl)
-        # only conditions with a sample in one of their windows can fail; all
-        # samples in the hull of those windows are checked exactly, so the
-        # extra ones pass, and no verdict depends on the sample order
-        lo, hi = _windows(xs, every, np.max(thr, axis=0)[cond])
-        hit = lo < hi
-        lo = np.minimum.reduceat(np.where(hit, lo, xs.size), starts)
-        hi = np.maximum.reduceat(np.where(hit, hi, 0), starts)
-        for c in np.flatnonzero(lo < hi):
-            s = np.flatnonzero((wl >= xs[lo[c]]) & (wl <= xs[hi[c] - 1]))
+        for c, s in _hull_hits(wl, np.sort(wl), every, starts,
+                               np.max(thr, axis=0)[cond]):
             g, p = np.nonzero(~(_gap(wl[s], combos[c]) >= thr[:, c, None]))
             if g.size:
                 yield ell, pairs[c // 2], "RQ"[c % 2], thr[:, c], g, s[p]

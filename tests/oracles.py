@@ -1,9 +1,16 @@
 """Reference implementations kept verbatim as oracles; none of it is used by
 the package.
 
-- The dense per-(ell, cluster pair) small-divisor scans that
-  ``resonance.divisor_check`` replaced: each forms the full table
-  |omega.ell + lambda -+ mu| for each cluster pair and takes its minimum.
+- The dense per-(ell, cluster pair) small-divisor scans that the window
+  kernel replaced: each forms the full table |omega.ell + lambda -+ mu| for
+  each cluster pair and takes its minimum.  Their eigenvalue tables are the
+  KAM state's cached ``eigh`` eigenvalues, as the scan's are.
+- ``divisor_check``, the one-pair window kernel that the KAM Melnikov scan
+  called once per cluster pair and sign before all conditions of a step
+  went through ``resonance._hull_hits`` in one pass.
+- The per-block homological solve that the stack solve of
+  ``kam.assemble_homological_solution`` replaced: one
+  ``SylvesterOperator.from_state`` and two ``eigh`` per block.
 - The dict-based RK4 integrator that ``dynamics.evolve_original`` replaced: it
   rebuilds ``dict j -> complex`` of the forcing at every stage.
 - The stage-by-stage vector RK4 that the per-block step propagators of
@@ -55,7 +62,7 @@ from wavekam.errors import (ContractViolation, ParameterError, ResonanceError,
 from wavekam.hamiltonian import BlockMatrix2, ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
-from wavekam.resonance import ResonanceReport
+from wavekam.resonance import ResonanceReport, _gap, _windows
 from wavekam.series import truncated_series
 from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
 
@@ -80,7 +87,7 @@ def check_melnikov(state, lattice, config, omega, ell, a_sq, b_sq, kind):
     ell = tuple(int(x) for x in ell)
     if kind == "-" and a_sq == b_sq and not any(ell):
         return True, math.inf
-    syl = SylvesterOperator.from_state(state, lattice, ell, a_sq, b_sq, kind, omega)
+    syl = sylvester_from_state(state, lattice, ell, a_sq, b_sq, kind, omega)
     inv = inverse_norm(syl)
     bracket_ell = max(1.0, float(np.linalg.norm(ell)))
     alpha = lattice.alpha(a_sq)
@@ -107,11 +114,9 @@ def melnikov_scan(state, lattice, config, omega, n_cut, nu):
     ell_arr = np.array(ells, dtype=float)
     omega_ell = ell_arr @ omega
     bracket = np.maximum(1.0, np.linalg.norm(ell_arr, axis=1))
-    eigs = state.eig_tables()
-    eigs_conj = {}
-    for a_sq, mat in state.d_blocks.items():
-        perm = lattice.cluster(a_sq).neg_perm
-        eigs_conj[a_sq] = np.linalg.eigvalsh(np.conj(mat[np.ix_(perm, perm)]))
+    eigs = {a_sq: state.eig(lattice, a_sq)[0] for a_sq in state.d_blocks}
+    eigs_conj = {a_sq: state.eig(lattice, a_sq, "+")[0]
+                 for a_sq in state.d_blocks}
     for ca in lattice.clusters:
         if ca.alpha > n_cut:
             continue
@@ -145,6 +150,76 @@ def melnikov_scan(state, lattice, config, omega, n_cut, nu):
                     float(thr_plus[k]),
                 )
     return True, None
+
+
+def divisor_check(xs, combos, thr, closed=False):
+    """The small-divisor kernel: which x fail min_d |x + d| against thr.
+
+    ``xs`` ascends, ``combos`` comes from ``sorted_combos`` and ``thr``
+    broadcasts against xs, with leading axes for several threshold sets.
+    Only the x in a window around some -d are read (sorted range queries);
+    their min_d |x + d| is ``_gap``'s.
+    Returns (pos, gap, bad): window positions in xs, their minima, and
+    bad[..., p] where pos[p] fails: not gap > thr when ``closed`` (ties fail,
+    the KAM rule), else not gap >= thr (ties pass, the classifier rule).
+    """
+    thr = np.asarray(thr, dtype=float)
+    lo, hi = _windows(xs, combos, np.max(thr, initial=0.0))
+    edges = (np.bincount(lo, minlength=xs.size + 1)
+             - np.bincount(hi, minlength=xs.size + 1))
+    pos = np.flatnonzero(np.cumsum(edges[:-1]))
+    gap = _gap(xs[pos], combos)
+    t = np.broadcast_to(thr, thr.shape[:-1] + xs.shape)[..., pos]
+    return pos, gap, ~(gap > t) if closed else ~(gap >= t)
+
+
+# ---------------------------------------------------------------------------
+# Per-block homological solve (formerly kam.assemble_homological_solution,
+# SylvesterOperator.from_state and the body of kam.sylvester_solve)
+# ---------------------------------------------------------------------------
+
+
+def sylvester_from_state(state, lattice, ell, a_sq, b_sq, sign, omega):
+    left = state.d_blocks[a_sq]
+    right = state.d_blocks[b_sq]
+    if sign == "+":
+        perm = lattice.cluster(b_sq).neg_perm
+        right = np.conj(right[np.ix_(perm, perm)])
+    return SylvesterOperator(ell, a_sq, b_sq, sign, left, right, omega)
+
+
+def sylvester_solve_per_block(syl, rhs):
+    """Solve A^sign X = -i rhs in the joint eigenbasis of one block."""
+    la, ua, lb, ub = syl.eig()
+    den = syl.denominators()
+    dmin = float(np.min(np.abs(den)))
+    if dmin == 0.0:
+        raise ResonanceError(syl.ell, syl.a_sq, syl.b_sq, syl.sign, 0.0)
+    rhs = np.asarray(rhs, dtype=complex)
+    y = ua.conj().T @ (-1j * rhs) @ ub
+    x = ua @ (y / den) @ ub.conj().T
+    return x, 1.0 / dmin
+
+
+def assemble_per_block(state, lattice, config, omega, n_cut):
+    """Psi with -omega.dphi Psi + [D, Psi] + Pi_N R = Pi_N R_diag, one
+    Sylvester solve per stored block."""
+    rem = state.remainder
+    zero = (0,) * rem.r1.nu
+    solved = ({}, {})
+    for blocks, part, sign in ((solved[0], rem.r1, "-"), (solved[1], rem.r2, "+")):
+        for (ell, a_sq, b_sq), mat in part.items():
+            size = max(
+                np.linalg.norm(ell), lattice.alpha(a_sq), lattice.alpha(b_sq)
+            )
+            if size > n_cut or (sign == "-" and ell == zero and a_sq == b_sq):
+                continue
+            syl = sylvester_from_state(
+                state, lattice, ell, a_sq, b_sq, sign, omega
+            )
+            blocks[(ell, a_sq, b_sq)], _ = sylvester_solve_per_block(syl, mat)
+    return PairedBlockOperator(
+        *(BlockOperator(lattice, rem.r1.nu, rem.r1.ell_max, b) for b in solved))
 
 
 # ---------------------------------------------------------------------------

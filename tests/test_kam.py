@@ -12,16 +12,18 @@ from wavekam.kam import (
     KamState,
     SylvesterOperator,
     _melnikov_scan,
+    _solve_stack,
     assemble_homological_solution,
     final_eigenvalues,
     kam_run,
     kam_step,
     sylvester_solve,
 )
-from wavekam.resonance import divisor_check, sorted_combos
+from wavekam.resonance import sorted_combos
 
 import oracles
 from conftest import random_hamiltonian_paired, rng_for
+from test_small_divisors import hermitian_block
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # strongly non-resonant against the toy spectrum {1, sqrt(2), 2}: the worst
@@ -112,6 +114,25 @@ class TestSylvester:
                 1.0, np.abs(x_oracle).max()
             )
             assert inv == pytest.approx(inv_oracle, rel=1e-12)
+        # one more input: a k = 3 stack of ells through the stack kernel
+        rng = rng_for("sylvester-stack", sign)
+        ells = np.array([(1, -2), (0, 3), (-2, 1)])
+        omega = np.array([0.3, 0.7])
+        for trial in range(20):
+            na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            left, right = random_hermitian(rng, na), random_hermitian(rng, nb)
+            rhs = (rng.standard_normal((3, na, nb))
+                   + 1j * rng.standard_normal((3, na, nb)))
+            x, dmin = _solve_stack(ells, (ells[:, None, :] @ omega)[:, 0], 1, 2,
+                                   sign, np.linalg.eigh(left),
+                                   np.linalg.eigh(right), rhs)
+            for ell, r, x_i, d_i in zip(ells, rhs, x, dmin):
+                x_oracle, inv_oracle = kron_oracle(
+                    SylvesterOperator(ell, 1, 2, sign, left, right, omega), r)
+                assert np.abs(x_i - x_oracle).max() <= 1e-11 * max(
+                    1.0, np.abs(x_oracle).max()
+                )
+                assert 1.0 / d_i == pytest.approx(inv_oracle, rel=1e-12)
 
     def test_exact_resonance_raises(self):
         syl = SylvesterOperator((0,), 1, 1, "-", [[2.0]], [[2.0]], [0.0])
@@ -123,13 +144,8 @@ class TestSylvester:
 def melnikov_condition(state, lat, cfg, omega, ell, a_sq, b_sq, kind):
     """One KAM Melnikov condition through the kernel: (fails, gap, threshold),
     gap None when omega.ell lies outside every window that could fail."""
-    eigs = state.eig_tables()
-    right = eigs[b_sq]
-    if kind == "+":
-        perm = lat.cluster(b_sq).neg_perm
-        right = np.linalg.eigvalsh(
-            np.conj(state.d_blocks[b_sq][np.ix_(perm, perm)])
-        )
+    left = state.eig(lat, a_sq)[0]
+    right = state.eig(lat, b_sq, kind)[0]
     x = np.asarray([ell], dtype=float) @ omega
     bracket = max(1.0, float(np.linalg.norm(ell)))
     a, b = lat.alpha(a_sq), lat.alpha(b_sq)
@@ -137,8 +153,8 @@ def melnikov_condition(state, lat, cfg, omega, ell, a_sq, b_sq, kind):
         thr = cfg.gamma / ((a * b) ** cfg.dd * bracket**cfg.tau)
     else:
         thr = cfg.gamma * (a + b) / bracket**cfg.tau
-    _, gap, bad = divisor_check(x, sorted_combos(eigs[a_sq], right, kind), thr,
-                                closed=True)
+    _, gap, bad = oracles.divisor_check(x, sorted_combos(left, right, kind),
+                                        thr, closed=True)
     return bool(bad.any()), (float(gap[0]) if gap.size else None), thr
 
 
@@ -182,6 +198,75 @@ class TestMelnikov:
         assert bad
         ok, err = _melnikov_scan(state, lat, cfg, omega, cfg.n_k(0), 2)
         assert not ok and err.kind == "-"
+
+
+class TestStackSolve:
+    @pytest.mark.parametrize("kind", ["generic", "scalar", "repeated",
+                                      "rotated"])
+    @pytest.mark.parametrize("n_cut", [1, 2, 4])
+    def test_matches_per_block_oracle(self, kind, n_cut):
+        # D_a = alpha I + a perturbation with repeated eigenvalues unless
+        # generic; n_cut 1 and 2 leave clusters and ell outside N_k
+        lat = toy_lattice()
+        rng = rng_for("kam-stack", kind, n_cut)
+        rem = random_hamiltonian_paired(lat, 2, 4, rng)
+        for c in lat.clusters:  # (0, a, a) blocks, absorbed instead of solved
+            rem.r1.set_block((0, 0), c.alpha_sq, c.alpha_sq,
+                             1j * random_hermitian(rng, c.n_alpha))
+        state = toy_state(lat, rem * 1e-3)
+        state.d_blocks = {c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha,
+                                                      kind, 1e-2)
+                          for c in lat.clusters}
+        assert len(rem.r1) and len(rem.r2)  # both signs
+        assert any(max(np.linalg.norm(ell), lat.alpha(a), lat.alpha(b)) > n_cut
+                   for (ell, a, b), _ in rem.r1.items())
+        cfg = toy_config()
+        got = assemble_homological_solution(state, lat, cfg, OMEGA, n_cut)
+        want = oracles.assemble_per_block(state, lat, cfg, OMEGA, n_cut)
+        for g, w in ((got.r1, want.r1), (got.r2, want.r2)):
+            assert g.stacks.keys() == w.stacks.keys()
+            for key, (idx, mats) in w.stacks.items():
+                np.testing.assert_array_equal(g.stacks[key][0], idx)
+                assert g.stacks[key][1].shape == mats.shape
+                assert g.stacks[key][1].tobytes() == mats.tobytes()
+
+    @pytest.mark.parametrize("sign, ell, b_sq", [("-", (1, 0), 4),
+                                                 ("+", (-2, 0), 1)])
+    def test_vanishing_denominator_raises(self, sign, ell, b_sq):
+        # omega.ell + 1 -+ beta = 0 exactly at omega = (1, golden)
+        lat = toy_lattice()
+        omega = np.array([1.0, GOLDEN])
+        part = BlockOperator(lat, 2, 3, {
+            (ell, 1, b_sq): np.ones((4, 4)), ((0, 1), 1, b_sq): np.ones((4, 4))})
+        rem = (PairedBlockOperator(part, BlockOperator(lat, 2, 3)) if sign == "-"
+               else PairedBlockOperator(BlockOperator(lat, 2, 3), part))
+        state = toy_state(lat, rem)
+        with pytest.raises(ResonanceError) as err:
+            assemble_homological_solution(state, lat, toy_config(), omega, 4)
+        e = err.value
+        assert (e.ell, e.alpha_sq, e.beta_sq, e.kind, e.value) == (
+            ell, 1, b_sq, sign, 0.0)
+        syl = oracles.sylvester_from_state(state, lat, e.ell, e.alpha_sq,
+                                           e.beta_sq, e.kind, omega)
+        assert np.min(np.abs(syl.denominators())) == 0.0
+
+    def test_one_eigendecomposition_per_cluster(self, monkeypatch):
+        # the scan and every solve of a step read one eigh of D_a and one of
+        # conj(P D_a P) per cluster; no eigvalsh table is formed
+        lat = toy_lattice()
+        rng = rng_for("kam-eigh-count")
+        rem = random_hamiltonian_paired(lat, 2, 4, rng, ell_support=1)
+        state = toy_state(lat, rem * (1e-3 / rem.decay_norm(0.0)))
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name,
+                        **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        kam_step(state, lat, toy_config(), OMEGA)
+        assert calls["eigvalsh"] == 0
+        assert 0 < calls["eigh"] <= 2 * len(lat.clusters)
 
 
 class TestKamStep:

@@ -8,12 +8,11 @@ from wavekam.resonance import (
     EigenData,
     classify_grid,
     classify_omega,
-    divisor_check,
     measure_sweep,
     sorted_combos,
 )
 
-from oracles import OmegaGrid, eigenvalue_lipschitz_audit
+from oracles import OmegaGrid, divisor_check, eigenvalue_lipschitz_audit
 
 from conftest import rng_for
 

@@ -24,7 +24,6 @@ from wavekam.resonance import (
     _grid_masks,
     classify_grid,
     classify_omega,
-    divisor_check,
     measure_sweep,
     sorted_combos,
 )
@@ -102,6 +101,27 @@ def state_of(blocks):
     return KamState(step=0, d_blocks=blocks, remainder=None, accumulated=None)
 
 
+def probe_frequency(state, lattice, cfg, n_cut, rng, kind):
+    """omega.ell at ell = (1, 0, ...), that is omega_1, placed exactly at -d
+    ('at'), at a window edge -d -+ reach of the scan ('below', 'above') or
+    at the midpoint of -d and its neighbour ('mid'), for a combination d of
+    the state's cached tables: the hull candidates the one-pass kernel
+    reads."""
+    inside = [c for c in lattice.clusters if c.alpha <= n_cut]
+    ca, cb = (inside[i] for i in rng.integers(len(inside), size=2))
+    sign = "-+"[int(rng.integers(2))]
+    combos = sorted_combos(state.eig(lattice, ca.alpha_sq)[0],
+                           state.eig(lattice, cb.alpha_sq, sign)[0], sign)
+    # the condition's largest threshold, at <ell>^tau = 1
+    thr = (cfg.gamma / (ca.alpha * cb.alpha) ** cfg.dd if sign == "-"
+           else cfg.gamma * (ca.alpha + cb.alpha))
+    i = int(rng.integers(combos.size))
+    if kind == "mid" and i + 1 < combos.size:
+        return -0.5 * (combos[i] + combos[i + 1])
+    reach = 2.0 * thr + 1e-15 * abs(combos[i])
+    return -combos[i] + {"below": -reach, "above": reach}.get(kind, 0.0)
+
+
 class TestKernel:
     @PROPERTY
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
@@ -115,8 +135,8 @@ class TestKernel:
         dense = np.min(np.abs(x[:, None] + table[None, :]), axis=1)
         thr = scale * rng.random(x.size)
         thr[::7] = dense[::7]  # exact ties
-        pos, gap, bad = divisor_check(x, sorted_combos(la, lb, "-"), thr,
-                                      closed=closed)
+        pos, gap, bad = oracles.divisor_check(x, sorted_combos(la, lb, "-"),
+                                              thr, closed=closed)
         want = dense <= thr if closed else dense < thr
         assert np.array_equal(np.flatnonzero(want), pos[bad])
         assert np.array_equal(gap, dense[pos])  # bit for bit
@@ -125,7 +145,7 @@ class TestKernel:
         x = np.linspace(-1.0, 1.0, 41)
         combos = np.array([-0.5, 0.5])
         thr = np.array([[0.1], [0.0], [-np.inf]])
-        pos, gap, bad = divisor_check(x, combos, thr)
+        pos, gap, bad = oracles.divisor_check(x, combos, thr)
         assert bad.shape == (3, pos.size)
         assert np.array_equal(x[pos[bad[0]]], x[np.abs(np.abs(x) - 0.5) < 0.1])
         assert not bad[1:].any()
@@ -134,13 +154,18 @@ class TestKernel:
 class TestMelnikovScan:
     @PROPERTY
     @given(spectra(), frequencies, gammas, exponents, exponents,
-           st.integers(1, 6))
-    def test_matches_dense_scan(self, spec, omega, gamma, tau, dd, n_cut):
+           st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, "at", "below", "above", "mid"]))
+    def test_matches_dense_scan(self, spec, omega, gamma, tau, dd, n_cut,
+                                seed, probe):
         lattice, blocks = spec
         omega = np.array(omega)
         cfg = KamConfig(nu=omega.size, d=lattice.d, gamma=gamma, tau=tau,
                         dd=dd)
         state = state_of(blocks)
+        if probe is not None:
+            omega[0] = probe_frequency(state, lattice, cfg, n_cut,
+                                       np.random.default_rng(seed), probe)
         ok, err = _melnikov_scan(state, lattice, cfg, omega, n_cut, omega.size)
         ok_ref, err_ref = oracles.melnikov_scan(state, lattice, cfg, omega,
                                                 n_cut, omega.size)
