@@ -46,8 +46,9 @@ __all__ = [
     "operator_exponential",
 ]
 
-# compose keeps its product temporaries per GEMM within this many bytes
+# byte cap on compose's temporaries per GEMM and on its scatter plans (_PLANS)
 _CHUNK_BYTES = 2**24
+_PLANS = {}
 
 
 def _hs_sq(mats):
@@ -243,15 +244,6 @@ class BlockOperator:
     def adjoint(self):
         return self.conj().transpose()
 
-    def is_real(self, tol=1e-12):
-        return _op_close(self, self.conj(), tol)
-
-    def is_symmetric(self, tol=1e-12):
-        return _op_close(self, self.transpose(), tol)
-
-    def is_selfadjoint(self, tol=1e-12):
-        return _op_close(self, self.adjoint(), tol)
-
     # -- derivatives ----------------------------------------------------------
     def omega_dphi(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -281,12 +273,6 @@ class BlockOperator:
             h for _, mats in self.stacks.values() for h in _hs_sq(mats).tolist()))
 
 
-def _op_close(x, y, tol):
-    diff = x - y
-    scale = max(x.hs_total(), 1.0)
-    return diff.hs_total() <= tol * scale
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -304,8 +290,12 @@ def _scatter_pattern(nu, ell_max, i1, i2):
     i1, i2: sorted flat positions; product (i, j) is number
     i * len(i2) + j.  Returns (order, starts, out, lost): the in-box products
     sorted stably by output position, the starts of their runs, the output
-    position of each run, and the products outside the box.
+    position of each run, and the products outside the box.  Plans are
+    read-only and memoized by (nu, L, i1 bytes, i2 bytes).
     """
+    key = (nu, ell_max, i1.tobytes(), i2.tobytes())
+    if key in _PLANS:
+        return _PLANS[key]
     box = ell_table(nu, ell_max)[0]
     e1, e2 = box[i1], box[i2]
     inbox = np.ones((len(i1), len(i2)), dtype=bool)
@@ -318,7 +308,12 @@ def _scatter_pattern(nu, ell_max, i1, i2):
     order = order[np.argsort(pos[order], kind="stable")]
     pos = pos[order]
     starts = np.flatnonzero(np.diff(pos, prepend=-1))
-    return order, starts, pos[starts], np.flatnonzero(~inbox)
+    plan = _PLANS[key] = (order, starts, pos[starts], np.flatnonzero(~inbox))
+    for x in plan:
+        x.flags.writeable = False
+    while sum(x.nbytes for v in _PLANS.values() for x in v) > _CHUNK_BYTES:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
 
 
 def compose(R, T):
@@ -407,9 +402,7 @@ class PairedBlockOperator:
 
     @classmethod
     def zero(cls, lattice, nu, ell_max):
-        return cls(
-            BlockOperator(lattice, nu, ell_max), BlockOperator(lattice, nu, ell_max)
-        )
+        return cls(BlockOperator(lattice, nu, ell_max), BlockOperator(lattice, nu, ell_max))
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):

@@ -49,19 +49,13 @@ class BlockMatrix2:
         return (self.a, self.b, self.c, self.d)
 
     def __add__(self, other):
-        return BlockMatrix2(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+        return BlockMatrix2(*(x + y for x, y in zip(self.entries(), other.entries())))
 
     def __sub__(self, other):
-        return BlockMatrix2(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
+        return BlockMatrix2(*(x - y for x, y in zip(self.entries(), other.entries())))
 
     def __mul__(self, scalar):
-        return BlockMatrix2(
-            self.a * scalar, self.b * scalar, self.c * scalar, self.d * scalar
-        )
+        return BlockMatrix2(*(x * scalar for x in self.entries()))
 
     __rmul__ = __mul__
 

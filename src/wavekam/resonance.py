@@ -8,12 +8,15 @@ A frequency is accepted when every eigenvalue-difference condition
 
     |omega.ell + lambda_k + lambda_j| >= 2 gamma (alpha + beta) / <ell>^tau
 
-holds for every ell in the box |ell|_inf <= ell_max (ties pass); the KAM
-Melnikov scan shares the window kernel ``_hull_hits`` and the gap kernel
-``_gap``.  Lebesgue measure is
-approximated by the sample fraction on a declared grid; the analytic Fubini
-argument is replaced by this sampling, which is the honest numerical
-counterpart.
+holds for every ell in the box |ell|_inf <= ell_max (ties pass).  The scan
+visits the box rows up to ell = 0 only: the difference condition at -ell for
+(alpha, beta) is the one at ell for (beta, alpha) bit for bit, since
+fl(-x) = -fl(x), the (beta, alpha) combinations are the (alpha, beta) ones
+negated, and thresholds and pruning see ell only through |ell|; the sum
+condition at -ell is checked against the sums negated and reversed.  The
+KAM Melnikov scan shares the window kernel ``_hull_hits`` and the gap kernel
+``_gap``.  Lebesgue measure is approximated by the sample fraction on a
+declared grid, the numerical counterpart of the analytic Fubini argument.
 
 Note alpha + beta >= 2 on the spectrum, so the bracketed and unbracketed
 forms of the sum threshold coincide; and the difference-certificates at
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .spectrum import ell_box
+from .spectrum import ell_table
 
 __all__ = [
     "EigenData",
@@ -64,11 +67,8 @@ class EigenData:
 
     @classmethod
     def from_blocks(cls, lattice, d_blocks, m=1.0):
-        return cls(
-            lattice,
-            {a: np.linalg.eigvalsh(mat) for a, mat in d_blocks.items()},
-            m,
-        )
+        return cls(lattice, {a: np.linalg.eigvalsh(mat) for a, mat in d_blocks.items()},
+                   m)
 
     def correction_bound(self):
         """max |lambda - m alpha| over the table."""
@@ -83,11 +83,8 @@ class ResonanceReport:
     certificates: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "omega": [float(x) for x in self.omega],
-            "accepted": self.accepted,
-            "certificates": self.certificates,
-        }
+        return {"omega": [float(x) for x in self.omega], "accepted": self.accepted,
+                "certificates": self.certificates}
 
 
 def _combo_grid(la, lb, sign):
@@ -132,9 +129,11 @@ def _hull_hits(wl, xs, every, starts, thr_max):
 
 
 def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
-    """Classifier failures over the box |ell|_inf <= ell_max, in scan order
-    (ell outer, then cluster pairs, 'R' before 'Q'): yields (ell, pair, kind,
-    thr, g, s), sample s failing at gammas[g], thr[g] the thresholds.
+    """Classifier failures over the box |ell|_inf <= ell_max from its rows
+    p <= center: yields (p, c, thr, g, s), p ascending, then c; sample s
+    fails at gammas[g] condition c = 3 i + k of cluster pair i (k = 0, 1:
+    difference, sum at ell; k = 2: sum at -ell, none at ell = 0), thr[g]
+    its thresholds.  The windows' thresholds are formed per distinct |ell|.
 
     Pruning (validated against the full scan in tests): a difference
     condition can only fail when m|alpha-beta| <= |omega||ell| + 2 gamma
@@ -150,61 +149,81 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     b = np.array([cb.alpha for _, cb in pairs])
     ab_dd = np.array([(ca.alpha * cb.alpha) ** dd for ca, cb in pairs])
     same = np.array([ca.alpha_sq == cb.alpha_sq for ca, cb in pairs])
-    combos = [sorted_combos(eigen.tables[ca.alpha_sq], eigen.tables[cb.alpha_sq],
-                            sign) for ca, cb in pairs for sign in "-+"]
-    every = np.concatenate(combos)
+    combos = []
+    for ca, cb in pairs:
+        la, lb = eigen.tables[ca.alpha_sq], eigen.tables[cb.alpha_sq]
+        add = sorted_combos(la, lb, "+")
+        combos += [sorted_combos(la, lb, "-"), add, -add[::-1]]
     sizes = [d.size for d in combos]
-    cond = np.repeat(np.arange(len(combos)), sizes)
+    every, cond = np.concatenate(combos), np.repeat(np.arange(len(combos)), sizes)
     starts = np.cumsum(sizes) - sizes
     g2 = 2.0 * np.asarray(gammas, dtype=float)[:, None]
-    for ell in ell_box(samples.shape[1], ell_max).tolist():
-        ell_norm = float(np.linalg.norm(ell))
-        bracket_tau = max(1.0, ell_norm) ** tau
-        keep_r = ~(same & (ell_norm == 0.0))
-        keep_q = True
-        if prune:
-            keep_r = keep_r & (m * np.abs(a - b)
-                               <= omega_max * ell_norm + g2 + 2.0 * r_max)
-            keep_q = (m - g2 / bracket_tau) * (a + b) <= (
-                omega_max * ell_norm + 2.0 * r_max)
-        thr = np.stack([np.where(keep_r, g2 / (bracket_tau * ab_dd), -np.inf),
-                        np.where(keep_q, g2 * (a + b) / bracket_tau, -np.inf)],
-                       axis=2).reshape(len(gammas), len(combos))
-        wl = samples @ np.asarray(ell, dtype=float)
-        for c, s in _hull_hits(wl, np.sort(wl), every, starts,
-                               np.max(thr, axis=0)[cond]):
-            g, p = np.nonzero(~(_gap(wl[s], combos[c]) >= thr[:, c, None]))
+    box, norms = ell_table(samples.shape[1], ell_max)
+    uniq, which = np.unique(norms[:len(box) // 2 + 1], return_inverse=True)
+    powers = [max(1.0, x) ** tau for x in uniq.tolist()]
+
+    def thresholds(u, i):
+        """(difference, sum) thresholds (gammas, pairs i) at |ell| = uniq[u]."""
+        ell_norm, bracket_tau = uniq[u], powers[u]
+        keep_r = ~(same[i] & (ell_norm == 0.0)) & ((not prune) | (
+            m * np.abs(a[i] - b[i]) <= omega_max * ell_norm + g2 + 2.0 * r_max))
+        keep_q = (not prune) | ((m - g2 / bracket_tau) * (a[i] + b[i])
+                                <= omega_max * ell_norm + 2.0 * r_max)
+        return (np.where(keep_r, g2 / (bracket_tau * ab_dd[i]), -np.inf),
+                np.where(keep_q, g2 * (a[i] + b[i]) / bracket_tau, -np.inf))
+
+    thr_max = np.array([[t.max(axis=0) for t in thresholds(u, slice(None))]
+                        for u in range(len(uniq))])[:, [0, 1, 1]]
+    thr_max[0, 2] = -np.inf  # uniq[0] = 0: -ell = ell adds no condition
+    thr_max = thr_max.transpose(0, 2, 1).reshape(len(uniq), -1)
+    for p, u in enumerate(which.tolist()):
+        wl = samples @ box[p].astype(float)
+        for c, s in _hull_hits(wl, np.sort(wl), every, starts, thr_max[u][cond]):
+            thr = thresholds(u, c // 3)[min(c % 3, 1)][:, 0]
+            g, q = np.nonzero(~(_gap(wl[s], combos[c]) >= thr[:, None]))
             if g.size:
-                yield ell, pairs[c // 2], "RQ"[c % 2], thr[:, c], g, s[p]
+                yield p, c, thr, g, s[q]
 
 
 def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
                    first_only=True):
     """Verdict for one frequency (nu,), or a list, one per row of an (m, nu)
     array, from one scan pruned with the rows' largest |omega|.  Certificates
-    carry the failing inequality, in scan order, each at the smallest entry
-    (k, j) of its table |omega.ell + lambda_k -+ lambda_j| evaluated from the
-    row alone; with ``first_only`` a row keeps only its first."""
+    carry the failing inequality, in scan order (box row, cluster pair, 'R'
+    before 'Q'), each at the smallest entry (k, j) of its table
+    |omega.ell + lambda_k -+ lambda_j| evaluated from the row alone; with
+    ``first_only`` a row keeps only its first.  The folded scan stops early
+    only once every row fails at a scanned row, before all still to come."""
     omega = np.asarray(omega, dtype=float)
     rows = np.atleast_2d(omega)
-    certs = [[] for _ in rows]
-    for ell, (ca, cb), kind, thr, _, hits in _scan_box(
-            rows, eigen, [gamma], tau, dd, ell_max, prune):
-        la = eigen.tables[ca.alpha_sq][:, None]
-        lb = eigen.tables[cb.alpha_sq][None, :]
+    box = ell_table(rows.shape[1], ell_max)[0]
+    clusters, last = eigen.lattice.clusters, len(box) - 1
+    n, found = len(clusters), [[] for _ in rows]
+    scanned = np.zeros(len(rows), dtype=bool)  # rows failing at a scanned row
+    for p, c, thr, _, hits in _scan_box(rows, eigen, [gamma], tau, dd,
+                                        ell_max, prune):
+        i, k = divmod(c, 3)
+        keys = [(p, i, k)] if k < 2 else [(last - p, i, 1)]
+        if k == 0 and 2 * p != last:  # the difference at -ell, pair swapped
+            keys.append((last - p, i % n * n + i // n, 0))
         for s in hits:
-            if first_only and certs[s]:
-                continue
-            # the one-row product: a batched one can round differently
-            wl = (rows[s:s + 1] @ np.asarray(ell, dtype=float))[0]
-            gap = np.abs(wl + la - lb) if kind == "R" else np.abs(wl + la + lb)
-            k, j = np.unravel_index(np.argmin(gap), gap.shape)
-            certs[s].append({
-                "kind": kind, "ell": list(ell), "alpha_sq": ca.alpha_sq,
-                "beta_sq": cb.alpha_sq, "k": int(k), "j": int(j),
-                "value": float(gap[k, j]), "threshold": float(thr[0])})
-        if first_only and all(certs):
+            found[s] += [key + (float(thr[0]),) for key in keys]
+        scanned[hits] |= k < 2
+        if first_only and scanned.all():
             break
+    certs = [[] for _ in rows]
+    for s, keys in enumerate(found):
+        for q, i, k, thr in sorted(keys)[:1 if first_only else None]:
+            ca, cb = clusters[i // n], clusters[i % n]
+            la, lb = eigen.tables[ca.alpha_sq][:, None], eigen.tables[cb.alpha_sq]
+            # the one-row product: a batched one can round differently
+            wl = (rows[s:s + 1] @ box[q].astype(float))[0]
+            gap = np.abs(wl + la - lb) if k == 0 else np.abs(wl + la + lb)
+            kmin, jmin = np.unravel_index(np.argmin(gap), gap.shape)
+            certs[s].append({
+                "kind": "RQ"[k], "ell": box[q].tolist(), "alpha_sq": ca.alpha_sq,
+                "beta_sq": cb.alpha_sq, "k": int(kmin), "j": int(jmin),
+                "value": float(gap[kmin, jmin]), "threshold": thr})
     reports = [ResonanceReport(w, not c, c) for w, c in zip(rows, certs)]
     return reports if omega.ndim == 2 else reports[0]
 
@@ -218,11 +237,8 @@ def _grid_masks(samples, eigen, gammas, tau, dd, ell_max):
 
 
 def classify_grid(samples, eigen, gamma, tau, dd, ell_max):
-    """Vectorized verdicts for a whole sample array (pre-screen scale).
-
-    Returns a boolean acceptance mask; identical verdict family as
-    classify_omega (tested), with pruning bounded by the largest sample norm.
-    """
+    """Boolean acceptance mask of a whole sample array: classify_omega's
+    verdicts (tested), with pruning bounded by the largest sample norm."""
     samples = np.asarray(samples, dtype=float)
     return _grid_masks(samples, eigen, [gamma], tau, dd, ell_max)[0]
 
@@ -247,12 +263,9 @@ def measure_sweep(samples, eigen, gamma_list, tau, dd, ell_max):
         pred = np.polyval(coeffs, gammas)
         ss_res = float(np.sum((fractions - pred) ** 2))
         ss_tot = float(np.sum((fractions - np.mean(fractions)) ** 2))
-        fit = {
-            "degenerate": False,
-            "slope": float(coeffs[0]),
-            "intercept": float(coeffs[1]),
-            "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan,
-        }
+        fit = {"degenerate": False, "slope": float(coeffs[0]),
+               "intercept": float(coeffs[1]),
+               "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan}
     rows = [
         {"gamma": float(gamma), "n_samples": int(samples.shape[0]),
          "n_excluded": int(np.sum(~mask)), "fraction": float(frac),

@@ -48,6 +48,8 @@ the package.
   operator on a space-time function.
 - ``AngleFunction.eval_at`` with its phases formed as the complex product
   ``(1j * points) @ ells.T``, which the one real product replaced.
+- The test-only predicates of ``BlockOperator``: ``is_real``,
+  ``is_symmetric`` and ``is_selfadjoint``, now functions of the operator.
 """
 
 import itertools
@@ -1208,6 +1210,30 @@ def eigenvalue_lipschitz_audit(grid, blocks_per_omega, lattice, slack=1e-10):
 
 
 # ---------------------------------------------------------------------------
+# Block-operator predicates (formerly BlockOperator.is_real, is_symmetric,
+# is_selfadjoint and blockop._op_close)
+# ---------------------------------------------------------------------------
+
+
+def _op_close(x, y, tol):
+    diff = x - y
+    scale = max(x.hs_total(), 1.0)
+    return diff.hs_total() <= tol * scale
+
+
+def is_real(op, tol=1e-12):
+    return _op_close(op, op.conj(), tol)
+
+
+def is_symmetric(op, tol=1e-12):
+    return _op_close(op, op.transpose(), tol)
+
+
+def is_selfadjoint(op, tol=1e-12):
+    return _op_close(op, op.adjoint(), tol)
+
+
+# ---------------------------------------------------------------------------
 # Real-coordinate fields (formerly hamiltonian.RealVectorField and
 # hamiltonian.complexify): the real 2x2 form of stages 1 and 2
 # ---------------------------------------------------------------------------
@@ -1217,7 +1243,7 @@ class RealVectorField(BlockMatrix2):
     """2x2 block field on (v, psi) with reality and Hamiltonian predicates."""
 
     def is_real(self, tol=1e-12):
-        return all(e.is_real(tol) for e in self.entries())
+        return all(is_real(e, tol) for e in self.entries())
 
     def hamiltonian_residual(self):
         """Residual of X = J G with G symmetric: needs b = b^T, c = c^T, a^T = -d."""
@@ -1240,7 +1266,7 @@ def complexify(x, tol=1e-12):
     if not isinstance(x, BlockMatrix2):
         raise ContractViolation("complexify expects a 2x2 block field")
     for name, e in zip("abcd", x.entries()):
-        if not e.is_real(tol):
+        if not is_real(e, tol):
             raise ContractViolation(f"entry {name} violates the reality predicate")
     r1 = (x.a + x.d) * 0.5 + (x.b - x.c) * (-0.5j)
     r2 = (x.a - x.d) * 0.5 + (x.b + x.c) * (0.5j)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wavekam import enumerate_clusters
+from wavekam import blockop, enumerate_clusters
 from wavekam.blockop import (
     BlockOperator,
     PairedBlockOperator,
@@ -124,6 +124,45 @@ class TestComposeKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+def _plan_bytes():
+    return sum(x.nbytes for v in blockop._PLANS.values() for x in v)
+
+
+class TestScatterPlans:
+    def test_repeated_compose_reuses_plans(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_PLANS", {})
+        rng = np.random.default_rng(11)
+        r = stacked_operator(rng, 2, 2, "sparse")
+        t = stacked_operator(rng, 2, 2, "sparse")
+        first = compose(r, t)
+        plans = dict(blockop._PLANS)
+        assert plans
+        assert all(not x.flags.writeable for v in plans.values() for x in v)
+        second = compose(r, t)
+        assert blockop._PLANS.keys() == plans.keys()
+        assert all(blockop._PLANS[k] is v for k, v in plans.items())
+        assert first.stacks.keys() == second.stacks.keys()
+        for key, (idx, mats) in first.stacks.items():
+            assert idx.tobytes() == second.stacks[key][0].tobytes()
+            assert mats.tobytes() == second.stacks[key][1].tobytes()
+        assert first.meta == second.meta
+
+    def test_memo_stays_under_cap(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_PLANS", {})
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES", 4096)
+        rng = np.random.default_rng(12)
+        for kind in ("sparse", "edge", "sparse", "sparse"):
+            r = stacked_operator(rng, 2, 2, kind)
+            t = stacked_operator(rng, 2, 2, "sparse")
+            got, want = compose(r, t), oracles.compose_dicts(r, t)
+            assert 0 < _plan_bytes() <= 4096
+            scale = max(r.hs_total() * t.hs_total(), 1e-300)
+            got_items, want_items = list(got.items()), list(want.items())
+            assert [k for k, _ in got_items] == [k for k, _ in want_items]
+            for (_, g), (_, w) in zip(got_items, want_items):
+                assert np.max(np.abs(g - w)) <= 1e-13 * scale
 
 
 class TestPairedTruncationLoss:

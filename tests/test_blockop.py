@@ -349,7 +349,7 @@ class TestFiniteRank:
         b = random_space_time(lat_d2, 2, 2, rng, n_j=2, ell_support=1)
         c = random_space_time(lat_d2, 2, 2, rng, n_j=2, ell_support=1)
         op = finite_rank_to_blocks(FiniteRankOperator([(b, c)]), lat_d2)
-        assert op.is_symmetric(1e-12)
+        assert oracles.is_symmetric(op, 1e-12)
 
     def test_rank_one_decay_bound(self, lat_d2):
         # |R|_s <= C (||g||_{s0} ||q||_s + ||g||_{s+s0} ||q||_0), C measured

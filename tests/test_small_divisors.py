@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wavekam import enumerate_clusters
+from wavekam import enumerate_clusters, resonance
 from wavekam.errors import ResourceLimitError
 from wavekam.kam import MAX_SCAN_ELLS, KamConfig, KamState, _melnikov_scan
 from wavekam.resonance import (
@@ -268,6 +268,70 @@ class TestClassifier:
             assert row["fraction"] == float(np.mean(~mask))
 
 
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("sign", "-+")
+    @pytest.mark.parametrize("where", ["lower", "mirror", "zero"])
+    def test_fold_probes_on_lines(self, where, sign, prune):
+        """Rows exactly on a difference or sum line at ell = (0, -1), a row
+        of the scanned lower half, at its mirror (0, 1), or at ell = 0
+        through a shared table entry: the folded scan gives the reference
+        verdicts, certificates and masks, and the reference has the
+        certificate the probe was placed on."""
+        lattice = enumerate_clusters(2, 2)
+        rng = np.random.default_rng(7)
+        eig = EigenData.from_blocks(lattice, {
+            c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha, "generic", 0.05)
+            for c in lattice.clusters})
+        ca, cb = lattice.clusters[1], lattice.clusters[2]
+        ell = {"lower": [0, -1], "mirror": [0, 1], "zero": [0, 0]}[where]
+        rows = 0.3 + 2.2 * rng.random((6, 2))
+        if where == "zero":
+            # lambda_0(alpha) -+ lambda_0(beta) = 0 exactly, for every omega
+            flip = 1.0 if sign == "-" else -1.0
+            eig.tables[cb.alpha_sq][0] = flip * eig.tables[ca.alpha_sq][0]
+        else:
+            # omega.ell = -omega_2 ell_2 exactly, so the first three rows
+            # sit on the line omega.ell + d = 0
+            d = sorted_combos(eig.tables[ca.alpha_sq],
+                              eig.tables[cb.alpha_sq], sign)[1]
+            rows[:3, 1] = -d * ell[1]
+        args = (1e-3, 2.0, 1.0, 2)
+        for first_only in (True, False):
+            got = classify_omega(rows, eig, *args, prune=prune,
+                                 first_only=first_only)
+            for w, rep in zip(rows, got):
+                ref = oracles.classify_omega(w, eig, *args, prune=prune,
+                                             first_only=first_only)
+                assert rep.accepted == ref.accepted
+                assert rep.certificates == ref.certificates
+        want = {"kind": "RQ"[sign == "+"], "ell": ell, "value": 0.0,
+                "alpha_sq": ca.alpha_sq, "beta_sq": cb.alpha_sq}
+        for w in rows[:3]:
+            ref = oracles.classify_omega(w, eig, *args, prune=prune,
+                                         first_only=False)
+            assert any(want.items() <= c.items() for c in ref.certificates)
+        gammas = [1e-3, 1e-2]
+        assert np.array_equal(
+            _grid_masks(rows, eig, gammas, *args[1:]),
+            [oracles.classify_grid(rows, eig, g, *args[1:]) for g in gammas])
+
+    def test_grid_scan_visits_half_the_box(self, monkeypatch):
+        """One window-kernel call per scanned box row: (n_box + 1) / 2."""
+        calls = []
+        kernel = resonance._hull_hits
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(resonance, "_hull_hits", counted)
+        lattice = enumerate_clusters(2, 2)
+        eig = EigenData.unperturbed(lattice)
+        samples = 1.0 + np.random.default_rng(3).random((50, 3))
+        _grid_masks(samples, eig, [0.01, 0.001], 2.0, 1.0, 2)
+        assert len(calls) == (5 ** 3 + 1) // 2
+
+
 @pytest.fixture(scope="module")
 def desk_sweep():
     """The desk problem's eigenvalue table and a 100 x 100 grid on [1, 2]^2."""
@@ -300,10 +364,12 @@ def test_desk_sweep_bit_identical_to_reference(desk_sweep):
 
 def test_desk_sweep_memory_stays_per_ell(desk_sweep):
     """The sweep holds a few length-n arrays per ell at a time (omega.ell,
-    its sorted copy, a hull test, the masks): about 3.3 samples.nbytes at its
-    peak.  Anything held across the 289 ells of the box, such as the stacked
-    omega.ell (144 samples.nbytes) or a whole-box threshold table (about 37),
-    breaks the bound of 8."""
+    its sorted copy, a hull test, the masks) and the largest threshold of
+    each condition per distinct |ell| (42 x 972, about 2 samples.nbytes):
+    about 5.5 samples.nbytes at its peak.  Anything held across the 145
+    scanned ells, such as the stacked omega.ell (72 samples.nbytes) or a
+    per-gamma threshold table per distinct |ell| (about 5.4 more), breaks
+    the bound of 8."""
     p, eig, samples, gamma_list = desk_sweep
     tracemalloc.start()
     try:
