@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from .blockop import BlockOperator, PairedBlockOperator, compose, operator_exponential
-from .errors import ContractViolation, InversionError
-from .series import truncated_series
+from .errors import ContractViolation
 
 __all__ = [
     "BlockMatrix2",
@@ -133,34 +132,12 @@ class ExpMap:
         )
 
 
-def _neumann_inverse(phi, max_terms=60, tol=1e-14):
-    if isinstance(phi, PairedBlockOperator):
-        ident = PairedBlockOperator.identity(phi.lattice, phi.r1.nu, phi.r1.ell_max)
-    else:
-        ident = BlockMatrix2.identity(phi.a.lattice, phi.a.nu, phi.a.ell_max)
-    m = phi - ident
-    size = m.decay_norm(0.0)
-    if size >= 1.0:
-        raise InversionError(
-            f"map is not a small perturbation of the identity (|Phi - Id| = {size:.3e})"
-        )
-    # |t_k| <= |t_j| |m|^(k-j): the term norms bound the geometric tail
-    return truncated_series(ident, lambda t, k: t.compose(m) * (-1.0), tol,
-                            max_terms, error=InversionError, name="Neumann inverse")
-
-
-def push_forward(x, phi, omega, phi_inverse=None):
-    """Transformed field Phi^{-1}(X Phi - omega . dphi Phi).
-
-    ``phi`` may be an ExpMap (exact inverse) or a bare operator close to the
-    identity (Neumann inverse).  Works for paired operators, paired
+def push_forward(x, phi, omega):
+    """Transformed field Phi^{-1}(X Phi - omega . dphi Phi) for an ExpMap
+    ``phi`` (its exact inverse).  Works for paired operators, paired
     multipliers and general 2x2 block matrices.
     """
-    if isinstance(phi, ExpMap):
-        fwd, inv = phi.forward, phi.inverse
-    else:
-        fwd = phi
-        inv = phi_inverse if phi_inverse is not None else _neumann_inverse(phi)
+    fwd, inv = phi.forward, phi.inverse
     if isinstance(fwd, PairedBlockOperator) and not isinstance(
         x, PairedBlockOperator
     ):

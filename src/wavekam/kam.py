@@ -34,7 +34,8 @@ from .blockop import (
 from .errors import (NonConvergenceError, ParameterError, ResonanceError,
                      ResourceLimitError)
 from .hamiltonian import ExpMap, push_forward
-from .resonance import _combo_grid, _gap, _hull_hits, sorted_combos
+from .resonance import (_centres, _combo_grid, _gap, _hull_hits, _padded_sort,
+                        sorted_combos)
 from .series import truncated_series
 from .spectrum import default_s0, diophantine_check, ell_box, ell_table
 
@@ -168,10 +169,10 @@ def _melnikov_scan(state, lattice, config, omega, n_cut, nu):
 
     Cluster pairs outer, per pair the difference condition then the sum
     condition on the cached eigenvalues (conj-permuted for the sum): one
-    ``_hull_hits`` pass yields each condition's candidates in lexicographic
-    order, its reach the threshold at the smallest <ell>^tau (its largest,
-    rounding being monotone); ties fail.  The ell box |ell|_inf <= N is
-    enumerated only up to MAX_SCAN_ELLS points.
+    ``_hull_hits`` pass over all their sorted centres yields each condition's
+    candidates in lexicographic order, its reach the threshold at the
+    smallest <ell>^tau (its largest, rounding being monotone); ties fail.
+    The ell box |ell|_inf <= N is enumerated only up to MAX_SCAN_ELLS points.
     """
     n_box = (2 * n_cut + 1) ** nu
     if n_box > MAX_SCAN_ELLS:
@@ -194,10 +195,10 @@ def _melnikov_scan(state, lattice, config, omega, n_cut, nu):
     combos = [sorted_combos(state.eig(lattice, ca.alpha_sq)[0],
                             state.eig(lattice, cb.alpha_sq, sign)[0], sign)
               for ca, cb, sign in conds]
-    sizes = [d.size for d in combos]
-    reach = [threshold(*cond, 1.0) for cond in conds]  # <0>^tau = 1, the least
-    for c, s in _hull_hits(omega_ell, np.sort(omega_ell), np.concatenate(combos),
-                           np.cumsum(sizes) - sizes, np.repeat(reach, sizes)):
+    centres, which = _centres(combos)
+    reach = np.array([threshold(*cond, 1.0) for cond in conds])  # <0>^tau = 1
+    for c, s in _hull_hits(omega_ell, _padded_sort(omega_ell), centres, which,
+                           reach[which]):
         ca, cb, sign = conds[c]
         if sign == "-" and ca is cb:
             s = s[s != zero]  # (0, a, a) is absorbed, not solved

@@ -14,8 +14,9 @@ visits the box rows up to ell = 0 only: the difference condition at -ell for
 fl(-x) = -fl(x), the (beta, alpha) combinations are the (alpha, beta) ones
 negated, and thresholds and pruning see ell only through |ell|; the sum
 condition at -ell is checked against the sums negated and reversed.  The
-KAM Melnikov scan shares the window kernel ``_hull_hits`` and the gap kernel
-``_gap``.  Lebesgue measure is approximated by the sample fraction on a
+window kernel ``_hull_hits`` searches every combination's centre, sorted
+once per scan, in each row's sorted omega.ell, and the KAM Melnikov scan
+shares it and the gap kernel ``_gap``.  Lebesgue measure is approximated by the sample fraction on a
 declared grid, the numerical counterpart of the analytic Fubini argument.
 
 Note alpha + beta >= 2 on the spectrum, so the bracketed and unbracketed
@@ -97,14 +98,6 @@ def sorted_combos(la, lb, sign):
     return np.sort(_combo_grid(la, lb, sign).ravel())
 
 
-def _windows(xs, d, thr_max):
-    """Index ranges [lo, hi) of the sorted xs that can fail against some d:
-    the half-width covers the rounding of x + d and of the window ends."""
-    reach = 2.0 * thr_max + 1e-15 * np.abs(d)
-    return (np.searchsorted(xs, -d - reach),
-            np.searchsorted(xs, -d + reach, side="right"))
-
-
 def _gap(x, combos):
     """min_d |x + d| over the sorted combos, from the two neighbours of -x:
     equal to the dense minimum bit for bit since fl(x + d) is monotone in d."""
@@ -113,19 +106,45 @@ def _gap(x, combos):
                       np.abs(x + combos[np.minimum(i, combos.size - 1)]))
 
 
-def _hull_hits(wl, xs, every, starts, thr_max):
-    """The window kernel: ``wl`` holds omega.ell, ``xs`` its sorted copy,
-    ``every`` each condition's sorted combos concatenated (condition c from
-    starts[c]) and ``thr_max`` each combo's largest threshold.  Yields (c, s),
-    c ascending, for each condition with a value in one of its windows, s the
-    ascending indices of wl inside the hull of those windows; the extra ones
-    are checked exactly and pass, so no verdict depends on the order of wl."""
-    lo, hi = _windows(xs, every, thr_max)
-    hit = lo < hi
-    lo = np.minimum.reduceat(np.where(hit, lo, xs.size), starts)
-    hi = np.maximum.reduceat(np.where(hit, hi, 0), starts)
-    for c in np.flatnonzero(lo < hi):
-        yield c, np.flatnonzero((wl >= xs[lo[c]]) & (wl <= xs[hi[c] - 1]))
+def _centres(combos):
+    """Every combination's centre -d, ascending, and its condition c
+    (``combos[c]`` holds condition c's combinations)."""
+    centres = -np.concatenate(combos)
+    order = np.argsort(centres, kind="stable")
+    return centres[order], np.repeat(np.arange(len(combos)),
+                                     [d.size for d in combos])[order]
+
+
+def _padded_sort(wl):
+    """wl sorted, between a -inf and a +inf sentinel."""
+    return np.concatenate(([-np.inf], np.sort(wl), [np.inf]))
+
+
+def _hull_hits(wl, xs, centres, cond, thr_max):
+    """The window kernel: ``wl`` holds omega.ell, ``xs`` its ``_padded_sort``,
+    ``centres`` and ``cond`` come from ``_centres``, ``thr_max`` is each
+    centre's largest threshold.  The window around -d has half-width
+    2 thr_max + 1e-15 |d| (the rounding of x + d and of its ends); it holds
+    -d, or is empty if pruned (thr_max = -inf), so it holds a value iff the
+    value just above -d is <= its upper end or the one just below is >= its
+    lower end: one search of the ascending centres, and window ends searched
+    only for the hits.  Yields (c, s), c ascending, per condition with a
+    value in a window, s the ascending indices of wl inside the hull of its
+    windows; the extra ones are checked exactly and pass."""
+    reach = 2.0 * thr_max + 1e-15 * np.abs(centres)
+    i = np.searchsorted(xs, centres)
+    hit = np.flatnonzero((xs[i] <= centres + reach)
+                         | (xs[i - 1] >= centres - reach))
+    if not hit.size:
+        return
+    hit = hit[np.argsort(cond[hit], kind="stable")]
+    first = np.flatnonzero(np.r_[True, np.diff(cond[hit]) != 0])
+    lo = np.searchsorted(xs, centres[hit] - reach[hit])
+    hi = np.searchsorted(xs, centres[hit] + reach[hit], side="right")
+    for c, x0, x1 in zip(cond[hit[first]].tolist(),
+                         xs[np.minimum.reduceat(lo, first)],
+                         xs[np.maximum.reduceat(hi, first) - 1]):
+        yield c, np.flatnonzero((wl >= x0) & (wl <= x1))
 
 
 def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
@@ -133,7 +152,10 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     p <= center: yields (p, c, thr, g, s), p ascending, then c; sample s
     fails at gammas[g] condition c = 3 i + k of cluster pair i (k = 0, 1:
     difference, sum at ell; k = 2: sum at -ell, none at ell = 0), thr[g]
-    its thresholds.  The windows' thresholds are formed per distinct |ell|.
+    its thresholds.  The centres are sorted once; the windows' thresholds
+    are one table over the distinct |ell| at the largest gamma, since every
+    threshold and every pruning keep rises with gamma, and a hit forms only
+    the per-gamma thresholds of the kind it checks.
 
     Pruning (validated against the full scan in tests): a difference
     condition can only fail when m|alpha-beta| <= |omega||ell| + 2 gamma
@@ -154,32 +176,32 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
         la, lb = eigen.tables[ca.alpha_sq], eigen.tables[cb.alpha_sq]
         add = sorted_combos(la, lb, "+")
         combos += [sorted_combos(la, lb, "-"), add, -add[::-1]]
-    sizes = [d.size for d in combos]
-    every, cond = np.concatenate(combos), np.repeat(np.arange(len(combos)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    g2 = 2.0 * np.asarray(gammas, dtype=float)[:, None]
+    centres, cond = _centres(combos)
+    g2 = 2.0 * np.asarray(gammas, dtype=float)
     box, norms = ell_table(samples.shape[1], ell_max)
     uniq, which = np.unique(norms[:len(box) // 2 + 1], return_inverse=True)
-    powers = [max(1.0, x) ** tau for x in uniq.tolist()]
+    powers = np.array([max(1.0, x) ** tau for x in uniq.tolist()])
 
-    def thresholds(u, i):
-        """(difference, sum) thresholds (gammas, pairs i) at |ell| = uniq[u]."""
-        ell_norm, bracket_tau = uniq[u], powers[u]
-        keep_r = ~(same[i] & (ell_norm == 0.0)) & ((not prune) | (
-            m * np.abs(a[i] - b[i]) <= omega_max * ell_norm + g2 + 2.0 * r_max))
-        keep_q = (not prune) | ((m - g2 / bracket_tau) * (a[i] + b[i])
-                                <= omega_max * ell_norm + 2.0 * r_max)
-        return (np.where(keep_r, g2 / (bracket_tau * ab_dd[i]), -np.inf),
-                np.where(keep_q, g2 * (a[i] + b[i]) / bracket_tau, -np.inf))
+    def thresholds(g2, ell_norm, bracket_tau, i, k):
+        """Difference (k = 0) or sum (k = 1) thresholds of the pairs i,
+        -inf where pruned; bracket_tau = max(1, |ell|)^tau."""
+        if k == 0:
+            keep = ~(same[i] & (ell_norm == 0.0)) & ((not prune) | (
+                m * np.abs(a[i] - b[i]) <= omega_max * ell_norm + g2 + 2.0 * r_max))
+            return np.where(keep, g2 / (bracket_tau * ab_dd[i]), -np.inf)
+        keep = (not prune) | ((m - g2 / bracket_tau) * (a[i] + b[i])
+                              <= omega_max * ell_norm + 2.0 * r_max)
+        return np.where(keep, g2 * (a[i] + b[i]) / bracket_tau, -np.inf)
 
-    thr_max = np.array([[t.max(axis=0) for t in thresholds(u, slice(None))]
-                        for u in range(len(uniq))])[:, [0, 1, 1]]
-    thr_max[0, 2] = -np.inf  # uniq[0] = 0: -ell = ell adds no condition
-    thr_max = thr_max.transpose(0, 2, 1).reshape(len(uniq), -1)
+    thr_max = np.stack([thresholds(g2.max(), uniq[:, None], powers[:, None],
+                                   slice(None), k) for k in (0, 1, 1)], axis=2)
+    thr_max[0, :, 2] = -np.inf  # uniq[0] = 0: -ell = ell adds no condition
+    thr_max = thr_max.reshape(len(uniq), -1)
     for p, u in enumerate(which.tolist()):
         wl = samples @ box[p].astype(float)
-        for c, s in _hull_hits(wl, np.sort(wl), every, starts, thr_max[u][cond]):
-            thr = thresholds(u, c // 3)[min(c % 3, 1)][:, 0]
+        for c, s in _hull_hits(wl, _padded_sort(wl), centres, cond,
+                               thr_max[u][cond]):
+            thr = thresholds(g2, uniq[u], powers[u], c // 3, min(c % 3, 1))
             g, q = np.nonzero(~(_gap(wl[s], combos[c]) >= thr[:, None]))
             if g.size:
                 yield p, c, thr, g, s[q]

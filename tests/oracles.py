@@ -8,6 +8,9 @@ the package.
 - ``divisor_check``, the one-pair window kernel that the KAM Melnikov scan
   called once per cluster pair and sign before all conditions of a step
   went through ``resonance._hull_hits`` in one pass.
+- ``_windows`` and ``hull_hits``, the window kernel that binary-searched
+  both ends of every combination's window for each omega.ell row, before
+  ``resonance._hull_hits`` searched the sorted window centres once per row.
 - The per-block homological solve that the stack solve of
   ``kam.assemble_homological_solution`` replaced: one
   ``SylvesterOperator.from_state`` and two ``eigh`` per block.
@@ -50,6 +53,9 @@ the package.
   ``(1j * points) @ ells.T``, which the one real product replaced.
 - The test-only predicates of ``BlockOperator``: ``is_real``,
   ``is_symmetric`` and ``is_selfadjoint``, now functions of the operator.
+- ``hamiltonian._neumann_inverse`` and the bare-map branch of
+  ``hamiltonian.push_forward`` (a map close to the identity, inverted by
+  ``phi_inverse`` or the Neumann series), before it took an ``ExpMap`` only.
 """
 
 import itertools
@@ -57,14 +63,15 @@ import math
 
 import numpy as np
 
+from wavekam import hamiltonian
 from wavekam.blockop import (BlockOperator, PairedBlockOperator, diagonal_part,
                              rank_one_blocks, smoothing_projector)
-from wavekam.errors import (ContractViolation, ParameterError, ResonanceError,
-                            WavekamError)
+from wavekam.errors import (ContractViolation, InversionError, ParameterError,
+                            ResonanceError, WavekamError)
 from wavekam.hamiltonian import BlockMatrix2, ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
-from wavekam.resonance import ResonanceReport, _gap, _windows
+from wavekam.resonance import ResonanceReport, _gap
 from wavekam.series import truncated_series
 from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
 
@@ -152,6 +159,29 @@ def melnikov_scan(state, lattice, config, omega, n_cut, nu):
                     float(thr_plus[k]),
                 )
     return True, None
+
+
+def _windows(xs, d, thr_max):
+    """Index ranges [lo, hi) of the sorted xs that can fail against some d:
+    the half-width covers the rounding of x + d and of the window ends."""
+    reach = 2.0 * thr_max + 1e-15 * np.abs(d)
+    return (np.searchsorted(xs, -d - reach),
+            np.searchsorted(xs, -d + reach, side="right"))
+
+
+def hull_hits(wl, xs, every, starts, thr_max):
+    """The window kernel: ``wl`` holds omega.ell, ``xs`` its sorted copy,
+    ``every`` each condition's sorted combos concatenated (condition c from
+    starts[c]) and ``thr_max`` each combo's largest threshold.  Yields (c, s),
+    c ascending, for each condition with a value in one of its windows, s the
+    ascending indices of wl inside the hull of those windows; the extra ones
+    are checked exactly and pass, so no verdict depends on the order of wl."""
+    lo, hi = _windows(xs, every, thr_max)
+    hit = lo < hi
+    lo = np.minimum.reduceat(np.where(hit, lo, xs.size), starts)
+    hi = np.maximum.reduceat(np.where(hit, hi, 0), starts)
+    for c in np.flatnonzero(lo < hi):
+        yield c, np.flatnonzero((wl >= xs[lo[c]]) & (wl <= xs[hi[c] - 1]))
 
 
 def divisor_check(xs, combos, thr, closed=False):
@@ -1271,6 +1301,35 @@ def complexify(x, tol=1e-12):
     r1 = (x.a + x.d) * 0.5 + (x.b - x.c) * (-0.5j)
     r2 = (x.a - x.d) * 0.5 + (x.b + x.c) * (0.5j)
     return PairedBlockOperator(r1, r2)
+
+
+# ---------------------------------------------------------------------------
+# Push-forward by a bare map (formerly hamiltonian._neumann_inverse and the
+# bare-map branch of hamiltonian.push_forward)
+# ---------------------------------------------------------------------------
+
+
+def neumann_inverse(phi, max_terms=60, tol=1e-14):
+    if isinstance(phi, PairedBlockOperator):
+        ident = PairedBlockOperator.identity(phi.lattice, phi.r1.nu, phi.r1.ell_max)
+    else:
+        ident = BlockMatrix2.identity(phi.a.lattice, phi.a.nu, phi.a.ell_max)
+    m = phi - ident
+    size = m.decay_norm(0.0)
+    if size >= 1.0:
+        raise InversionError(
+            f"map is not a small perturbation of the identity (|Phi - Id| = {size:.3e})"
+        )
+    # |t_k| <= |t_j| |m|^(k-j): the term norms bound the geometric tail
+    return truncated_series(ident, lambda t, k: t.compose(m) * (-1.0), tol,
+                            max_terms, error=InversionError, name="Neumann inverse")
+
+
+def push_forward(x, phi, omega, phi_inverse=None):
+    """``hamiltonian.push_forward`` by a bare operator ``phi`` close to the
+    identity, inverted by ``phi_inverse`` or else the Neumann series."""
+    inv = phi_inverse if phi_inverse is not None else neumann_inverse(phi)
+    return hamiltonian.push_forward(x, ExpMap(phi, inv), omega)
 
 
 # ---------------------------------------------------------------------------

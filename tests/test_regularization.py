@@ -6,7 +6,7 @@ import pytest
 from wavekam import AngleFunction, SpaceTimeFunction, enumerate_clusters
 from wavekam.blockop import BlockOperator
 from wavekam.errors import ParameterError
-from wavekam.hamiltonian import BlockMatrix2, push_forward
+from wavekam.hamiltonian import BlockMatrix2, ExpMap, push_forward
 from wavekam.multiplier import FourierMultiplier, PairedMultiplier
 from wavekam.regularization import (
     WaveProblem,
@@ -147,7 +147,7 @@ class TestSymmetrize:
         sinv = BlockMatrix2(halfinv.to_blocks() * 1.0, zero.copy(), zero.copy(),
                             half.to_blocks() * 1.0)
         # exact inverse entries: (beta a^-1/2)^-1 = beta^-1 a^{1/2}
-        got = push_forward(l0, smap, OMEGA, phi_inverse=sinv)
+        got = push_forward(l0, ExpMap(smap, sinv), OMEGA)
         diff = (got - l1_claim).decay_norm(0.0)
         assert diff <= 1e-9 * max(1.0, l1_claim.decay_norm(0.0))
 

@@ -14,12 +14,13 @@ from scipy.linalg import expm
 from wavekam import enumerate_clusters
 from wavekam.blockop import PairedBlockOperator, operator_exponential
 from wavekam.errors import DivergenceError, InversionError
-from wavekam.hamiltonian import BlockMatrix2, _neumann_inverse, push_forward
+from wavekam.hamiltonian import BlockMatrix2
 from wavekam.multiplier import PairedMultiplier, multiplier_exponential
 from wavekam.series import truncated_series
 
 from conftest import (random_block_operator, random_hamiltonian_paired,
                       random_paired, rng_for)
+from oracles import neumann_inverse, push_forward
 from test_multiplier import random_multiplier
 
 PHI0 = np.zeros(2)
@@ -90,7 +91,7 @@ class TestNeumannOracle:
         eye = PairedBlockOperator.identity(lat, 2, 2)
         phi = eye + scaled(random_paired(lat, 2, 2, rng, ell_support=0,
                                          density=1.0), 0.3)
-        inv = _neumann_inverse(phi)
+        inv = neumann_inverse(phi)
         assert (inv.compose(phi) - eye).decay_norm(0.0) <= 1e-13
         assert (phi.compose(inv) - eye).decay_norm(0.0) <= 1e-13
         dense = phi.matrix_at_phi(PHI0)
@@ -105,7 +106,7 @@ class TestNeumannOracle:
                                                  ell_support=0)
                            for _ in range(4)))
         phi = eye + m * (0.3 / m.decay_norm(0.0))
-        inv = _neumann_inverse(phi)
+        inv = neumann_inverse(phi)
         assert (inv.compose(phi) - eye).decay_norm(0.0) <= 1e-13
         assert (phi.compose(inv) - eye).decay_norm(0.0) <= 1e-13
 
@@ -115,7 +116,7 @@ class TestNeumannOracle:
         phi = eye + scaled(random_paired(lat, 2, 2, rng_for("series-nc"),
                                          ell_support=0), 0.5)
         with pytest.raises(InversionError, match="Neumann inverse"):
-            _neumann_inverse(phi, max_terms=2)
+            neumann_inverse(phi, max_terms=2)
 
     def test_push_forward_rejects_a_map_far_from_identity(self):
         lat = enumerate_clusters(2, 2)

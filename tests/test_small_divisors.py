@@ -1,4 +1,6 @@
-"""The small-divisor kernel against the dense reference scans in oracles.py.
+"""The small-divisor kernel against the dense reference scans in oracles.py,
+and the window kernel against the one that searched both ends of every
+window.
 
 Random Hermitian cluster blocks (generic, scalar, exactly repeated and
 unitarily rotated repeated spectra), frequencies, gamma, cutoffs and boxes:
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wavekam import enumerate_clusters, resonance
+from wavekam import enumerate_clusters, kam, resonance
 from wavekam.errors import ResourceLimitError
 from wavekam.kam import MAX_SCAN_ELLS, KamConfig, KamState, _melnikov_scan
 from wavekam.resonance import (
@@ -27,6 +29,7 @@ from wavekam.resonance import (
     measure_sweep,
     sorted_combos,
 )
+from wavekam.spectrum import ell_table
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None,
@@ -97,6 +100,22 @@ def probe_rows(eig, gamma, dd, rng, k=24):
     return np.column_stack([xs, 0.3 + 2.2 * rng.random(len(xs))])
 
 
+def pruning_edges(eig, samples, tau, ell_max):
+    """The positive gammas at which a difference or sum condition's pruning
+    bound flips, per cluster pair and distinct |ell| of the box."""
+    m, r_max = eig.m, eig.correction_bound()
+    omega_max = float(np.max(np.linalg.norm(samples, axis=1)))
+    edges = []
+    for n in np.unique(ell_table(samples.shape[1], ell_max)[1]).tolist():
+        for ca in eig.lattice.clusters:
+            for cb in eig.lattice.clusters:
+                a, b = ca.alpha, cb.alpha
+                edges += [(m * abs(a - b) - omega_max * n - 2.0 * r_max) / 2,
+                          (m - (omega_max * n + 2.0 * r_max) / (a + b))
+                          * max(1.0, n) ** tau / 2]
+    return np.unique([e for e in edges if e > 0])
+
+
 def state_of(blocks):
     return KamState(step=0, d_blocks=blocks, remainder=None, accumulated=None)
 
@@ -120,6 +139,42 @@ def probe_frequency(state, lattice, cfg, n_cut, rng, kind):
         return -0.5 * (combos[i] + combos[i + 1])
     reach = 2.0 * thr + 1e-15 * abs(combos[i])
     return -combos[i] + {"below": -reach, "above": reach}.get(kind, 0.0)
+
+
+@st.composite
+def window_tables(draw):
+    """Inputs of the window kernel: conditions of 1-4 combinations each (as
+    D_inf tables give), drawn from a small pool so that centres repeat within
+    and across conditions; one threshold per condition, -inf (pruned), 0
+    (zero reach) or positive; omega.ell values that repeat, sit on centres,
+    exactly on window ends or one ulp outside them, down to a single
+    sample."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.r_[rng.normal(size=draw(st.integers(1, 10))), 0.0]
+    combos = [np.sort(rng.choice(pool, size=rng.integers(1, 5)))
+              for _ in range(draw(st.integers(1, 8)))]
+    thr = rng.choice([-np.inf, 0.0, 1e-3, 0.05, 0.5], size=len(combos))
+    n = draw(st.integers(1, 30))
+    candidates = [-pool, rng.normal(size=n)]
+    for d, t in zip(combos, thr):
+        reach = 2.0 * t + 1e-15 * np.abs(d)
+        lower, upper = -d - reach, -d + reach
+        candidates += [lower, upper, np.nextafter(lower, -np.inf),
+                       np.nextafter(upper, np.inf)]
+    candidates = np.concatenate(candidates)
+    return combos, thr, rng.choice(candidates[np.isfinite(candidates)], size=n)
+
+
+def kernel_runs(combos, thr, wl):
+    """(c, s) sequences of the reference kernel and of ``_hull_hits``."""
+    sizes = [d.size for d in combos]
+    ref = oracles.hull_hits(wl, np.sort(wl), np.concatenate(combos),
+                            np.cumsum(sizes) - sizes, np.repeat(thr, sizes))
+    centres, cond = resonance._centres(combos)
+    got = resonance._hull_hits(wl, resonance._padded_sort(wl), centres, cond,
+                               thr[cond])
+    return ([(int(c), s.tolist()) for c, s in ref],
+            [(int(c), s.tolist()) for c, s in got])
 
 
 class TestKernel:
@@ -149,6 +204,62 @@ class TestKernel:
         assert bad.shape == (3, pos.size)
         assert np.array_equal(x[pos[bad[0]]], x[np.abs(np.abs(x) - 0.5) < 0.1])
         assert not bad[1:].any()
+
+    @PROPERTY
+    @given(window_tables())
+    def test_hull_hits_matches_reference_kernel(self, tables):
+        """One search of the sorted centres per row yields the (c, s)
+        sequence of the kernel that searched both ends of every window."""
+        ref, got = kernel_runs(*tables)
+        assert got == ref
+
+    def test_hull_hits_on_window_ends(self):
+        """A value exactly on either end of a window is inside it, one ulp
+        beyond is not; a pruned condition never hits, and zero reach hits
+        only the centre itself."""
+        combos = [np.array([-1.0, 0.5]), np.array([0.25]), np.array([0.0])]
+        thr = np.array([0.1, -np.inf, 0.0])
+        reach = 2.0 * 0.1 + 1e-15 * 1.0  # the window around -d = 1
+        lower, upper = 1.0 - reach, 1.0 + reach
+        for wl, want in (
+                ([lower], [(0, [0])]), ([upper], [(0, [0])]),
+                ([np.nextafter(lower, 0.0), np.nextafter(upper, 2.0)], []),
+                ([-0.25, 0.0], [(2, [1])]), ([1e-300], [])):
+            ref, got = kernel_runs(combos, thr, np.array(wl))
+            assert got == ref == want
+
+    def test_kernel_contract(self, monkeypatch):
+        """Every caller hands ``_hull_hits`` ascending centres and omega.ell
+        sorted between a -inf and a +inf sentinel."""
+        calls = []
+
+        def checked(kernel):
+            def wrapper(wl, xs, centres, cond, thr_max):
+                calls.append(None)
+                assert np.all(np.diff(centres) >= 0)
+                assert xs[0] == -np.inf and xs[-1] == np.inf
+                assert np.all(np.diff(xs[1:-1]) >= 0)
+                assert xs.size == wl.size + 2
+                return kernel(wl, xs, centres, cond, thr_max)
+            return wrapper
+
+        monkeypatch.setattr(resonance, "_hull_hits",
+                            checked(resonance._hull_hits))
+        monkeypatch.setattr(kam, "_hull_hits", checked(kam._hull_hits))
+        lattice = enumerate_clusters(2, 2)
+        rng = np.random.default_rng(5)
+        blocks = {c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha,
+                                              "generic", 0.05)
+                  for c in lattice.clusters}
+        eig = EigenData.from_blocks(lattice, blocks)
+        rows = 0.3 + 2.2 * rng.random((30, 2))
+        _grid_masks(rows, eig, [0.05, 0.01], 2.0, 1.0, 2)
+        assert len(calls) == (5 ** 2 + 1) // 2
+        classify_omega(rows[:3], eig, 0.05, 2.0, 1.0, 2, first_only=False)
+        assert len(calls) == 2 * 13
+        cfg = KamConfig(nu=2, d=2, gamma=0.05, tau=2.0, dd=1.0)
+        _melnikov_scan(state_of(blocks), lattice, cfg, rows[0], 3, 2)
+        assert len(calls) == 27
 
 
 class TestMelnikovScan:
@@ -267,6 +378,50 @@ class TestClassifier:
             assert row["n_excluded"] == int(np.sum(~mask))
             assert row["fraction"] == float(np.mean(~mask))
 
+
+    @settings(PROPERTY, max_examples=40)
+    @given(spectra(), st.integers(0, 2**32 - 1), exponents, exponents,
+           st.integers(1, 2), st.booleans(), st.booleans())
+    def test_gamma_lists_match_reference(self, spec, seed, tau, dd, ell_max,
+                                         prune, zero_row):
+        """Unsorted gamma lists with repeats and gammas on both sides of a
+        pruning edge: the windows come from the largest gamma alone, and
+        each gamma's mask and certificates still equal the reference's,
+        pruned or not, with a difference placed at ell = 0 between two of
+        the gammas' thresholds when ``zero_row``."""
+        lattice, blocks = spec
+        eig = EigenData.from_blocks(lattice, blocks)
+        rng = np.random.default_rng(seed)
+        samples = 0.2 + rng.random((24, 2))
+        gammas = [1e-3, 0.05]
+        edges = pruning_edges(eig, samples, tau, ell_max)
+        for e in rng.choice(edges, min(2, edges.size), replace=False):
+            gammas += [e * (1.0 - 1e-9), e, e * (1.0 + 1e-9)]
+        if zero_row:
+            ca, cb = (lattice.clusters[i]
+                      for i in rng.integers(len(lattice.clusters), size=2))
+            g_mid = 0.01
+            eig.tables[cb.alpha_sq][0] = eig.tables[ca.alpha_sq][0] + (
+                2.0 * g_mid / (ca.alpha * cb.alpha) ** dd)
+            gammas += [g_mid, 0.5 * g_mid, 2.0 * g_mid]
+        gammas = list(rng.permutation(gammas + gammas[:2]))
+        if prune:
+            masks = _grid_masks(samples, eig, gammas, tau, dd, ell_max)
+        else:
+            masks = np.ones((len(gammas), len(samples)), dtype=bool)
+            for *_, g, s in resonance._scan_box(samples, eig, gammas, tau, dd,
+                                                ell_max, prune=False):
+                masks[g, s] = False
+        for g, mask in zip(gammas, masks):
+            assert np.array_equal(
+                mask, oracles.classify_grid(samples, eig, g, tau, dd, ell_max))
+        for g in set(gammas):
+            got = classify_omega(samples[:3], eig, g, tau, dd, ell_max,
+                                 prune=prune, first_only=False)
+            for w, rep in zip(samples, got):
+                ref = oracles.classify_omega(w, eig, g, tau, dd, ell_max,
+                                             prune=prune, first_only=False)
+                assert rep.certificates == ref.certificates
 
     @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("sign", "-+")
