@@ -460,19 +460,16 @@ class PairedBlockOperator:
     def decay_norm(self, s):
         return self.r1.decay_norm(s) + self.r2.decay_norm(s)
 
+    def sigma(self):
+        """M^sigma = S M* S, S = diag(I, -I): top row (r1*, -r2^T).  An involution
+        with (A B)^sigma = B^sigma A^sigma; -M on Hamiltonian fields, M^-1 on
+        symplectic maps."""
+        return PairedBlockOperator(self.r1.adjoint(), self.r2.transpose() * (-1.0))
+
     def hamiltonian_residual(self, s=0.0):
-        """Decay-norm residuals of the Hamiltonian predicate.
-
-        The field i (H1 H2; -conj H2 -conj H1) with H1 self-adjoint and
-        H2 symmetric corresponds to r1* = -r1 and r2^T = r2.
-        """
-        res1 = (self.r1.adjoint() + self.r1).decay_norm(s)
-        res2 = (self.r2.transpose() - self.r2).decay_norm(s)
-        return res1 + res2
-
-    def is_hamiltonian(self, tol=1e-10):
-        scale = max(self.decay_norm(0.0), 1.0)
-        return self.hamiltonian_residual(0.0) <= tol * scale
+        """|M^sigma + M|_s: zero exactly when r1* = -r1 and r2^T = r2, the
+        field i (H1 H2; -conj H2 -conj H1), H1 self-adjoint, H2 symmetric."""
+        return (self.sigma() + self).decay_norm(s)
 
     def matrix_at_phi(self, phi):
         """Frozen-angle matrix of (r1 r2; conj r2 conj r1) over the flat index.

@@ -90,20 +90,19 @@ class BlockMatrix2:
         return math.fsum(e.decay_norm(s) for e in self.entries())
 
 
-def _paired_as_matrix2(p):
-    return BlockMatrix2(p.r1, p.r2, p.r2.conj(), p.r1.conj())
-
-
 def _as_matrix2(x):
     if isinstance(x, BlockMatrix2):
         return x
     if isinstance(x, PairedBlockOperator):
-        return _paired_as_matrix2(x)
+        return BlockMatrix2(x.r1, x.r2, x.r2.conj(), x.r1.conj())
     raise ContractViolation(f"cannot view {type(x).__name__} as a 2x2 block matrix")
 
 
 class ExpMap:
-    """Invertible map exp(Psi) carrying its exact inverse exp(-Psi)."""
+    """Invertible map Phi with its inverse: ``from_generator`` sums exp(Psi)
+    and exp(-Psi); ``then`` takes Phi^-1 = Phi^sigma (``PairedBlockOperator.
+    sigma``), exact when every factor is symplectic, as exp(Psi) is for
+    Hamiltonian Psi."""
 
     def __init__(self, forward, inverse):
         self.forward = forward
@@ -119,17 +118,10 @@ class ExpMap:
         return cls(eye, eye.copy())
 
     def then(self, other):
-        """Composite map: apply self first, then other (operator product other o self...).
-
-        Convention: as operators on functions, (self.then(other)).forward =
-        self.forward composed with other.forward acting after, i.e.
-        forward = self.forward @ other.forward matches the transformation
-        chains Phi_0 o Phi_1 o ... used in the iteration.
-        """
-        return ExpMap(
-            self.forward.compose(other.forward),
-            other.inverse.compose(self.inverse),
-        )
+        """The iteration's chain Phi_0 o Phi_1 o ...: forward = self.forward
+        o other.forward (other acts first), inverse = forward^sigma."""
+        forward = self.forward.compose(other.forward)
+        return ExpMap(forward, forward.sigma())
 
 
 def push_forward(x, phi, omega):

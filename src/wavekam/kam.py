@@ -8,8 +8,8 @@ operators
 
 by Hermitian eigendecomposition of the current diagonal blocks: in the joint
 eigenbasis the solve is a division by omega.ell + lambda -+ mu, and the
-inverse norm is exactly 1/min|denominator|.  One ``eigh`` per cluster and
-step (``KamState.eig``) serves the scan and one batched solve per
+inverse norm is exactly 1/min|denominator|.  One ``eigh`` per cluster, sign
+and step (``KamState.eig``) serves the scan and one batched solve per
 cluster-pair stack; dense Kronecker and per-block solves are test oracles.
 
 Melnikov verdicts (one pass of the classifier's window kernel) bound those
@@ -250,7 +250,8 @@ def kam_step(state, lattice, config, omega):
     + sum_{k>=2} ad_Psi^(k-1)(G) / k!, with ad_Psi X = X Psi - Psi X and
     G = Pi_N R_diag - Pi_N R = ad_Psi L (the homological equation).  That
     Lie series is summed to 1e-18 under the tail bound |G| (2|Psi|)^(k-1) / k!;
-    none of its terms contains the O(1) diagonal D.
+    none of its terms contains the O(1) diagonal D.  Psi and the terms are
+    Hamiltonian, so Psi X = (X Psi)^sigma: a term is (Y - Y^sigma) / k, Y = X Psi.
     """
     n_cut = config.n_k(state.step)
     ok, err = _melnikov_scan(state, lattice, config, omega, n_cut, state.remainder.r1.nu)
@@ -273,8 +274,13 @@ def kam_step(state, lattice, config, omega):
         new_blocks[a_sq] = upd
     phi = ExpMap.from_generator(psi)
     psi_norm = psi.decay_norm(0.0)
+
+    def lie_term(x, k):
+        y = x.compose(psi)
+        return (y - y.sigma()) * (1.0 / k)
+
     lie = truncated_series(
-        g, lambda x, k: (x.compose(psi) - psi.compose(x)) * (1.0 / k), 1e-18, 60,
+        g, lie_term, 1e-18, 60,
         rate=lambda k: 2.0 * psi_norm / k, bound=g.decay_norm(0.0), k0=1,
         total=PairedBlockOperator.zero(lattice, nu, rem.r1.ell_max), name="KAM Lie series")
     # Phi^-1 R Phi - R = R (Phi - Id) + (Phi^-1 - Id) R Phi: no O(|R|) cancels

@@ -15,7 +15,7 @@ fl(-x) = -fl(x), the (beta, alpha) combinations are the (alpha, beta) ones
 negated, and thresholds and pruning see ell only through |ell|; the sum
 condition at -ell is checked against the sums negated and reversed.  The
 window kernel ``_hull_hits`` searches every combination's centre, sorted
-once per scan, in each row's sorted omega.ell, and the KAM Melnikov scan
+once per ``EigenData``, in each row's sorted omega.ell; the KAM Melnikov scan
 shares it and the gap kernel ``_gap``.  Lebesgue measure is approximated by the sample fraction on a
 declared grid, the numerical counterpart of the analytic Fubini argument.
 
@@ -29,6 +29,7 @@ interval proofs.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,19 @@ class EigenData:
     def from_blocks(cls, lattice, d_blocks, m=1.0):
         return cls(lattice, {a: np.linalg.eigvalsh(mat) for a, mat in d_blocks.items()},
                    m)
+
+    @cached_property
+    def scan_table(self):
+        """``_scan_box``'s (combos, centres, cond), built once: conditions
+        3i, 3i + 1, 3i + 2 of cluster pair i hold its sorted differences,
+        sums and negated sums reversed."""
+        combos = []
+        for ca in self.lattice.clusters:
+            for cb in self.lattice.clusters:
+                la, lb = self.tables[ca.alpha_sq], self.tables[cb.alpha_sq]
+                add = sorted_combos(la, lb, "+")
+                combos += [sorted_combos(la, lb, "-"), add, -add[::-1]]
+        return (combos, *_centres(combos))
 
     def correction_bound(self):
         """max |lambda - m alpha| over the table."""
@@ -152,10 +166,10 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     p <= center: yields (p, c, thr, g, s), p ascending, then c; sample s
     fails at gammas[g] condition c = 3 i + k of cluster pair i (k = 0, 1:
     difference, sum at ell; k = 2: sum at -ell, none at ell = 0), thr[g]
-    its thresholds.  The centres are sorted once; the windows' thresholds
-    are one table over the distinct |ell| at the largest gamma, since every
-    threshold and every pruning keep rises with gamma, and a hit forms only
-    the per-gamma thresholds of the kind it checks.
+    its thresholds.  The sorted centres come from ``eigen.scan_table``; the
+    windows' thresholds are one table over the distinct |ell| at the largest
+    gamma, since every threshold and every pruning keep rises with gamma, and
+    a hit forms only the per-gamma thresholds of the kind it checks.
 
     Pruning (validated against the full scan in tests): a difference
     condition can only fail when m|alpha-beta| <= |omega||ell| + 2 gamma
@@ -171,12 +185,7 @@ def _scan_box(samples, eigen, gammas, tau, dd, ell_max, prune=True):
     b = np.array([cb.alpha for _, cb in pairs])
     ab_dd = np.array([(ca.alpha * cb.alpha) ** dd for ca, cb in pairs])
     same = np.array([ca.alpha_sq == cb.alpha_sq for ca, cb in pairs])
-    combos = []
-    for ca, cb in pairs:
-        la, lb = eigen.tables[ca.alpha_sq], eigen.tables[cb.alpha_sq]
-        add = sorted_combos(la, lb, "+")
-        combos += [sorted_combos(la, lb, "-"), add, -add[::-1]]
-    centres, cond = _centres(combos)
+    combos, centres, cond = eigen.scan_table
     g2 = 2.0 * np.asarray(gammas, dtype=float)
     box, norms = ell_table(samples.shape[1], ell_max)
     uniq, which = np.unique(norms[:len(box) // 2 + 1], return_inverse=True)

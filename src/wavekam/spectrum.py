@@ -79,9 +79,6 @@ class ClusterIndex:
     def alpha(self):
         return math.sqrt(self.alpha_sq)
 
-    def __repr__(self):
-        return f"ClusterIndex(alpha_sq={self.alpha_sq}, n_alpha={self.n_alpha})"
-
 
 class SpectralLattice:
     """Clusters of the zero-average spectrum up to radius j_max.
@@ -151,12 +148,6 @@ class SpectralLattice:
             isinstance(other, SpectralLattice)
             and self.d == other.d
             and self.j_max == other.j_max
-        )
-
-    def __repr__(self):
-        return (
-            f"SpectralLattice(d={self.d}, j_max={self.j_max}, "
-            f"{len(self.clusters)} clusters, {self.n_points} points)"
         )
 
 
@@ -427,6 +418,8 @@ def _convolve_rows(a, b):
     nza, nzb = fa != 0, fb != 0
     count = nza.sum(axis=1) * nzb.sum(axis=1)
     out = np.zeros((k, size), dtype=complex)
+    if not count.any():
+        return out.reshape((k,) + shape)
     for i in np.flatnonzero(count > 16384):
         out[i] = _fft_convolve(a[i], b[i]).ravel()
 

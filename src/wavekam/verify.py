@@ -209,13 +209,13 @@ def suite_hamiltonian(seed=0):
     rows.append(_row("symplectic-J", symplectic_check(jmat), 1e-14))
     r1 = _random_block(lat, 2, 6, rng, density=0.4, support=1)
     r2 = _random_block(lat, 2, 6, rng, density=0.4, support=1)
-    psi = PairedBlockOperator((r1 - r1.adjoint()) * 0.5,
-                              (r2 + r2.transpose()) * 0.5)
+    psi = PairedBlockOperator(r1, r2)
+    psi = (psi - psi.sigma()) * 0.5
     psi = psi * (0.1 / psi.decay_norm(0.0))
     phi = operator_exponential(psi)
     rows.append(_row("symplectic-exp-hamiltonian", symplectic_check(phi), 1e-10))
-    x = PairedBlockOperator((r2 - r2.adjoint()) * 0.5,
-                            (r1 + r1.transpose()) * 0.5)
+    x = PairedBlockOperator(r2, r1)
+    x = (x - x.sigma()) * 0.5
     pushed = push_forward(x, ExpMap.from_generator(psi), VERIFY_OMEGA)
     rows.append(_row(
         "push-forward-preserves-hamiltonian",
@@ -289,8 +289,8 @@ def suite_kam(seed=0, trials=20):
     # toy run
     r1 = _random_block(lat, 2, 4, rng, density=0.4, support=1)
     r2 = _random_block(lat, 2, 4, rng, density=0.4, support=1)
-    rem = PairedBlockOperator((r1 - r1.adjoint()) * 0.5,
-                              (r2 + r2.transpose()) * 0.5)
+    rem = PairedBlockOperator(r1, r2)
+    rem = (rem - rem.sigma()) * 0.5
     rem = rem * (1e-4 / rem.decay_norm(0.0))
     blocks = {c.alpha_sq: c.alpha * np.eye(c.n_alpha, dtype=complex)
               for c in lat.clusters}

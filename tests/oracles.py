@@ -52,7 +52,8 @@ the package.
 - ``AngleFunction.eval_at`` with its phases formed as the complex product
   ``(1j * points) @ ells.T``, which the one real product replaced.
 - The test-only predicates of ``BlockOperator``: ``is_real``,
-  ``is_symmetric`` and ``is_selfadjoint``, now functions of the operator.
+  ``is_symmetric`` and ``is_selfadjoint``, and
+  ``PairedBlockOperator.is_hamiltonian``, now functions of the operator.
 - ``hamiltonian._neumann_inverse`` and the bare-map branch of
   ``hamiltonian.push_forward`` (a map close to the identity, inverted by
   ``phi_inverse`` or the Neumann series), before it took an ``ExpMap`` only.
@@ -1241,7 +1242,7 @@ def eigenvalue_lipschitz_audit(grid, blocks_per_omega, lattice, slack=1e-10):
 
 # ---------------------------------------------------------------------------
 # Block-operator predicates (formerly BlockOperator.is_real, is_symmetric,
-# is_selfadjoint and blockop._op_close)
+# is_selfadjoint, blockop._op_close and PairedBlockOperator.is_hamiltonian)
 # ---------------------------------------------------------------------------
 
 
@@ -1261,6 +1262,11 @@ def is_symmetric(op, tol=1e-12):
 
 def is_selfadjoint(op, tol=1e-12):
     return _op_close(op, op.adjoint(), tol)
+
+
+def is_hamiltonian(op, tol=1e-10):
+    """Paired operator with |M^sigma + M|_0 <= tol max(|M|_0, 1)."""
+    return op.hamiltonian_residual(0.0) <= tol * max(op.decay_norm(0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from wavekam import cli
 from wavekam.cli import CONFIG_SCHEMA, main
 from wavekam.kam import MAX_SCAN_ELLS
 from wavekam.resonance import classify_omega
+from wavekam.verify import SUITES
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src/wavekam/configs"
 
@@ -240,6 +241,13 @@ class TestOtherVerbs:
         assert rc == 0
         assert out.startswith("1..")
         assert "ok 1 - " in out
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "all"])
+    def test_verify_suite_passes(self, suite, capsys):
+        rc = run_cli("verify", suite)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rc == 0
+        assert rows and all(r.startswith("ok ") for r in rows), rows
 
     def test_verify_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

@@ -18,6 +18,7 @@ from wavekam.hamiltonian import (
 from conftest import (
     random_block_operator,
     random_hamiltonian_paired,
+    random_paired,
     rng_for,
 )
 import oracles
@@ -82,7 +83,7 @@ class TestComplexify:
         # X = J G = (G21 G22; -G11 -G12) with G21 = G12^T
         assert x.is_hamiltonian(1e-12)
         out = complexify(x)
-        assert out.is_hamiltonian(1e-10)
+        assert oracles.is_hamiltonian(out, 1e-10)
 
 
 class TestSymplecticCheck:
@@ -169,3 +170,94 @@ class TestPushForward:
         via_neumann = oracles.push_forward(x, phi_op, omega)
         scale = max(1.0, via_map.decay_norm(0.0))
         assert (via_map - via_neumann).decay_norm(0.0) <= 1e-11 * scale
+
+
+def sigma_dense(m):
+    """S M^H S of a dense paired matrix, S = diag(I, -I)."""
+    n = len(m) // 2
+    s = np.diag(np.r_[np.ones(n), -np.ones(n)])
+    return s @ m.conj().T @ s
+
+
+class TestSigma:
+    """M^sigma = S M* S against the dense flattening, and the identities
+    the KAM step and ``ExpMap.then`` rest on."""
+
+    def test_matches_dense_and_is_an_involution(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sigma-dense")
+        for _ in range(3):
+            m = random_paired(lat, 2, 2, rng, density=0.6)
+            dense = oracles.to_dense(m)[0]
+            got = oracles.to_dense(m.sigma())[0]
+            assert np.abs(got - sigma_dense(dense)).max() == 0.0
+            assert (m.sigma().sigma() - m).decay_norm(0.0) == 0.0
+
+    def test_reverses_products(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sigma-product")
+        # full support in the box: the product truncates, and sigma commutes
+        # with the truncation since it maps ell to -ell
+        a = random_paired(lat, 2, 2, rng)
+        b = random_paired(lat, 2, 2, rng)
+        ab = a.compose(b)
+        assert ab.meta["truncation_loss"] > 0.0
+        diff = ab.sigma() - b.sigma().compose(a.sigma())
+        assert diff.decay_norm(0.0) <= 1e-14 * ab.decay_norm(0.0)
+
+    def test_hamiltonian_residual_vanishes_exactly_on_minus_sigma(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sigma-residual")
+        ham = random_hamiltonian_paired(lat, 2, 2, rng)
+        gen = random_paired(lat, 2, 2, rng)
+        for m, hamiltonian in ((ham, True), (gen, False)):
+            dense = oracles.to_dense(m)[0]
+            assert bool(np.abs(sigma_dense(dense) + dense).max() == 0.0) is hamiltonian
+            assert (m.hamiltonian_residual(0.0) == 0.0) is hamiltonian
+        assert gen.hamiltonian_residual(0.0) > 0.1 * gen.decay_norm(0.0)
+        # the projection (M - M^sigma) / 2 lands on the Hamiltonian fields
+        proj = (gen - gen.sigma()) * 0.5
+        assert proj.hamiltonian_residual(0.0) == 0.0
+
+    def test_mirrored_product_needs_hamiltonian_factors(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sigma-mirror")
+        x = random_hamiltonian_paired(lat, 2, 3, rng, ell_support=1)
+        psi = random_hamiltonian_paired(lat, 2, 3, rng, ell_support=1)
+        bad = random_paired(lat, 2, 3, rng, ell_support=1)
+        for p, tol in ((psi, 1e-14), (bad, None)):
+            want = p.compose(x)
+            err = (x.compose(p).sigma() - want).decay_norm(0.0)
+            if tol is None:
+                assert err > 0.1 * want.decay_norm(0.0)
+            else:
+                assert err <= tol * want.decay_norm(0.0)
+
+    def test_sigma_of_exp_is_the_exp_of_minus_psi(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sigma-exp")
+        psi = random_hamiltonian_paired(lat, 2, 6, rng, ell_support=1)
+        psi = psi * (0.1 / psi.decay_norm(0.0))
+        got = operator_exponential(psi).sigma()
+        want = operator_exponential(psi * (-1.0))
+        assert (got - want).decay_norm(0.0) <= 1e-14
+
+    def test_then_inverts_by_sigma(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sigma-then")
+        maps = []
+        for _ in range(3):
+            psi = random_hamiltonian_paired(lat, 2, 4, rng, ell_support=1)
+            maps.append(ExpMap.from_generator(psi * (0.01 / psi.decay_norm(0.0))))
+        # support 1 in box 4 at |Psi| = 0.01: truncation stays below 1e-14
+        chain = ExpMap.identity(lat, 2, 4)
+        for phi in maps:
+            chain = chain.then(phi)
+        assert (chain.inverse - chain.forward.sigma()).decay_norm(0.0) == 0.0
+        eye = PairedBlockOperator.identity(lat, 2, 4)
+        for prod in (chain.inverse.compose(chain.forward),
+                     chain.forward.compose(chain.inverse)):
+            assert (prod - eye).decay_norm(0.0) <= 1e-14
+        # the chain of the step inverses agrees to rounding
+        inv = maps[2].inverse.compose(maps[1].inverse).compose(maps[0].inverse)
+        assert (chain.inverse - inv).decay_norm(0.0) <= 1e-14

@@ -287,7 +287,7 @@ class TestKamStep:
             h = random_hermitian(rng, c.n_alpha) * 1e-3
             r1.set_block((0, 0), c.alpha_sq, c.alpha_sq, 1j * h)  # r1* = -r1
         rem = PairedBlockOperator(r1, BlockOperator(lat, 2, 3))
-        assert rem.is_hamiltonian(1e-12)
+        assert oracles.is_hamiltonian(rem, 1e-12)
         state = toy_state(lat, rem)
         cfg = toy_config()
         new = kam_step(state, lat, cfg, OMEGA)
@@ -335,7 +335,7 @@ class TestKamStep:
         state = toy_state(lat, rem)
         cfg = toy_config()
         psi = assemble_homological_solution(state, lat, cfg, OMEGA, cfg.n_k(0))
-        assert psi.is_hamiltonian(1e-10)
+        assert oracles.is_hamiltonian(psi, 1e-10)
 
     def test_step_matches_generic_push_forward(self):
         # D_{k+1} + R_{k+1} from the term-by-term formula equals the direct

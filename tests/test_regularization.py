@@ -21,6 +21,7 @@ from wavekam.regularization import (
     symmetrize,
 )
 
+import oracles
 from conftest import rng_for
 from oracles import (
     FiniteRankOperator,
@@ -181,7 +182,7 @@ class TestComplexifyStage:
         blocks = s2.field.to_paired_blocks() + rank_terms_to_paired_blocks(
             s2.rank_terms, p.lattice, p.nu, p.ell_max, scale=p.epsilon
         )
-        assert blocks.is_hamiltonian(1e-10)
+        assert oracles.is_hamiltonian(blocks, 1e-10)
 
 
 class TestReparametrize:
@@ -461,7 +462,7 @@ class TestRunPipeline:
     def test_r4_structure_and_hamiltonian(self):
         p = small_problem(2e-3)
         res = run_pipeline(p, OMEGA)
-        assert res.r4.is_hamiltonian(1e-10)
+        assert oracles.is_hamiltonian(res.r4, 1e-10)
         # finite-rank-plus-multiplier structure is preserved: the multiplier
         # part is block-diagonal off-part, the rank part has limited clusters
         assert res.r4_multiplier.r1.norm(0.0, 0.0) == 0.0
@@ -501,7 +502,7 @@ class TestRunPipeline:
         )
         assert p.a.is_real(1e-12)
         res = run_pipeline(p, OMEGA)
-        assert res.r4.is_hamiltonian(1e-10)
+        assert oracles.is_hamiltonian(res.r4, 1e-10)
         assert res.r4_multiplier.r1.norm(0.0, 0.0) == 0.0
         assert res.r4.decay_norm(0.0) <= 0.1
 

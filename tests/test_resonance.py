@@ -160,6 +160,30 @@ class TestMeasureSweep:
         rows, _ = measure_sweep(samples, eig, [5.0], 2.0, 1.0, 2)
         assert rows[0]["fraction"] > 0.9
 
+    def test_scan_table_built_once_per_eigen_data(self):
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("sweep-table")
+        blocks = {}
+        for c in lat.clusters:
+            h = rng.standard_normal((c.n_alpha,) * 2) * 1e-2
+            blocks[c.alpha_sq] = c.alpha * np.eye(c.n_alpha) + h + h.T
+        eig = EigenData.from_blocks(lat, blocks)
+        samples = 1.0 + rng.random((400, 2))
+        gammas = [0.02, 0.01]
+        first = measure_sweep(samples, eig, gammas, 2.0, 1.0, 2)
+        table = eig.scan_table
+        assert measure_sweep(samples, eig, gammas, 2.0, 1.0, 2) == first
+        assert eig.scan_table is table
+        fresh = EigenData.from_blocks(lat, blocks)
+        assert measure_sweep(samples, fresh, gammas, 2.0, 1.0, 2) == first
+        combos, centres, _ = table
+        pairs = [(a, b) for a in lat.clusters for b in lat.clusters]
+        assert len(combos) == 3 * len(pairs)
+        for i, (ca, cb) in enumerate(pairs):
+            la, lb = eig.tables[ca.alpha_sq], eig.tables[cb.alpha_sq]
+            assert np.array_equal(combos[3 * i], sorted_combos(la, lb, "-"))
+        assert np.all(np.diff(centres) >= 0)
+
     def test_single_sample_degenerate(self):
         eig = toy_eigen()
         rows, fit = measure_sweep(
