@@ -10,8 +10,8 @@ positions in the (2L+1)^nu box, the rows of ``spectrum.ell_box``, so -ell
 sits at (2L+1)^nu - 1 - idx; ``mats`` is the (k, n_alpha, n_beta) stack of
 their blocks.  An absent block is zero and a pair without blocks has no
 entry; remainders become extremely sparse as the reduction progresses.  Stacks are never written in place once an operator
-holds them, so operators share them freely.  ``set_block``, ``block`` and the
-sorted ``items`` iterator are the per-block accessors; every other operation
+holds them, so operators share them freely.  ``block`` and the sorted
+``items`` iterator are the per-block accessors; every other operation
 is a few array operations per pair.
 
 ``compose`` forms all block products of a cluster triple with one GEMM and
@@ -76,8 +76,8 @@ def _add_stacks(x, y):
 class BlockOperator:
     """Sparse block representation of a phi-dependent linear operator.
 
-    ``blocks`` optionally maps (ell, alpha^2, beta^2) -> matrix, as many
-    ``set_block`` calls in one pass.
+    ``blocks`` optionally maps (ell, alpha^2, beta^2) -> matrix; each block
+    is validated and copied into its cluster pair's stack.
     """
 
     __slots__ = ("lattice", "nu", "ell_max", "stacks", "meta")
@@ -128,19 +128,6 @@ class BlockOperator:
                 f"expected {self._shape(a_sq, b_sq)}"
             )
         return p, mat
-
-    def set_block(self, ell, a_sq, b_sq, mat):
-        p, mat = self._checked(ell, a_sq, b_sq, mat)
-        key = (int(a_sq), int(b_sq))
-        idx, mats = self.stacks.get(key, (np.empty(0, dtype=np.int64), mat[None][:0]))
-        i = int(np.searchsorted(idx, p))
-        if i < len(idx) and idx[i] == p:
-            mats = mats.copy()
-            mats[i] = mat
-        else:
-            idx = np.concatenate((idx[:i], [p], idx[i:]))
-            mats = np.concatenate((mats[:i], mat[None], mats[i:]))
-        self.stacks[key] = (idx, mats)
 
     def block(self, ell, a_sq, b_sq):
         p = self._position(ell)

@@ -241,12 +241,17 @@ class PairedMultiplier:
     __rmul__ = __mul__
 
     def compose(self, other):
-        a = multiplier_compose(self.r1, other.r1) + multiplier_compose(
-            self.r2, other.r2.conj()
-        )
-        b = multiplier_compose(self.r1, other.r2) + multiplier_compose(
-            self.r2, other.r1.conj()
-        )
+        """Paired product.  A product with an identically zero factor is not
+        formed: it is zeros of the summed order, as multiplier_compose gives."""
+
+        def mul(x, y):
+            if x.coeffs.any() and y.coeffs.any():
+                return multiplier_compose(x, y)
+            x._check(y)
+            return x._like(np.zeros_like(x.coeffs), x.order + y.order)
+
+        a = mul(self.r1, other.r1) + mul(self.r2, other.r2.conj())
+        b = mul(self.r1, other.r2) + mul(self.r2, other.r1.conj())
         return PairedMultiplier(a, b)
 
     def transpose(self):

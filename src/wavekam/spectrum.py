@@ -203,14 +203,6 @@ class AngleFunction:
         return f
 
     @classmethod
-    def from_modes(cls, nu, ell_max, modes):
-        """modes: dict ell-tuple -> complex coefficient."""
-        f = cls(nu, ell_max)
-        for ell, v in modes.items():
-            f[ell] = v
-        return f
-
-    @classmethod
     def cosine(cls, nu, ell_max, ell, amplitude=1.0):
         """amplitude * cos(ell . phi)."""
         f = cls(nu, ell_max)

@@ -24,7 +24,7 @@ from .blockop import (
     smoothing_projector,
 )
 from .dynamics import evolve_original, evolve_reduced, reduced_norm_drift
-from .hamiltonian import BlockMatrix2, ExpMap, push_forward, symplectic_check
+from .hamiltonian import ExpMap, push_forward, symplectic_check
 from .kam import KamConfig, SylvesterOperator, kam_run, sylvester_solve
 from .multiplier import FourierMultiplier, multiplier_to_blocks
 from .regularization import (
@@ -203,10 +203,11 @@ def suite_hamiltonian(seed=0):
     rows = []
     lat = enumerate_clusters(2, 2)
     rng = rng_for(seed, "hamiltonian")
-    ident = BlockMatrix2.identity(lat, 2, 1)
-    jmat = BlockMatrix2.J(lat, 2, 1)
+    ident = PairedBlockOperator.identity(lat, 2, 1)
+    # iS = (i I, 0; 0, -i I) passes Phi^sigma Phi = I as J passes Phi^T J Phi = J
+    i_s = PairedBlockOperator(ident.r1 * 1j, ident.r2)
     rows.append(_row("symplectic-identity", symplectic_check(ident), 1e-14))
-    rows.append(_row("symplectic-J", symplectic_check(jmat), 1e-14))
+    rows.append(_row("symplectic-J", symplectic_check(i_s), 1e-14))
     r1 = _random_block(lat, 2, 6, rng, density=0.4, support=1)
     r2 = _random_block(lat, 2, 6, rng, density=0.4, support=1)
     psi = PairedBlockOperator(r1, r2)

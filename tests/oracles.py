@@ -57,6 +57,13 @@ the package.
 - ``hamiltonian._neumann_inverse`` and the bare-map branch of
   ``hamiltonian.push_forward`` (a map close to the identity, inverted by
   ``phi_inverse`` or the Neumann series), before it took an ``ExpMap`` only.
+- The real-coordinate 2x2 block matrix ``hamiltonian.BlockMatrix2`` with its
+  J, and the symplecticity check Phi^T J Phi = J that
+  ``hamiltonian.symplectic_check`` made before it tested Phi^sigma Phi = I.
+- The test-only per-entry constructors ``BlockOperator.set_block`` and
+  ``AngleFunction.from_modes``, now functions.
+- ``PairedMultiplier.compose`` as it was before it skipped the products of
+  an identically zero factor.
 """
 
 import itertools
@@ -64,12 +71,12 @@ import math
 
 import numpy as np
 
-from wavekam import hamiltonian
-from wavekam.blockop import (BlockOperator, PairedBlockOperator, diagonal_part,
-                             rank_one_blocks, smoothing_projector)
+from wavekam import hamiltonian, multiplier
+from wavekam.blockop import (BlockOperator, PairedBlockOperator, compose,
+                             diagonal_part, rank_one_blocks, smoothing_projector)
 from wavekam.errors import (ContractViolation, InversionError, ParameterError,
                             ResonanceError, WavekamError)
-from wavekam.hamiltonian import BlockMatrix2, ExpMap
+from wavekam.hamiltonian import ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
 from wavekam.resonance import ResonanceReport, _gap
@@ -770,7 +777,7 @@ def compose_dicts(R, T):
             for k in range(nu):
                 q, rem = divmod(rem, n_box ** (nu - 1 - k))
                 ell.append(int(q) - L)
-            out.set_block(tuple(ell), a, c, dest[flat])
+            set_block(out, tuple(ell), a, c, dest[flat])
     out.meta["truncation_loss"] = math.sqrt(math.fsum(lost)) if lost else 0.0
     return out
 
@@ -1270,6 +1277,119 @@ def is_hamiltonian(op, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
+# Per-entry constructors (formerly BlockOperator.set_block and
+# AngleFunction.from_modes)
+# ---------------------------------------------------------------------------
+
+
+def set_block(op, ell, a_sq, b_sq, mat):
+    """Store one validated block of ``op`` in place."""
+    p, mat = op._checked(ell, a_sq, b_sq, mat)
+    key = (int(a_sq), int(b_sq))
+    idx, mats = op.stacks.get(key, (np.empty(0, dtype=np.int64), mat[None][:0]))
+    i = int(np.searchsorted(idx, p))
+    if i < len(idx) and idx[i] == p:
+        mats = mats.copy()
+        mats[i] = mat
+    else:
+        idx = np.concatenate((idx[:i], [p], idx[i:]))
+        mats = np.concatenate((mats[:i], mat[None], mats[i:]))
+    op.stacks[key] = (idx, mats)
+
+
+def angle_from_modes(nu, ell_max, modes):
+    """AngleFunction from a dict ell-tuple -> complex coefficient."""
+    f = AngleFunction(nu, ell_max)
+    for ell, v in modes.items():
+        f[ell] = v
+    return f
+
+
+# ---------------------------------------------------------------------------
+# Real-coordinate 2x2 block matrices and their symplecticity check (formerly
+# hamiltonian.BlockMatrix2 and hamiltonian.symplectic_check)
+# ---------------------------------------------------------------------------
+
+
+class BlockMatrix2:
+    """General 2x2 arrangement of block operators (no conjugate-row constraint)."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @classmethod
+    def identity(cls, lattice, nu, ell_max):
+        eye = BlockOperator.identity(lattice, nu, ell_max)
+        zero = BlockOperator(lattice, nu, ell_max)
+        return cls(eye, zero.copy(), zero.copy(), eye.copy())
+
+    @classmethod
+    def J(cls, lattice, nu, ell_max):
+        eye = BlockOperator.identity(lattice, nu, ell_max)
+        zero = BlockOperator(lattice, nu, ell_max)
+        return cls(zero.copy(), eye, eye * (-1.0), zero.copy())
+
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def __add__(self, other):
+        return BlockMatrix2(*(x + y for x, y in zip(self.entries(), other.entries())))
+
+    def __sub__(self, other):
+        return BlockMatrix2(*(x - y for x, y in zip(self.entries(), other.entries())))
+
+    def __mul__(self, scalar):
+        return BlockMatrix2(*(x * scalar for x in self.entries()))
+
+    __rmul__ = __mul__
+
+    def compose(self, o):
+        return BlockMatrix2(
+            compose(self.a, o.a) + compose(self.b, o.c),
+            compose(self.a, o.b) + compose(self.b, o.d),
+            compose(self.c, o.a) + compose(self.d, o.c),
+            compose(self.c, o.b) + compose(self.d, o.d),
+        )
+
+    def transpose(self):
+        return BlockMatrix2(
+            self.a.transpose(), self.c.transpose(),
+            self.b.transpose(), self.d.transpose(),
+        )
+
+    def omega_dphi(self, omega):
+        return BlockMatrix2(*(e.omega_dphi(omega) for e in self.entries()))
+
+    def hs_total(self):
+        return math.sqrt(math.fsum(e.hs_total() ** 2 for e in self.entries()))
+
+    def per_mode_frobenius(self):
+        """dict ell -> Frobenius norm of the full coefficient matrix at that mode."""
+        acc = {}
+        for e in self.entries():
+            for (ell, _, _), mat in e.items():
+                acc[ell] = acc.get(ell, 0.0) + float(np.sum(np.abs(mat) ** 2))
+        return {ell: math.sqrt(v) for ell, v in acc.items()}
+
+    def decay_norm(self, s):
+        return math.fsum(e.decay_norm(s) for e in self.entries())
+
+
+def real_symplectic_check(phi):
+    """Max over stored phi-modes of the Frobenius norm of Phi^T J Phi - J.
+
+    A paired map is taken as the 2x2 matrix (r1 r2; conj r2 conj r1).
+    """
+    m = phi if isinstance(phi, BlockMatrix2) else BlockMatrix2(
+        phi.r1, phi.r2, phi.r2.conj(), phi.r1.conj())
+    j = BlockMatrix2.J(m.a.lattice, m.a.nu, m.a.ell_max)
+    residual = m.transpose().compose(j.compose(m)) - j
+    return max(residual.per_mode_frobenius().values(), default=0.0)
+
+
+# ---------------------------------------------------------------------------
 # Real-coordinate fields (formerly hamiltonian.RealVectorField and
 # hamiltonian.complexify): the real 2x2 form of stages 1 and 2
 # ---------------------------------------------------------------------------
@@ -1714,3 +1834,18 @@ def eval_at_complex_phase(f, points):
     nz = np.flatnonzero(flat)
     ells = ell_table(f.nu, f.ell_max)[0][nz]
     return np.exp(1j * points @ ells.T) @ flat[nz]
+
+
+# ---------------------------------------------------------------------------
+# Paired multiplier product with every factor (formerly
+# PairedMultiplier.compose)
+# ---------------------------------------------------------------------------
+
+
+def paired_multiplier_compose_every_product(self, other):
+    """All four ``multiplier.multiplier_compose`` products, zero factors
+    included."""
+    mc = multiplier.multiplier_compose
+    a = mc(self.r1, other.r1) + mc(self.r2, other.r2.conj())
+    b = mc(self.r1, other.r2) + mc(self.r2, other.r1.conj())
+    return multiplier.PairedMultiplier(a, b)

@@ -44,6 +44,7 @@ from wavekam.regularization import (
 )
 from wavekam.resonance import EigenData, classify_omega, measure_sweep
 
+import oracles
 from conftest import rng_for
 
 D, NU, J_MAX, ELL_MAX = 2, 2, 6, 8
@@ -137,7 +138,7 @@ def test_criterion_1_norm_algebra():
                             rng.standard_normal((ca.n_alpha, cb.n_alpha))
                             + 1j * rng.standard_normal((ca.n_alpha, cb.n_alpha))
                         )
-                        op.set_block(ell, ca.alpha_sq, cb.alpha_sq, mat)
+                        oracles.set_block(op, ell, ca.alpha_sq, cb.alpha_sq, mat)
             ops.append(op)
         r, t = ops
         num = block_decay_norm(compose(r, t), s)
@@ -271,8 +272,8 @@ def test_criterion_3_pipeline_exactness(desk_runs):
     claim = BlockOperator(lat, p.nu, p.ell_max)
     zero = (0,) * p.nu
     for i, cl in enumerate(lat.clusters):
-        claim.set_block(zero, cl.alpha_sq, cl.alpha_sq,
-                        -1j * reg.mu[i] * np.eye(cl.n_alpha))
+        oracles.set_block(claim, zero, cl.alpha_sq, cl.alpha_sq,
+                          -1j * reg.mu[i] * np.eye(cl.n_alpha))
     claimed = PairedBlockOperator(claim, BlockOperator(lat, p.nu, p.ell_max)) + reg.r4
     residual = (pushed - claimed).decay_norm(0.0)
     ok = eps0_ok and nonconst_ok and residual < 1e-9
@@ -336,8 +337,6 @@ def test_criterion_5_structure_preservation(desk_runs):
     lat = p.lattice
     worst_symp = 0.0
     # the symmetrization stage: real 2x2 multiplier matrix
-    from wavekam.hamiltonian import BlockMatrix2
-
     s1 = reg.stage1
     half = FourierMultiplier(lat, p.nu, p.ell_max, -0.5)
     halfinv = FourierMultiplier(lat, p.nu, p.ell_max, 0.5)
@@ -345,9 +344,9 @@ def test_criterion_5_structure_preservation(desk_runs):
         half.coeffs[i] = (s1.beta * cl.alpha ** (-0.5)).coeffs.ravel()
         halfinv.coeffs[i] = (s1.beta_inv * cl.alpha**0.5).coeffs.ravel()
     zero = BlockOperator(lat, p.nu, p.ell_max)
-    smap = BlockMatrix2(half.to_blocks(), zero.copy(), zero.copy(),
-                        halfinv.to_blocks())
-    worst_symp = max(worst_symp, symplectic_check(smap))
+    smap = oracles.BlockMatrix2(half.to_blocks(), zero.copy(), zero.copy(),
+                                halfinv.to_blocks())
+    worst_symp = max(worst_symp, oracles.real_symplectic_check(smap))
     # the complexification: C^T J C = i J exactly (Gamma-form constant map)
     cmat = np.array([[1, 1], [-1j, 1j]]) / math.sqrt(2)
     jmat = np.array([[0, 1], [-1, 0]])
@@ -521,7 +520,7 @@ def test_criterion_8_micro_cases():
     s1 = symmetrize(p2, OMEGA_REF)
     s2 = complexify_stage(p2, s1)
     s3 = reparametrize_time(p2, s1, s2, OMEGA_REF)
-    want = AngleFunction.from_modes(
+    want = oracles.angle_from_modes(
         NU, ELL_MAX,
         {(1, 0): delta / (2j * OMEGA_REF[0]),
          (-1, 0): -delta / (2j * OMEGA_REF[0])},

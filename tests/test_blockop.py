@@ -40,7 +40,7 @@ class TestDecayNorm:
     def test_identity_block_d2(self, lat_d2):
         # single block I on alpha^2 = 1 (n=4): HS norm 2, weight 1 at any s
         op = BlockOperator(lat_d2, 2, 2)
-        op.set_block((0, 0), 1, 1, np.eye(4))
+        oracles.set_block(op, (0, 0), 1, 1, np.eye(4))
         assert block_decay_norm(op, 1.0) == pytest.approx(2.0)
 
     def test_zero_operator(self, lat_d2):
@@ -127,7 +127,7 @@ class TestCompose:
     def test_truncation_loss_reported(self):
         lat = enumerate_clusters(2, 1)
         a = BlockOperator(lat, 1, 1)
-        a.set_block((1,), 1, 1, np.eye(4))
+        oracles.set_block(a, (1,), 1, 1, np.eye(4))
         out = compose(a, a)
         # product lives at ell = 2, outside the box: all mass discarded
         assert not len(out)
@@ -222,7 +222,7 @@ class TestInvolutions:
 class TestProjectors:
     def test_high_mode_dropped(self, lat_d2):
         op = BlockOperator(lat_d2, 2, 6)
-        op.set_block((5, 0), 1, 1, np.eye(4))
+        oracles.set_block(op, (5, 0), 1, 1, np.eye(4))
         low, high = smoothing_projector(op, 3)
         assert not len(low) and len(high) == 1
 
@@ -254,8 +254,8 @@ class TestProjectors:
         eye = BlockOperator.identity(lat_d2, 2, 2)
         assert (diagonal_part(eye) - eye).hs_total() == 0.0
         off = BlockOperator(lat_d2, 2, 2)
-        off.set_block((0, 0), 1, 2, np.ones((4, 4)))
-        off.set_block((1, 0), 1, 1, np.ones((4, 4)))
+        oracles.set_block(off, (0, 0), 1, 2, np.ones((4, 4)))
+        oracles.set_block(off, (1, 0), 1, 1, np.ones((4, 4)))
         assert not len(diagonal_part(off))
 
     def test_diag_commutes_with_projector(self, lat_d2):
@@ -286,7 +286,7 @@ class TestExponential:
         # off-diagonal block with no return path inside the truncation
         lat = enumerate_clusters(2, 2)
         psi1 = BlockOperator(lat, 2, 2)
-        psi1.set_block((0, 0), 1, 4, 0.3 * np.ones((4, 4)))
+        oracles.set_block(psi1, (0, 0), 1, 4, 0.3 * np.ones((4, 4)))
         psi = PairedBlockOperator(psi1, BlockOperator(lat, 2, 2))
         # make it nilpotent: r2 = 0 and the only product 1<-4 has no 4<-1 partner
         out = operator_exponential(psi)
@@ -381,8 +381,8 @@ class TestSobolevActionBound:
         for c in lat_d2.clusters:
             v = float(rng.uniform(0.5, 2.0))
             vals[c.alpha_sq] = v
-            op.set_block((0, 0), c.alpha_sq, c.alpha_sq,
-                         v * np.eye(c.n_alpha))
+            oracles.set_block(op, (0, 0), c.alpha_sq, c.alpha_sq,
+                              v * np.eye(c.n_alpha))
         rep = sobolev_action_bound_check(op, 0.0, s0=2)
         assert rep["operator_norm_hs"] == pytest.approx(max(vals.values()))
         assert rep["satisfied"]

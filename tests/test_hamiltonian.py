@@ -8,12 +8,7 @@ from wavekam.blockop import (
     operator_exponential,
 )
 from wavekam.errors import ContractViolation
-from wavekam.hamiltonian import (
-    BlockMatrix2,
-    ExpMap,
-    push_forward,
-    symplectic_check,
-)
+from wavekam.hamiltonian import ExpMap, push_forward, symplectic_check
 
 from conftest import (
     random_block_operator,
@@ -22,7 +17,7 @@ from conftest import (
     rng_for,
 )
 import oracles
-from oracles import RealVectorField, complexify
+from oracles import BlockMatrix2, RealVectorField, complexify
 
 
 def scalar_field(lat, nu, ell_max, a, b, c, d):
@@ -86,13 +81,54 @@ class TestComplexify:
         assert oracles.is_hamiltonian(out, 1e-10)
 
 
+def paired_is(lat, nu, ell_max):
+    """iS = (i I, 0; 0, -i I), the paired map that passes as J does."""
+    eye = BlockOperator.identity(lat, nu, ell_max)
+    return PairedBlockOperator(eye * 1j, BlockOperator(lat, nu, ell_max))
+
+
 class TestSymplecticCheck:
     def test_identity_and_J(self):
         lat = enumerate_clusters(2, 2)
         ident = BlockMatrix2.identity(lat, 2, 1)
         jmat = BlockMatrix2.J(lat, 2, 1)
-        assert symplectic_check(ident) <= 1e-15
-        assert symplectic_check(jmat) <= 1e-15
+        assert oracles.real_symplectic_check(ident) <= 1e-15
+        assert oracles.real_symplectic_check(jmat) <= 1e-15
+        for phi in (PairedBlockOperator.identity(lat, 2, 1), paired_is(lat, 2, 1)):
+            assert symplectic_check(phi) == 0.0
+            assert oracles.real_symplectic_check(phi) == 0.0
+
+    def test_sigma_check_matches_real_check(self):
+        # non-symplectic maps: the residuals are O(1), so the two checks
+        # compare nonzero values.  Full support in the box truncates and
+        # couples all cluster pairs; density 0.6 leaves ell and -ell with
+        # different blocks.  Both keep compose's scatter plans few.
+        rng = rng_for("symp-sigma-real")
+        for lat, density in ((enumerate_clusters(2, 2), 1.0),
+                             (enumerate_clusters(2, 1), 0.6)) * 3:
+            phi = random_paired(lat, 2, 2, rng, density=density)
+            got = symplectic_check(phi)
+            want = oracles.real_symplectic_check(phi)
+            assert got > 0.1
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_off_centre_mode_counts_its_mirror_once(self):
+        # Phi = I + A with A's top row (0, R2), R2 only at ell = (1, 0): the
+        # residual's largest mode is +-(1, 0), where the bottom row adds the
+        # top row's blocks at the mirrored mode, which are zero
+        lat = enumerate_clusters(2, 2)
+        rng = rng_for("symp-off-centre")
+        r2 = BlockOperator(lat, 2, 2)
+        for ca in lat.clusters:
+            for cb in lat.clusters:
+                oracles.set_block(r2, (1, 0), ca.alpha_sq, cb.alpha_sq, 0.1 * (
+                    rng.standard_normal((ca.n_alpha, cb.n_alpha))
+                    + 1j * rng.standard_normal((ca.n_alpha, cb.n_alpha))))
+        phi = PairedBlockOperator.identity(lat, 2, 2) + PairedBlockOperator(
+            BlockOperator(lat, 2, 2), r2)
+        want = oracles.real_symplectic_check(phi)
+        assert abs(symplectic_check(phi) - want) <= 1e-14 * want
+        assert want == pytest.approx((r2 - r2.transpose()).hs_total(), rel=1e-14)
 
     def test_exp_of_hamiltonian_field_is_symplectic(self):
         # support 1 in box 6: the first truncated power is Psi^7, far below 1e-10
@@ -106,7 +142,12 @@ class TestSymplecticCheck:
     def test_nonsymplectic_detected(self):
         lat = enumerate_clusters(2, 1)
         m = BlockMatrix2.identity(lat, 2, 1) * 2.0
-        assert symplectic_check(m) > 1.0
+        assert oracles.real_symplectic_check(m) > 1.0
+        # 2 I: Phi^sigma Phi - I = 3 I at ell = 0, Frobenius 3 sqrt(2 n)
+        two = PairedBlockOperator.identity(lat, 2, 1) * 2.0
+        want = 3.0 * np.sqrt(2 * lat.n_points)
+        assert symplectic_check(two) == pytest.approx(want, rel=1e-15)
+        assert oracles.real_symplectic_check(two) == pytest.approx(want, rel=1e-15)
 
 
 class TestPushForward:

@@ -211,8 +211,8 @@ class TestStackSolve:
         rng = rng_for("kam-stack", kind, n_cut)
         rem = random_hamiltonian_paired(lat, 2, 4, rng)
         for c in lat.clusters:  # (0, a, a) blocks, absorbed instead of solved
-            rem.r1.set_block((0, 0), c.alpha_sq, c.alpha_sq,
-                             1j * random_hermitian(rng, c.n_alpha))
+            oracles.set_block(rem.r1, (0, 0), c.alpha_sq, c.alpha_sq,
+                              1j * random_hermitian(rng, c.n_alpha))
         state = toy_state(lat, rem * 1e-3)
         state.d_blocks = {c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha,
                                                       kind, 1e-2)
@@ -285,7 +285,7 @@ class TestKamStep:
         r1 = BlockOperator(lat, 2, 3)
         for c in lat.clusters:
             h = random_hermitian(rng, c.n_alpha) * 1e-3
-            r1.set_block((0, 0), c.alpha_sq, c.alpha_sq, 1j * h)  # r1* = -r1
+            oracles.set_block(r1, (0, 0), c.alpha_sq, c.alpha_sq, 1j * h)  # r1* = -r1
         rem = PairedBlockOperator(r1, BlockOperator(lat, 2, 3))
         assert oracles.is_hamiltonian(rem, 1e-12)
         state = toy_state(lat, rem)

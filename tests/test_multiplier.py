@@ -78,10 +78,10 @@ class TestCompose:
 
     def test_single_mode_convolution(self, lat_d2):
         r = FourierMultiplier.from_angle_function(
-            lat_d2, AngleFunction.from_modes(2, 3, {(1, 0): 2.0})
+            lat_d2, oracles.angle_from_modes(2, 3, {(1, 0): 2.0})
         )
         b = FourierMultiplier.from_angle_function(
-            lat_d2, AngleFunction.from_modes(2, 3, {(0, 1): 0.5j})
+            lat_d2, oracles.angle_from_modes(2, 3, {(0, 1): 0.5j})
         )
         out = multiplier_compose(r, b)
         assert multiplier_coeff(out, (1, 1), 1) == pytest.approx(1.0j)
@@ -225,7 +225,7 @@ class TestAdjointness:
         assert r.is_real_symbol()
         blocks = multiplier_to_blocks(r)
         assert oracles.is_selfadjoint(blocks, 1e-13)
-        g_cplx = AngleFunction.from_modes(2, 2, {(1, 0): 1.0j})
+        g_cplx = oracles.angle_from_modes(2, 2, {(1, 0): 1.0j})
         rc = FourierMultiplier.from_angle_function(lat_d2, g_cplx)
         assert not rc.is_real_symbol()
         assert not oracles.is_selfadjoint(multiplier_to_blocks(rc), 1e-13)
@@ -398,3 +398,37 @@ def test_desk_pipeline_multiplier_calls(monkeypatch):
     regularization.run_pipeline(p, OMEGA_REF)
     assert callers.count("wavekam.multiplier") == 0
     assert len(exps) == p.M == 4
+
+
+def test_desk_pipeline_zero_factor_skip_is_bit_identical(monkeypatch):
+    """PairedMultiplier.compose skips the products of an identically zero
+    factor: the desk pipeline forms fewer products and its r4 and mu stay
+    bit for bit."""
+    from test_acceptance import OMEGA_REF, desk_problem
+    from wavekam import multiplier, regularization
+
+    calls = []
+    compose = multiplier.multiplier_compose
+
+    def counted_compose(r, b):
+        calls.append(1)
+        return compose(r, b)
+
+    monkeypatch.setattr(multiplier, "multiplier_compose", counted_compose)
+    p = desk_problem(1e-3)
+    runs, counts = [], []
+    for every_product in (False, True):
+        if every_product:
+            monkeypatch.setattr(PairedMultiplier, "compose",
+                                oracles.paired_multiplier_compose_every_product)
+        calls.clear()
+        runs.append(regularization.run_pipeline(p, OMEGA_REF))
+        counts.append(len(calls))
+    skip, every = runs
+    assert counts[0] < counts[1]
+    _assert_same_blocks(skip.r4.r1, every.r4.r1)
+    _assert_same_blocks(skip.r4.r2, every.r4.r2)
+    for x, y in ((skip.r4_multiplier.r1, every.r4_multiplier.r1),
+                 (skip.r4_multiplier.r2, every.r4_multiplier.r2)):
+        assert _bits(x.coeffs) == _bits(y.coeffs)
+    assert _bits(skip.mu) == _bits(every.mu)

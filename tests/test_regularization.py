@@ -6,7 +6,7 @@ import pytest
 from wavekam import AngleFunction, SpaceTimeFunction, enumerate_clusters
 from wavekam.blockop import BlockOperator
 from wavekam.errors import ParameterError
-from wavekam.hamiltonian import BlockMatrix2, ExpMap, push_forward
+from wavekam.hamiltonian import ExpMap, push_forward
 from wavekam.multiplier import FourierMultiplier, PairedMultiplier
 from wavekam.regularization import (
     WaveProblem,
@@ -24,6 +24,7 @@ from wavekam.regularization import (
 import oracles
 from conftest import rng_for
 from oracles import (
+    BlockMatrix2,
     FiniteRankOperator,
     RealVectorField,
     complexify,
@@ -211,7 +212,7 @@ class TestReparametrize:
         s2 = complexify_stage(p, s1)
         s3 = reparametrize_time(p, s1, s2, OMEGA)
         assert s3.m == pytest.approx(1.0, abs=1e-12)
-        want = AngleFunction.from_modes(
+        want = oracles.angle_from_modes(
             nu, ell_max,
             {(1, 0): delta / (2j * OMEGA[0]), (-1, 0): -delta / (2j * OMEGA[0])},
         )

@@ -14,13 +14,12 @@ from scipy.linalg import expm
 from wavekam import enumerate_clusters
 from wavekam.blockop import PairedBlockOperator, operator_exponential
 from wavekam.errors import DivergenceError, InversionError
-from wavekam.hamiltonian import BlockMatrix2
 from wavekam.multiplier import PairedMultiplier, multiplier_exponential
 from wavekam.series import truncated_series
 
 from conftest import (random_block_operator, random_hamiltonian_paired,
                       random_paired, rng_for)
-from oracles import neumann_inverse, push_forward
+from oracles import BlockMatrix2, neumann_inverse, push_forward
 from test_multiplier import random_multiplier
 
 PHI0 = np.zeros(2)

@@ -422,7 +422,7 @@ class TestWeightedLipNorm:
 class TestOmegaDphiInverse:
     def test_single_mode_formula(self):
         # divisor omega.ell = 2 -> coefficient 1/(2i)
-        h = AngleFunction.from_modes(2, 3, {(1, 1): 1.0})
+        h = oracles.angle_from_modes(2, 3, {(1, 1): 1.0})
         out = omega_dphi_inverse(h, np.array([1.0, 1.0]))
         assert out[(1, 1)] == pytest.approx(1.0 / 2.0j)
 
@@ -448,7 +448,7 @@ class TestOmegaDphiInverse:
             omega_dphi_inverse(h, np.array([1.0]))
 
     def test_small_divisor_refused(self):
-        h = AngleFunction.from_modes(2, 2, {(1, -1): 1.0})
+        h = oracles.angle_from_modes(2, 2, {(1, -1): 1.0})
         with pytest.raises(DiophantineViolation) as err:
             omega_dphi_inverse(h, np.array([1.0, 1.0]), gamma=0.1, tau=2.0)
         assert err.value.ell == (1, -1)
