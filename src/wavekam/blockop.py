@@ -48,7 +48,21 @@ __all__ = [
 
 # byte cap on compose's temporaries per GEMM and on its scatter plans (_PLANS)
 _CHUNK_BYTES = 2**24
-_PLANS = {}
+
+
+class _PlanCache(dict):
+    """Scatter plans, oldest first, and the running total of their bytes."""
+
+    nbytes = 0
+
+    def add(self, key, plan):
+        self[key] = plan
+        self.nbytes += sum(x.nbytes for x in plan)
+        while self.nbytes > _CHUNK_BYTES:
+            self.nbytes -= sum(x.nbytes for x in self.pop(next(iter(self))))
+
+
+_PLANS = _PlanCache()
 
 
 def _hs_sq(mats):
@@ -295,11 +309,10 @@ def _scatter_pattern(nu, ell_max, i1, i2):
     order = order[np.argsort(pos[order], kind="stable")]
     pos = pos[order]
     starts = np.flatnonzero(np.diff(pos, prepend=-1))
-    plan = _PLANS[key] = (order, starts, pos[starts], np.flatnonzero(~inbox))
+    plan = (order, starts, pos[starts], np.flatnonzero(~inbox))
     for x in plan:
         x.flags.writeable = False
-    while sum(x.nbytes for v in _PLANS.values() for x in v) > _CHUNK_BYTES:
-        del _PLANS[next(iter(_PLANS))]
+    _PLANS.add(key, plan)
     return plan
 
 

@@ -520,17 +520,15 @@ def phase_dynamics(problem, cfg, kam_results, omegas, outdir, summary,
     dyn_rows = []
     for label, omega, res in runs:
         omega = np.asarray(omega, float)
-        times, vm, pm, _ = evolve_original(
-            problem, omega, v0, psi0, horizon, dt, keep_states=False
-        )
-        runrec = run_norms(times, vm, pm, s)
+        times, states = evolve_original(problem, omega, v0, psi0, horizon, dt)
+        runrec = run_norms(times, states, problem.lattice, s)
         write_trajectory(outdir / f"trajectory_{label}.csv", runrec.times,
                          runrec.norm_v, runrec.norm_psi)
-        stab = stability_check(times, vm, pm, s)
+        stab = stability_check(runrec)
         residual = float("nan")
         if res is not None:
             chain = ConjugationChain(problem, omega, res[0], res[1].state)
-            conj = conjugacy_roundtrip(chain, times, vm, pm)
+            conj = conjugacy_roundtrip(chain, times, states)
             write_json(outdir / f"conjugacy_{label}.json", conj)
             residual = conj["trajectory_residual"]
         dyn_rows.append({"omega_index": label, "sup_ratio": stab["sup_ratio"],
@@ -717,23 +715,23 @@ def make_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(verb, text):
+        p = sub.add_parser(verb, help=text)
         p.add_argument("--config", required=True, help="YAML configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override problem.seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        return p
+
+    # sweep runs the measure phase only, so it reads neither flag
+    p_run = common("run", "execute configured phases")
+    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--phases", default=None,
+                       help="comma-separated phase list")
+    for p in (p_run, common("sweep", "measure sweep only")):
         p.add_argument("--gamma-list", default=None,
                        help="comma-separated gamma values for the sweep")
-        p.add_argument("--phases", default=None,
-                       help="comma-separated phase list")
-
-    p_run = sub.add_parser("run", help="execute configured phases")
-    common(p_run)
-    p_sweep = sub.add_parser("sweep", help="measure sweep only")
-    common(p_sweep)
-    p_dump = sub.add_parser("dump", help="write lattice/function dumps")
-    common(p_dump)
+    common("dump", "write lattice/function dumps")
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--seed", type=int, default=0)

@@ -38,12 +38,13 @@ class EvolutionRun:
     s: float
 
 
-def _space_norm(coeffs, s):
-    acc = [
-        (math.sqrt(sum(x * x for x in j)) ** (2.0 * s)) * abs(v) ** 2
-        for j, v in coeffs.items()
-    ]
-    return math.sqrt(math.fsum(acc))
+def _space_norms(rows, points, s):
+    """H^s norm of each row over ``points``: terms |j|^(2s) abs(v)^2 on NumPy
+    scalars, summed exactly (math.fsum), so zeros and order do not matter."""
+    w = [math.sqrt(sum(x * x for x in j)) ** (2.0 * s) for j in points]
+    return np.array([math.sqrt(math.fsum([c * abs(v) ** 2
+                                          for c, v in zip(w, row)]))
+                     for row in rows])
 
 
 # steps per block: the forcing table holds 2 * _BLOCK_STEPS + 1 stage times,
@@ -73,13 +74,13 @@ def _chain(e):
     return e[0]
 
 
-def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
-                    keep_states=True):
+def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33):
     """RK4 trajectory of the first-order system on the Fourier truncation.
 
     v0, psi0: dicts j -> complex (zero-average x-data).  dt must resolve the
     forcing and the largest retained spatial frequency: dt <= 0.5/(|omega| +
-    j_max).
+    j_max).  Returns (times, states): the sample times and, per time, the
+    state (v; psi) as one row of length 2n over ``lattice.points``.
 
     The state lives on the initial modes and, when eps != 0, on the x-support
     of every b_k, c_k.  This set is closed under the flow: Lap and a(omega t)
@@ -131,17 +132,7 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
 
     n_steps = int(math.ceil(horizon / dt))
     sample_every = max(1, n_steps // max(1, n_samples - 1))
-    times, nv, npsi, states = [], [], [], []
-    t = 0.0
-
-    def record(t, state):
-        times.append(t)
-        nv.append({j: state[i] for i, j in enumerate(modes)})
-        npsi.append({j: state[n + i] for i, j in enumerate(modes)})
-        if keep_states:
-            states.append(state.copy())
-
-    record(t, y)
+    t, times, rows = 0.0, [0.0], [y.copy()]
     yc, ys = np.r_[coupled, n + coupled], np.c_[single, n + single]
     k0 = 0
     while k0 < n_steps:
@@ -168,18 +159,24 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33,
                 step = _chain(_rk4_increments(hs, ls[0:-1:2], ls[1::2], ls[2::2]))
                 y[idx] += (step @ y[idx][..., None])[..., 0]
         if k1 % sample_every == 0 or k1 == n_steps:
-            record(t, y)
+            times.append(t)
+            rows.append(y.copy())
         k0 = k1
-    return times, nv, npsi, states
+    cols = np.array([lat.index[j] for j in modes], dtype=int)
+    states = np.zeros((len(rows), 2 * lat.n_points), dtype=complex)
+    states[:, np.r_[cols, lat.n_points + cols]] = rows
+    return np.array(times), states
 
 
-def run_norms(times, v_maps, psi_maps, s):
-    nv = np.array([_space_norm(m, s + 0.5) for m in v_maps])
-    npsi = np.array([_space_norm(m, s - 0.5) for m in psi_maps])
-    return EvolutionRun(times=np.asarray(times), norm_v=nv, norm_psi=npsi, s=s)
+def run_norms(times, states, lattice, s):
+    """The H^(s+1/2) norm of v and the H^(s-1/2) norm of psi per sample."""
+    n, pts = lattice.n_points, lattice.points
+    return EvolutionRun(np.asarray(times),
+                        _space_norms(states[:, :n], pts, s + 0.5),
+                        _space_norms(states[:, n:], pts, s - 0.5), s)
 
 
-def _reduced_flow(d_blocks, lattice, u0, times, t0=0.0):
+def evolve_reduced(d_blocks, lattice, u0, times, t0=0.0):
     """Exact reduced evolution du/dt = -i D^(1) u per cluster on flat vectors.
 
     u0: length-n vector over ``lattice.points``.  Returns the (len(times), n)
@@ -197,38 +194,19 @@ def _reduced_flow(d_blocks, lattice, u0, times, t0=0.0):
     return out
 
 
-def evolve_reduced(d_blocks, lattice, u0, times, t0=0.0):
-    """``_reduced_flow`` on dicts: u0 is a dict j -> complex, and the result
-    one dict of the nonzero coefficients per requested time."""
-    flat = _reduced_flow(d_blocks, lattice, lattice.vector(u0),
-                         np.atleast_1d(times), t0)
-    return [{j: v for j, v in zip(lattice.points, row) if v != 0}
-            for row in flat]
+def reduced_norm_drift(snapshots, lattice, s):
+    """max_t | |u(t)|_s - |u(0)|_s | over the rows of ``snapshots``."""
+    norms = _space_norms(snapshots, lattice.points, s)
+    return float(np.max(np.abs(norms - norms[0]))) if len(norms) else 0.0
 
 
-def reduced_norm_drift(snapshots, s):
-    norms = [_space_norm(c, s) for c in snapshots]
-    base = norms[0] if norms else 0.0
-    return max(abs(n - base) for n in norms) if norms else 0.0
-
-
-def stability_check(times, v_maps, psi_maps, s, ceiling=10.0):
-    """sup_t norm ratio against the initial data, with the growth curve."""
-    n0 = _space_norm(v_maps[0], s + 0.5) + _space_norm(psi_maps[0], s - 0.5)
+def stability_check(run, ceiling=10.0):
+    """sup_t of the norm ratio against the initial data of an EvolutionRun."""
+    n0 = run.norm_v[0] + run.norm_psi[0]
     if n0 == 0:
         raise ParameterError("zero initial data")
-    curve = np.array(
-        [
-            (_space_norm(v, s + 0.5) + _space_norm(p, s - 0.5)) / n0
-            for v, p in zip(v_maps, psi_maps)
-        ]
-    )
-    return {
-        "sup_ratio": float(np.max(curve)),
-        "bounded": bool(np.max(curve) < ceiling),
-        "curve": curve,
-        "times": np.asarray(times),
-    }
+    sup = float(np.max((run.norm_v + run.norm_psi) / n0))
+    return {"sup_ratio": sup, "bounded": sup < ceiling}
 
 
 # the complexification C and its inverse on one point; W1 uses kron(C, I_n)
@@ -306,7 +284,7 @@ class ConjugationChain:
             if self.kam_state is not None
             else self.reg.d_blocks(lat)
         )
-        u = _reduced_flow(d_blocks, lat, u0, taus, t0=self.tau_of_t(0.0))
+        u = evolve_reduced(d_blocks, lat, u0, taus, t0=self.tau_of_t(0.0))
         out = np.concatenate([u, np.conj(u[:, lat.neg_perm])], axis=1)
         del u
         # each row is read before it is overwritten by its solution
@@ -320,16 +298,14 @@ class ConjugationChain:
         return w2_inv @ (self.w1(0.0, inverse=True) @ x0)
 
 
-def conjugacy_roundtrip(chain, times, v_maps, psi_maps):
-    """Relative deviation of the trajectory from W_infty(omega t)[u(t)].
+def conjugacy_roundtrip(chain, times, x):
+    """Relative deviation of the trajectory x (``evolve_original``'s states)
+    from W_infty(omega t)[u(t)].
 
     Also reports the inverse-composition residual of the chain at t = 0.
-    The trajectory's dicts are converted to flat vectors once, here.
     """
     lat = chain.problem.lattice
     n = lat.n_points
-    x = np.array([np.concatenate([lat.vector(v), lat.vector(p)])
-                  for v, p in zip(v_maps, psi_maps)])
 
     def pair_norm(y):
         return np.linalg.norm(y[..., :n], axis=-1) + np.linalg.norm(

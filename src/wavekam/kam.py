@@ -136,10 +136,6 @@ class SylvesterOperator:
     def eig(self):
         return (*np.linalg.eigh(self.left), *np.linalg.eigh(self.right))
 
-    def denominators(self):
-        la, _, lb, _ = self.eig()
-        return self.omega_ell + _combo_grid(la, lb, self.sign)
-
 
 def _solve_stack(ells, wl, a_sq, b_sq, sign, left, right, rhs):
     """A^sign X_i = -i rhs_i on a (k, n_a, n_b) stack at ells, wl = omega.ell,

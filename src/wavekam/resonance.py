@@ -67,11 +67,6 @@ class EigenData:
             tables[cl.alpha_sq] = np.array([m * cl.alpha + shift])
         return cls(lattice, tables, m)
 
-    @classmethod
-    def from_blocks(cls, lattice, d_blocks, m=1.0):
-        return cls(lattice, {a: np.linalg.eigvalsh(mat) for a, mat in d_blocks.items()},
-                   m)
-
     @cached_property
     def scan_table(self):
         """``_scan_box``'s (combos, centres, cond), built once: conditions
@@ -222,7 +217,7 @@ def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
     array, from one scan pruned with the rows' largest |omega|.  Certificates
     carry the failing inequality, in scan order (box row, cluster pair, 'R'
     before 'Q'), each at the smallest entry (k, j) of its table
-    |omega.ell + lambda_k -+ lambda_j| evaluated from the row alone; with
+    |omega.ell + (lambda_k -+ lambda_j)| evaluated from the row alone; with
     ``first_only`` a row keeps only its first.  The folded scan stops early
     only once every row fails at a scanned row, before all still to come."""
     omega = np.asarray(omega, dtype=float)
@@ -246,10 +241,10 @@ def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
     for s, keys in enumerate(found):
         for q, i, k, thr in sorted(keys)[:1 if first_only else None]:
             ca, cb = clusters[i // n], clusters[i % n]
-            la, lb = eigen.tables[ca.alpha_sq][:, None], eigen.tables[cb.alpha_sq]
             # the one-row product: a batched one can round differently
             wl = (rows[s:s + 1] @ box[q].astype(float))[0]
-            gap = np.abs(wl + la - lb) if k == 0 else np.abs(wl + la + lb)
+            gap = np.abs(wl + _combo_grid(eigen.tables[ca.alpha_sq],
+                                          eigen.tables[cb.alpha_sq], "-+"[k]))
             kmin, jmin = np.unravel_index(np.argmin(gap), gap.shape)
             certs[s].append({
                 "kind": "RQ"[k], "ell": box[q].tolist(), "alpha_sq": ca.alpha_sq,

@@ -122,13 +122,6 @@ class SpectralLattice:
     def all_points(self):
         return iter(self.points)
 
-    def vector(self, coeffs):
-        """Flat vector of a dict j -> complex over lattice points."""
-        out = np.zeros(len(self.points), dtype=complex)
-        for j, v in coeffs.items():
-            out[self.index[j]] = v
-        return out
-
     def cluster_gap_constant(self):
         """Brute-force C with |alpha - beta| >= C (alpha^-1 + beta^-1) on the truncation."""
         best = math.inf

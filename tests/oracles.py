@@ -64,6 +64,8 @@ the package.
   ``AngleFunction.from_modes``, now functions.
 - ``PairedMultiplier.compose`` as it was before it skipped the products of
   an identically zero factor.
+- Test-only helpers that left the package: ``SpectralLattice.vector``,
+  ``EigenData.from_blocks`` and ``SylvesterOperator.denominators``.
 """
 
 import itertools
@@ -79,7 +81,7 @@ from wavekam.errors import (ContractViolation, InversionError, ParameterError,
 from wavekam.hamiltonian import ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
-from wavekam.resonance import ResonanceReport, _gap
+from wavekam.resonance import EigenData, ResonanceReport, _combo_grid, _gap
 from wavekam.series import truncated_series
 from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
 
@@ -92,7 +94,7 @@ from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
 
 def inverse_norm(syl):
     """||A^{-1}||_Op = 1 / min |omega.ell + lambda -+ mu|."""
-    dmin = float(np.min(np.abs(syl.denominators())))
+    dmin = float(np.min(np.abs(sylvester_denominators(syl))))
     return math.inf if dmin == 0.0 else 1.0 / dmin
 
 
@@ -231,7 +233,7 @@ def sylvester_from_state(state, lattice, ell, a_sq, b_sq, sign, omega):
 def sylvester_solve_per_block(syl, rhs):
     """Solve A^sign X = -i rhs in the joint eigenbasis of one block."""
     la, ua, lb, ub = syl.eig()
-    den = syl.denominators()
+    den = sylvester_denominators(syl)
     dmin = float(np.min(np.abs(den)))
     if dmin == 0.0:
         raise ResonanceError(syl.ell, syl.a_sq, syl.b_sq, syl.sign, 0.0)
@@ -306,7 +308,7 @@ def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
                     thr = 2.0 * gamma / (bracket**tau * (a * b) ** dd)
                     la = eigen.tables[ca.alpha_sq]
                     lb = eigen.tables[cb.alpha_sq]
-                    gap = np.abs(wl + la[:, None] - lb[None, :])
+                    gap = np.abs(wl + _combo_grid(la, lb, "-"))
                     kmin = np.unravel_index(np.argmin(gap), gap.shape)
                     if gap[kmin] < thr - slack:
                         certs.append(_certificate(
@@ -320,7 +322,7 @@ def classify_omega(omega, eigen, gamma, tau, dd, ell_max, prune=True,
                     thr = 2.0 * gamma * (a + b) / bracket**tau
                     la = eigen.tables[ca.alpha_sq]
                     lb = eigen.tables[cb.alpha_sq]
-                    gap = np.abs(wl + la[:, None] + lb[None, :])
+                    gap = np.abs(wl + _combo_grid(la, lb, "+"))
                     kmin = np.unravel_index(np.argmin(gap), gap.shape)
                     if gap[kmin] < thr - slack:
                         certs.append(_certificate(
@@ -350,7 +352,7 @@ def recheck_certificate(omega, eigen, cert):
     wl = float(np.dot(omega, cert["ell"]))
     la = eigen.tables[cert["alpha_sq"]][cert["k"]]
     lb = eigen.tables[cert["beta_sq"]][cert["j"]]
-    value = abs(wl + la - lb) if cert["kind"] == "R" else abs(wl + la + lb)
+    value = abs(wl + (la - lb)) if cert["kind"] == "R" else abs(wl + (la + lb))
     return value < cert["threshold"], value
 
 
@@ -1849,3 +1851,29 @@ def paired_multiplier_compose_every_product(self, other):
     a = mc(self.r1, other.r1) + mc(self.r2, other.r2.conj())
     b = mc(self.r1, other.r2) + mc(self.r2, other.r1.conj())
     return multiplier.PairedMultiplier(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers (formerly SpectralLattice.vector, EigenData.from_blocks
+# and SylvesterOperator.denominators)
+# ---------------------------------------------------------------------------
+
+
+def lattice_vector(lattice, coeffs):
+    """Flat vector of a dict j -> complex over lattice points."""
+    out = np.zeros(len(lattice.points), dtype=complex)
+    for j, v in coeffs.items():
+        out[lattice.index[j]] = v
+    return out
+
+
+def eigen_from_blocks(lattice, d_blocks, m=1.0):
+    """EigenData of the eigenvalues of Hermitian cluster blocks."""
+    return EigenData(lattice, {a: np.linalg.eigvalsh(mat)
+                               for a, mat in d_blocks.items()}, m)
+
+
+def sylvester_denominators(syl):
+    """The (n_a, n_b) table omega.ell + lambda_k -+ mu_j of a block."""
+    la, _, lb, _ = syl.eig()
+    return syl.omega_ell + _combo_grid(la, lb, syl.sign)

@@ -28,6 +28,7 @@ from wavekam.dynamics import (
     evolve_original,
     evolve_reduced,
     reduced_norm_drift,
+    run_norms,
     stability_check,
 )
 from wavekam.hamiltonian import symplectic_check
@@ -231,7 +232,8 @@ def test_criterion_2_sylvester_oracle():
             worst_rel,
             float(np.abs(x - x_oracle).max() / max(1e-30, np.abs(x_oracle).max())),
         )
-        inv_direct = 1.0 / float(np.min(np.abs(syl.denominators())))
+        inv_direct = 1.0 / float(
+            np.min(np.abs(oracles.sylvester_denominators(syl))))
         worst_norm = max(worst_norm, abs(inv - inv_direct) / inv_direct)
         inv_dense = 1.0 / float(np.min(np.abs(np.linalg.eigvalsh(m))))
         worst_norm = max(worst_norm, abs(inv - inv_dense) / inv_dense)
@@ -457,31 +459,29 @@ def test_criterion_7_stability():
         out = kam_run(reg.d_blocks(p.lattice), reg.r4, w, p.lattice, cfg,
                       compute_conjugation_residual=False)
         ok_all = ok_all and out.converged
-        times2, vm2, pm2, _ = evolve_original(
-            p, w, v0, psi0, 2 * horizon, dt, n_samples=129, keep_states=False
+        times2, states2 = evolve_original(
+            p, w, v0, psi0, 2 * horizon, dt, n_samples=129
         )
-        half = [i for i, t in enumerate(times2) if t <= horizon + 1e-9]
-        stab_half = stability_check([times2[i] for i in half],
-                                    [vm2[i] for i in half],
-                                    [pm2[i] for i in half], s)
-        stab_full = stability_check(times2, vm2, pm2, s)
+        half = times2 <= horizon + 1e-9
+        stab_half = stability_check(run_norms(times2[half], states2[half],
+                                              p.lattice, s))
+        stab_full = stability_check(run_norms(times2, states2, p.lattice, s))
         sup_ratios.append(stab_full["sup_ratio"])
         doubling_changes.append(
             abs(stab_full["sup_ratio"] - stab_half["sup_ratio"])
             / stab_half["sup_ratio"]
         )
         # reduced-flow conservation for this run
-        pts = list(p.lattice.all_points())
-        u0 = {pts[k]: complex(rng.standard_normal(), rng.standard_normal())
-              for k in range(0, len(pts), 9)}
+        u0 = np.zeros(p.lattice.n_points, dtype=complex)
+        for k in range(0, p.lattice.n_points, 9):
+            u0[k] = complex(rng.standard_normal(), rng.standard_normal())
         snaps = evolve_reduced(out.state.d_blocks, p.lattice, u0,
                                np.linspace(0, 40, 11))
-        drifts.append(reduced_norm_drift(snaps, 1.0))
+        drifts.append(reduced_norm_drift(snaps, p.lattice, 1.0))
     # contrast run at a classifier-rejected frequency, recorded
     w_bad, cert = rejected
-    times, vm, pm, _ = evolve_original(p, w_bad, v0, psi0, horizon, dt,
-                                       keep_states=False)
-    contrast = stability_check(times, vm, pm, s)
+    times, states = evolve_original(p, w_bad, v0, psi0, horizon, dt)
+    contrast = stability_check(run_norms(times, states, p.lattice, s))
     ok = (
         ok_all
         and max(sup_ratios) < 10.0
@@ -505,11 +505,12 @@ def test_criterion_8_micro_cases():
     p = desk_problem(0.0)
     j = (1, 0)
     horizon = 10 * 2 * math.pi
-    times, vm, _, _ = evolve_original(
+    times, states = evolve_original(
         p, OMEGA_REF, {j: 0.5, (-1, 0): 0.5}, {}, horizon, dt=0.005,
-        n_samples=41, keep_states=False,
+        n_samples=41,
     )
-    wave_err = max(abs(m[j] - 0.5 * math.cos(t)) for t, m in zip(times, vm))
+    wave_err = max(abs(x - 0.5 * math.cos(t))
+                   for t, x in zip(times, states[:, p.lattice.index[j]]))
     # (b) single-mode reparametrization: a1 = 1 + delta cos(phi_1)
     delta = 1e-3
     cos1 = AngleFunction.cosine(NU, ELL_MAX, (1, 0))

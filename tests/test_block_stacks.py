@@ -21,6 +21,7 @@ from wavekam.blockop import (
     PairedBlockOperator,
     compose,
 )
+from wavekam.spectrum import ell_table
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None,
@@ -132,7 +133,7 @@ def _plan_bytes():
 
 class TestScatterPlans:
     def test_repeated_compose_reuses_plans(self, monkeypatch):
-        monkeypatch.setattr(blockop, "_PLANS", {})
+        monkeypatch.setattr(blockop, "_PLANS", blockop._PlanCache())
         rng = np.random.default_rng(11)
         r = stacked_operator(rng, 2, 2, "sparse")
         t = stacked_operator(rng, 2, 2, "sparse")
@@ -150,19 +151,34 @@ class TestScatterPlans:
         assert first.meta == second.meta
 
     def test_memo_stays_under_cap(self, monkeypatch):
-        monkeypatch.setattr(blockop, "_PLANS", {})
+        monkeypatch.setattr(blockop, "_PLANS", blockop._PlanCache())
         monkeypatch.setattr(blockop, "_CHUNK_BYTES", 4096)
         rng = np.random.default_rng(12)
         for kind in ("sparse", "edge", "sparse", "sparse"):
             r = stacked_operator(rng, 2, 2, kind)
             t = stacked_operator(rng, 2, 2, "sparse")
             got, want = compose(r, t), oracles.compose_dicts(r, t)
-            assert 0 < _plan_bytes() <= 4096
+            assert 0 < blockop._PLANS.nbytes == _plan_bytes() <= 4096
             scale = max(r.hs_total() * t.hs_total(), 1e-300)
             got_items, want_items = list(got.items()), list(want.items())
             assert [k for k, _ in got_items] == [k for k, _ in want_items]
             for (_, g), (_, w) in zip(got_items, want_items):
                 assert np.max(np.abs(g - w)) <= 1e-13 * scale
+
+    def test_running_total_equals_resummed_bytes(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_PLANS", blockop._PlanCache())
+        monkeypatch.setattr(blockop, "_CHUNK_BYTES", 8192)
+        rng = np.random.default_rng(13)
+        n_box = len(ell_table(2, 2)[0])
+        evicted = 0
+        for _ in range(80):
+            i1, i2 = (np.sort(rng.choice(n_box, rng.integers(1, 12),
+                                         replace=False)) for _ in range(2))
+            before = set(blockop._PLANS)
+            blockop._scatter_pattern(2, 2, i1, i2)
+            evicted += len(before - set(blockop._PLANS))
+            assert blockop._PLANS.nbytes == _plan_bytes() <= 8192
+        assert evicted > 0
 
 
 class TestPairedTruncationLoss:

@@ -475,8 +475,8 @@ class TestFrozenAngle:
                            for k in rng.integers(0, len(pts), 5)}
                           for _ in range(2))
                 got = op.matrix_at_phi(phi) @ np.concatenate(
-                    [lat.vector(c1), lat.vector(c2)])
-                w1, w2 = oracle(c1, c2, phi)
-                want = np.concatenate([lat.vector(w1), lat.vector(w2)])
+                    [oracles.lattice_vector(lat, c) for c in (c1, c2)])
+                want = np.concatenate([oracles.lattice_vector(lat, w)
+                                       for w in oracle(c1, c2, phi)])
                 assert np.max(np.abs(got - want)) \
                     <= 1e-13 * np.max(np.abs(want))

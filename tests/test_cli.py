@@ -249,6 +249,21 @@ class TestOtherVerbs:
         assert rc == 0
         assert rows and all(r.startswith("ok ") for r in rows), rows
 
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("dump", "--threads", "2"), ("dump", "--phases", "kam"),
+        ("dump", "--gamma-list", "0.01"), ("sweep", "--phases", "kam"),
+        ("sweep", "--threads", "2"),
+    ])
+    def test_flags_a_verb_never_reads_exit_2(self, tmp_path, capsys, verb,
+                                             flag, value):
+        out = tmp_path / verb
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--config", str(CONFIG_DIR / "eps0.yaml"),
+                    "--out", str(out), flag, value)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("verify", "nope")

@@ -9,10 +9,12 @@ from wavekam import AngleFunction, SpaceTimeFunction, blockop
 from wavekam.cli import _add_conjugate_pair, build_problem, load_config
 from wavekam.dynamics import (
     ConjugationChain,
+    EvolutionRun,
     conjugacy_roundtrip,
     evolve_original,
     evolve_reduced,
     reduced_norm_drift,
+    run_norms,
     stability_check,
 )
 from wavekam.errors import ParameterError
@@ -20,7 +22,8 @@ from wavekam.kam import KamConfig, kam_run
 from wavekam.regularization import WaveProblem, run_pipeline
 
 from conftest import rng_for
-from oracles import evolve_original_dicts, evolve_original_stages
+from oracles import (evolve_original_dicts, evolve_original_stages,
+                     lattice_vector)
 from test_acceptance import desk_problem
 
 # strongly non-resonant against the toy spectrum {1, sqrt 2, 2}
@@ -42,6 +45,13 @@ def cli_draw(problem, seed):
                 coeffs[j] = coeffs.get(j, 0j) + v
             _add_conjugate_pair(add, val, pts[int(k)])
     return v0, psi0
+
+
+def on_lattice(lattice, v_maps, psi_maps):
+    """An oracle's per-sample dicts as evolve_original's (m, 2n) states."""
+    return np.array([np.concatenate([lattice_vector(lattice, v),
+                                     lattice_vector(lattice, p)])
+                     for v, p in zip(v_maps, psi_maps)])
 
 
 def every_point(problem):
@@ -91,30 +101,30 @@ class TestEvolveOriginal:
         v0 = {j: 0.5, (-1, 0): 0.5}
         psi0 = {}
         horizon = 10 * 2 * math.pi
-        times, vm, pm, _ = evolve_original(
+        times, states = evolve_original(
             p, OMEGA, v0, psi0, horizon, dt=0.005, n_samples=41
         )
-        for t, m in zip(times, vm):
+        for t, x in zip(times, states[:, p.lattice.index[j]]):
             want = 0.5 * math.cos(t)
-            assert m[j] == pytest.approx(want, abs=1e-8)
+            assert x == pytest.approx(want, abs=1e-8)
 
     def test_eps_zero_norm_conserved_to_scheme_order(self):
         p = make_problem(0.0)
         v0 = {(1, 0): 0.5, (-1, 0): 0.5, (1, 1): 0.2, (-1, -1): 0.2}
         psi0 = {(0, 1): 0.3, (0, -1): 0.3}
-        times, vm, pm, _ = evolve_original(
+        times, states = evolve_original(
             p, OMEGA, v0, psi0, 20.0, dt=0.005
         )
-        def energy(v, ps):
-            acc = 0.0
-            for j, val in v.items():
-                acc += sum(x * x for x in j) * abs(val) ** 2
-            for j, val in ps.items():
-                acc += abs(val) ** 2
-            return acc
-        e0 = energy(vm[0], pm[0])
-        for v, ps in zip(vm, pm):
-            assert energy(v, ps) == pytest.approx(e0, rel=1e-10)
+        lat = p.lattice
+        nsq = np.array([float(sum(x * x for x in j)) for j in lat.points])
+        n = lat.n_points
+
+        def energy(x):
+            return float(np.sum(nsq * np.abs(x[:n]) ** 2)
+                         + np.sum(np.abs(x[n:]) ** 2))
+        e0 = energy(states[0])
+        for x in states:
+            assert energy(x) == pytest.approx(e0, rel=1e-10)
 
     def test_self_convergence_order(self):
         # Richardson: halving dt shrinks the deviation by ~2^4
@@ -124,16 +134,12 @@ class TestEvolveOriginal:
         horizon = 5.0
         outs = {}
         for dt in (0.02, 0.01, 0.005):
-            times, vm, pm, _ = evolve_original(
+            _, states = evolve_original(
                 p, OMEGA, v0, psi0, horizon, dt=dt, n_samples=2
             )
-            outs[dt] = vm[-1]
-        def dist(a, b):
-            keys = set(a) | set(b)
-            return math.sqrt(sum(abs(a.get(k, 0j) - b.get(k, 0j)) ** 2
-                                 for k in keys))
-        e1 = dist(outs[0.02], outs[0.01])
-        e2 = dist(outs[0.01], outs[0.005])
+            outs[dt] = states[-1, :p.lattice.n_points]
+        e1 = np.linalg.norm(outs[0.02] - outs[0.01])
+        e2 = np.linalg.norm(outs[0.01] - outs[0.005])
         assert 8.0 <= e1 / e2 <= 32.0
 
     def test_cfl_violation(self):
@@ -156,24 +162,25 @@ class TestEvolveOriginal:
             (desk_problem(1e-3), OMEGA, 5.0037, 0.01),  # short last step
         ]
         for p, omega, horizon, dt in cases:
-            times, vm, pm, states = evolve_original(p, omega, v0, psi0,
-                                                    horizon, dt)
+            times, got = evolve_original(p, omega, v0, psi0, horizon, dt)
             want = evolve_original_dicts(p, omega, v0, psi0, horizon, dt)
-            assert times == want[0]
-            got, ref = np.array(states), np.array(want[3])
+            assert times.tolist() == want[0]
+            ref = on_lattice(p.lattice, want[1], want[2])
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert [list(m) for m in vm] == [list(m) for m in want[1]]
+            assert np.array_equal(np.flatnonzero(got.any(axis=0)),
+                                  np.flatnonzero(ref.any(axis=0)))
 
     def assert_matches_stages(self, p, omega, v0, psi0, horizon, dt,
                               n_samples=33):
-        got = evolve_original(p, omega, v0, psi0, horizon, dt, n_samples)
+        times, states = evolve_original(p, omega, v0, psi0, horizon, dt,
+                                        n_samples)
         want = evolve_original_stages(p, omega, v0, psi0, horizon, dt,
                                       n_samples)
-        assert got[0] == want[0]
-        states, ref = np.array(got[3]), np.array(want[3])
+        assert times.tolist() == want[0]
+        ref = on_lattice(p.lattice, want[1], want[2])
         assert states.shape == ref.shape
         assert np.max(np.abs(states - ref)) <= 1e-13 * np.max(np.abs(ref))
-        return got
+        return times, states
 
     @pytest.mark.parametrize("config", ["kirchhoff-lin", "eps0"])
     def test_matches_stage_oracle_on_cli_draw(self, config):
@@ -193,9 +200,10 @@ class TestEvolveOriginal:
                                                       n_samples):
         p = desk_problem(1e-3)
         v0 = every_point(p)
-        times, vm, _, _ = self.assert_matches_stages(
+        times, states = self.assert_matches_stages(
             p, OMEGA, v0, {}, horizon, 0.01, n_samples)
-        assert len(vm[0]) == p.lattice.n_points == 112
+        n = p.lattice.n_points
+        assert np.count_nonzero(states[:, :n].any(axis=0)) == n == 112
         assert times[-1] == pytest.approx(horizon, abs=1e-12)
 
     def test_matches_stage_oracle_with_every_mode_coupled(self):
@@ -211,13 +219,9 @@ class TestEvolveOriginal:
         v0 = {(1, 0): 0.4, (-1, 0): 0.4}
         psi0 = {(1, 1): 0.2, (-1, -1): 0.2}
         zeros = {j: 0j for j in p.lattice.points}
-        _, vm, pm, _ = evolve_original(p, OMEGA, v0, psi0, 4.0, 0.004)
-        _, vm_all, pm_all, _ = evolve_original(
+        _, got = evolve_original(p, OMEGA, v0, psi0, 4.0, 0.004)
+        _, want = evolve_original(
             p, OMEGA, {**zeros, **v0}, {**zeros, **psi0}, 4.0, 0.004)
-        got = np.array([[m.get(j, 0j) for j in p.lattice.points]
-                        for m in vm + pm])
-        want = np.array([[m[j] for j in p.lattice.points]
-                         for m in vm_all + pm_all])
         assert np.max(np.abs(got[:, p.lattice.index[(0, 1)]])) > 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -256,8 +260,7 @@ class TestEvolveOriginal:
         v0 = every_point(p)
         tracemalloc.start()
         try:
-            evolve_original(p, OMEGA, v0, {}, 0.7, dt=0.01, n_samples=2,
-                            keep_states=False)
+            evolve_original(p, OMEGA, v0, {}, 0.7, dt=0.01, n_samples=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -271,10 +274,11 @@ class TestEvolveReduced:
         lat = enumerate_clusters(2, 2)
         lam = 1.37
         blocks = {c.alpha_sq: lam * np.eye(c.n_alpha) for c in lat.clusters}
-        u0 = {(1, 0): 1.0}
+        u0 = lattice_vector(lat, {(1, 0): 1.0})
         snaps = evolve_reduced(blocks, lat, u0, [0.0, 0.5, 2.0])
         for t, snap in zip([0.0, 0.5, 2.0], snaps):
-            assert snap[(1, 0)] == pytest.approx(np.exp(-1j * lam * t))
+            assert snap[lat.index[(1, 0)]] == pytest.approx(
+                np.exp(-1j * lam * t))
 
     def test_unitary_norm_drift(self):
         from wavekam import enumerate_clusters
@@ -286,24 +290,22 @@ class TestEvolveReduced:
             m = rng.standard_normal((c.n_alpha, c.n_alpha)) \
                 + 1j * rng.standard_normal((c.n_alpha, c.n_alpha))
             blocks[c.alpha_sq] = c.alpha * np.eye(c.n_alpha) + 0.01 * (m + m.conj().T)
-        u0 = {}
-        pts = list(lat.all_points())
-        for k in rng.integers(0, len(pts), 5):
-            u0[pts[int(k)]] = complex(rng.standard_normal(), rng.standard_normal())
+        u0 = np.zeros(lat.n_points, dtype=complex)
+        for k in rng.integers(0, lat.n_points, 5):
+            u0[k] = complex(rng.standard_normal(), rng.standard_normal())
         times = np.linspace(0.0, 50.0, 21)
         snaps = evolve_reduced(blocks, lat, u0, times)
         for s in (0.0, 1.5):
-            assert reduced_norm_drift(snaps, s) <= 1e-12
+            assert reduced_norm_drift(snaps, lat, s) <= 1e-12
 
     def test_t0_identity(self):
         from wavekam import enumerate_clusters
 
         lat = enumerate_clusters(2, 1)
         blocks = {1: np.eye(4)}
-        u0 = {(1, 0): 0.7 + 0.1j, (0, 1): -0.2j}
+        u0 = lattice_vector(lat, {(1, 0): 0.7 + 0.1j, (0, 1): -0.2j})
         (snap,) = evolve_reduced(blocks, lat, u0, [3.0], t0=3.0)
-        for j, v in u0.items():
-            assert snap[j] == pytest.approx(v)
+        assert snap == pytest.approx(u0)
 
 
 class TestStability:
@@ -311,14 +313,32 @@ class TestStability:
         p = make_problem(0.0)
         v0 = {(1, 0): 0.5, (-1, 0): 0.5}
         psi0 = {(1, 0): 0.5j, (-1, 0): -0.5j}
-        times, vm, pm, _ = evolve_original(p, OMEGA, v0, psi0, 30.0, dt=0.01)
-        rep = stability_check(times, vm, pm, s=1.0)
+        times, states = evolve_original(p, OMEGA, v0, psi0, 30.0, dt=0.01)
+        rep = stability_check(run_norms(times, states, p.lattice, s=1.0))
         assert rep["bounded"]
         assert rep["sup_ratio"] <= 1.0 + 1e-6
 
     def test_zero_data_rejected(self):
+        zero = np.zeros(1)
         with pytest.raises(ParameterError):
-            stability_check([0.0], [{}], [{}], 1.0)
+            stability_check(EvolutionRun(zero, zero, zero, 1.0))
+
+    def test_norms_match_per_mode_sums(self):
+        # both series are the H^(s+1/2) and H^(s-1/2) norms over the
+        # evolved modes, bit for bit: zeros off them add nothing
+        p = make_problem(1e-2)
+        v0 = {(1, 0): 0.5, (-1, 0): 0.5}
+        psi0 = {(1, 1): 0.2j, (-1, -1): -0.2j}
+        times, states = evolve_original(p, OMEGA, v0, psi0, 3.0, dt=0.01)
+        run = run_norms(times, states, p.lattice, 1.0)
+        lat, n = p.lattice, p.lattice.n_points
+        modes = np.unique(np.flatnonzero(states.any(axis=0)) % n)
+        for row, nv, npsi in zip(states, run.norm_v, run.norm_psi):
+            for part, got, s in ((row[:n], nv, 1.5), (row[n:], npsi, 0.5)):
+                want = math.sqrt(math.fsum(
+                    math.sqrt(sum(x * x for x in lat.points[i])) ** (2 * s)
+                    * abs(part[i]) ** 2 for i in modes))
+                assert got == want
 
 
 class TestConjugacy:
@@ -340,8 +360,8 @@ class TestConjugacy:
         p, res, chain = self.chain_for(0.0, with_kam=False)
         v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
         psi0 = {(1, 1): 0.2, (-1, -1): 0.2}
-        times, vm, pm, _ = evolve_original(p, OMEGA, v0, psi0, 20.0, dt=0.004)
-        rep = conjugacy_roundtrip(chain, times, vm, pm)
+        times, states = evolve_original(p, OMEGA, v0, psi0, 20.0, dt=0.004)
+        rep = conjugacy_roundtrip(chain, times, states)
         assert rep["inverse_residual"] <= 1e-12
         assert rep["reality_residual"] <= 1e-12
         # residual limited by the integrator only
@@ -351,8 +371,8 @@ class TestConjugacy:
         p, res, chain = self.chain_for(1e-3, with_kam=True)
         v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
         psi0 = {(1, 1): 0.2, (-1, -1): 0.2}
-        times, vm, pm, _ = evolve_original(p, OMEGA, v0, psi0, 10.0, dt=0.004)
-        rep = conjugacy_roundtrip(chain, times, vm, pm)
+        times, states = evolve_original(p, OMEGA, v0, psi0, 10.0, dt=0.004)
+        rep = conjugacy_roundtrip(chain, times, states)
         assert rep["inverse_residual"] <= 1e-9
         assert rep["trajectory_residual"] <= 1e-6
 
@@ -365,14 +385,14 @@ class TestConjugacy:
         v0 = {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1, (0, -1): 0.1}
         runs = [evolve_original(p, OMEGA, v0, {}, 4.0, dt=0.01, n_samples=k)
                 for k in (20, 200)]
-        reps = [conjugacy_roundtrip(chain, *run[:3]) for run in runs]
+        reps = [conjugacy_roundtrip(chain, *run) for run in runs]
         monkeypatch.setattr(blockop, "_CHUNK_BYTES",
                             20 * 16 * (2 * p.lattice.n_points) ** 2)
         peaks = []
         for run, rep in zip(runs, reps):
             tracemalloc.start()
             try:
-                chunked = conjugacy_roundtrip(chain, *run[:3])
+                chunked = conjugacy_roundtrip(chain, *run)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -396,7 +416,8 @@ class TestConjugacy:
         lat = p.lattice
         n = lat.n_points
         u = chain.initial_reduced_data(
-            np.concatenate([lat.vector(v0), lat.vector(psi0)]))
+            np.concatenate([lattice_vector(lat, v0),
+                            lattice_vector(lat, psi0)]))
         [x] = chain.solutions_from_reduced(u[:n], [0.0])
         vv, pp = dict(zip(lat.points, x[:n])), dict(zip(lat.points, x[n:]))
         for j in set(v0) | set(vv):

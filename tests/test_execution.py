@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import wavekam
-from wavekam import cli, spectrum
+from wavekam import blockop, cli, spectrum
 from wavekam.cli import main
 
 PACKAGE = Path(wavekam.__file__).resolve().parent
@@ -40,11 +40,6 @@ ALLOWED = {
     "spectrum.sobolev_norm": "README Public API",
     "spectrum.SpaceTimeFunction.sobolev_norm": "README Public API "
                                                "(`sobolev_norm`); `verify norms`",
-    # only tests call it, but moving it changes the source, and so the
-    # derandomized seed, of test_small_divisors' hypothesis tests, which then
-    # hit a rounding tie between classify_omega and its oracle (CHANGES.md)
-    "resonance.EigenData.from_blocks": "test-only; its move waits for the "
-                                       "classifier tie to be settled",
     # names perfbench wraps or calls
     "spectrum.SpaceTimeFunction.x_coeffs_at_phi": "perfbench's tracer wraps it "
                                                   "(ROADMAP items 1 and 10)",
@@ -64,11 +59,9 @@ ALLOWED = {
     "spectrum.SpectralLattice.cluster_gap_constant": SUITE.format("norms"),
     "kam.KamState.hermitian_residual": SUITE.format("kam"),
     "kam.SylvesterOperator.__init__": SUITE.format("kam"),
-    "kam.SylvesterOperator.denominators": SUITE.format("kam"),
     "kam.SylvesterOperator.eig": SUITE.format("kam"),
     "kam.sylvester_solve": SUITE.format("kam"),
     "resonance.classify_grid": SUITE.format("measure") + "; perfbench's checks",
-    "dynamics.evolve_reduced": SUITE.format("dynamics"),
     "dynamics.reduced_norm_drift": SUITE.format("dynamics"),
 }
 
@@ -94,12 +87,13 @@ def _definitions():
     return out
 
 
-def test_every_function_is_entered_or_allowed(tmp_path, capsys):
+def test_every_function_is_entered_or_allowed(tmp_path, capsys, monkeypatch):
     # a cached function is not entered on a hit left by an earlier test
     for module in (cli, spectrum):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+    monkeypatch.setattr(blockop, "_PLANS", blockop._PlanCache())
     verbs = [
         ["run", "--config", str(CONFIGS / "eps0.yaml"), "--out", str(tmp_path / "eps0")],
         ["run", "--config", str(CONFIGS / "kirchhoff-lin.yaml"),

@@ -12,6 +12,7 @@ from wavekam.resonance import (
     sorted_combos,
 )
 
+import oracles
 from oracles import OmegaGrid, divisor_check, eigenvalue_lipschitz_audit
 
 from conftest import rng_for
@@ -167,14 +168,14 @@ class TestMeasureSweep:
         for c in lat.clusters:
             h = rng.standard_normal((c.n_alpha,) * 2) * 1e-2
             blocks[c.alpha_sq] = c.alpha * np.eye(c.n_alpha) + h + h.T
-        eig = EigenData.from_blocks(lat, blocks)
+        eig = oracles.eigen_from_blocks(lat, blocks)
         samples = 1.0 + rng.random((400, 2))
         gammas = [0.02, 0.01]
         first = measure_sweep(samples, eig, gammas, 2.0, 1.0, 2)
         table = eig.scan_table
         assert measure_sweep(samples, eig, gammas, 2.0, 1.0, 2) == first
         assert eig.scan_table is table
-        fresh = EigenData.from_blocks(lat, blocks)
+        fresh = oracles.eigen_from_blocks(lat, blocks)
         assert measure_sweep(samples, fresh, gammas, 2.0, 1.0, 2) == first
         combos, centres, _ = table
         pairs = [(a, b) for a in lat.clusters for b in lat.clusters]

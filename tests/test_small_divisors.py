@@ -251,7 +251,7 @@ class TestKernel:
         blocks = {c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha,
                                               "generic", 0.05)
                   for c in lattice.clusters}
-        eig = EigenData.from_blocks(lattice, blocks)
+        eig = oracles.eigen_from_blocks(lattice, blocks)
         rows = 0.3 + 2.2 * rng.random((30, 2))
         _grid_masks(rows, eig, [0.05, 0.01], 2.0, 1.0, 2)
         assert len(calls) == (5 ** 2 + 1) // 2
@@ -311,7 +311,7 @@ class TestClassifier:
     def test_classify_omega_matches_reference(self, spec, w1, w2, gamma, tau,
                                               dd, ell_max, prune, first_only):
         lattice, blocks = spec
-        eig = EigenData.from_blocks(lattice, blocks)
+        eig = oracles.eigen_from_blocks(lattice, blocks)
         omega = np.array([w1, w2])
         got = classify_omega(omega, eig, gamma, tau, dd, ell_max, prune=prune,
                              first_only=first_only)
@@ -323,6 +323,20 @@ class TestClassifier:
             bad, value = oracles.recheck_certificate(omega, eig, cert)
             assert bad and value == cert["value"]
 
+    def test_certificate_values_are_the_kernels_combinations(self):
+        # omega.ell = 2 against the threshold 2 at ell = (1, 1): (2 + l) - l
+        # rounds to 1.9999999999999998, the combination first gives 2, a tie
+        lattice = enumerate_clusters(1, 1)
+        eig = EigenData(lattice, {1: np.full(2, 1.00012573)})
+        omega = np.array([1.0, 1.0])
+        got = classify_omega(omega, eig, 1.0, 0.0, 0.0, 1, prune=False,
+                             first_only=False)
+        ref = oracles.classify_omega(omega, eig, 1.0, 0.0, 0.0, 1,
+                                     prune=False, first_only=False)
+        assert got.certificates == ref.certificates
+        assert not any(c["kind"] == "R" and c["ell"] == [1, 1]
+                       for c in got.certificates)
+
     @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("first_only", [True, False])
     @BATCH
@@ -333,7 +347,7 @@ class TestClassifier:
             self, prune, first_only, spec, nu, m, seed, gamma, tau, dd,
             ell_max):
         lattice, blocks = spec
-        eig = EigenData.from_blocks(lattice, blocks)
+        eig = oracles.eigen_from_blocks(lattice, blocks)
         rng = np.random.default_rng(seed)
         rows = 0.3 + 2.2 * rng.random((m, nu))
         # exact half-integers make some conditions fail with value 0
@@ -357,7 +371,7 @@ class TestClassifier:
     def test_grid_and_sweep_match_reference(self, spec, seed, gamma, tau, dd,
                                             ell_max):
         lattice, blocks = spec
-        eig = EigenData.from_blocks(lattice, blocks)
+        eig = oracles.eigen_from_blocks(lattice, blocks)
         rng = np.random.default_rng(seed)
         samples = 0.3 + 2.2 * rng.random((40, 2))
         # exact half-integers make some conditions fail with value 0
@@ -390,7 +404,7 @@ class TestClassifier:
         pruned or not, with a difference placed at ell = 0 between two of
         the gammas' thresholds when ``zero_row``."""
         lattice, blocks = spec
-        eig = EigenData.from_blocks(lattice, blocks)
+        eig = oracles.eigen_from_blocks(lattice, blocks)
         rng = np.random.default_rng(seed)
         samples = 0.2 + rng.random((24, 2))
         gammas = [1e-3, 0.05]
@@ -434,7 +448,7 @@ class TestClassifier:
         certificate the probe was placed on."""
         lattice = enumerate_clusters(2, 2)
         rng = np.random.default_rng(7)
-        eig = EigenData.from_blocks(lattice, {
+        eig = oracles.eigen_from_blocks(lattice, {
             c.alpha_sq: hermitian_block(rng, c.n_alpha, c.alpha, "generic", 0.05)
             for c in lattice.clusters})
         ca, cb = lattice.clusters[1], lattice.clusters[2]
