@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .spectrum import ell_table
+
 __all__ = [
     "dump_lattice",
     "dump_function",
@@ -56,13 +58,40 @@ def dump_function(path, fn):
     write_json(path, {"rows": fn.to_rows()})
 
 
+def _json_list(items, pad):
+    """A JSON list of ready item texts, laid out as ``write_json`` lays it
+    out at the indent ``pad`` of its items."""
+    items = list(items)
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-1] + "]"
+
+
+def _json_float(x):
+    """A float as ``write_json`` writes it: repr, NaN and inf as strings."""
+    return repr(x) if math.isfinite(x) else f'"{x!r}"'
+
+
 def dump_blocks(path, op, name=""):
-    """Rows (ell-tuple, alpha_sq, beta_sq, row-major [re, im] entries)."""
-    rows = [{"ell": list(ell), "alpha_sq": a_sq, "beta_sq": b_sq,
-             "entries": np.stack((mat.real, mat.imag), -1).ravel().tolist()}
-            for (ell, a_sq, b_sq), mat in op.items()]
-    write_json(path, {"name": name, "nu": op.nu, "ell_max": op.ell_max,
-                      "rows": rows})
+    """Rows (ell-tuple, alpha_sq, beta_sq, row-major [re, im] entries) in
+    block-key order; the text ``write_json`` gives for them, formed a stack
+    at a time."""
+    box = ell_table(op.nu, op.ell_max)[0]
+    rows = []
+    for (a_sq, b_sq), (idx, mats) in op.stacks.items():
+        fmt = repr if np.isfinite(mats).all() else _json_float
+        entries = np.stack((mats.real, mats.imag), -1).reshape(len(mats), -1)
+        for p, ell, values in zip(idx.tolist(), box[idx].tolist(), entries.tolist()):
+            rows.append(((p, a_sq, b_sq), (
+                f'{{\n   "alpha_sq": {a_sq},\n   "beta_sq": {b_sq},\n'
+                f'   "ell": {_json_list(map(str, ell), "    ")},\n'
+                f'   "entries": {_json_list(map(fmt, values), "    ")}\n  }}')))
+    rows.sort(key=lambda row: row[0])
+    with open(path, "w") as fh:
+        fh.write(f'{{\n "ell_max": {op.ell_max},\n "name": {json.dumps(name)},\n'
+                 f' "nu": {op.nu},\n "rows": ')
+        fh.write(_json_list((text for _, text in rows), "  "))
+        fh.write("\n}\n")
 
 
 def dump_multiplier(path, mult):

@@ -24,6 +24,15 @@ the package.
   block operators, multipliers and the rank terms of the pipeline.
 - The dict-based ``compose`` and ``decay_norm`` that the cluster-pair stacks
   of ``blockop`` replaced; they read blocks through ``items()``.
+- The paired product as four plain products, two conj operators and two
+  sums, before ``compose`` formed it as one fused product per cluster
+  triple.
+- ``rank_one_blocks`` with one ``AngleFunction.product`` per (j, j') pair,
+  before one batched product and a scatter per cluster pair replaced it.
+- ``reporting.dump_blocks`` through one row dict per block and
+  ``write_json``, before it formed the same text a stack at a time.  Its
+  block iterator ``BlockOperator.items``, which nothing else in the
+  package read, is ``block_items``.
 - The Python double loop of ``spectrum._convolve_full``'s direct branch,
   and the one-pair ``_convolve_full`` that the row-batched
   ``spectrum._convolve_rows`` replaced.
@@ -250,7 +259,7 @@ def assemble_per_block(state, lattice, config, omega, n_cut):
     zero = (0,) * rem.r1.nu
     solved = ({}, {})
     for blocks, part, sign in ((solved[0], rem.r1, "-"), (solved[1], rem.r2, "+")):
-        for (ell, a_sq, b_sq), mat in part.items():
+        for (ell, a_sq, b_sq), mat in block_items(part):
             size = max(
                 np.linalg.norm(ell), lattice.alpha(a_sq), lattice.alpha(b_sq)
             )
@@ -603,7 +612,7 @@ def block_apply_at_phi(op, coeff_map, phi):
         a_sq = op.lattice.cluster_of_point.get(tuple(j))
         if a_sq is not None:
             by_cluster.setdefault(a_sq, {})[tuple(j)] = v
-    for (ell, a, b), mat in op.items():
+    for (ell, a, b), mat in block_items(op):
         if b not in by_cluster:
             continue
         cb = op.lattice.cluster(b)
@@ -698,6 +707,18 @@ def field_apply_at_phi(mult, rank_terms, eps, c1, c2, phi):
 # ---------------------------------------------------------------------------
 
 
+def block_items(op):
+    """((ell, alpha^2, beta^2), block) of every stored block, keys sorted
+    (formerly ``BlockOperator.items``)."""
+    box = ell_table(op.nu, op.ell_max)[0]
+    ells, order = {}, []
+    for (a, b), (idx, _) in op.stacks.items():
+        ells[(a, b)] = box[idx].tolist()
+        order.extend((p, a, b, i) for i, p in enumerate(idx.tolist()))
+    for _, a, b, i in sorted(order):
+        yield (tuple(ells[(a, b)][i]), a, b), op.stacks[(a, b)][1][i]
+
+
 def _key_norm(ell):
     return float(np.linalg.norm(ell))
 
@@ -709,7 +730,7 @@ def _hs_sq(mat):
 def decay_norm_dicts(op, s):
     """sup over (alpha, beta) of the ell-weighted HS mass, compensated sums."""
     acc = {}
-    for (ell, a, b), mat in op.items():
+    for (ell, a, b), mat in block_items(op):
         w = max(
             1.0,
             _key_norm(ell),
@@ -735,10 +756,10 @@ def compose_dicts(R, T):
     nu = R.nu
     n_box = 2 * L + 1
     groups_r = {}
-    for (ell, a, b), mat in R.items():
+    for (ell, a, b), mat in block_items(R):
         groups_r.setdefault((a, b), []).append((ell, mat))
     groups_t = {}
-    for (ell, b, c), mat in T.items():
+    for (ell, b, c), mat in block_items(T):
         groups_t.setdefault(b, {}).setdefault(c, []).append((ell, mat))
     acc = {}
     lost = []
@@ -782,6 +803,69 @@ def compose_dicts(R, T):
             set_block(out, tuple(ell), a, c, dest[flat])
     out.meta["truncation_loss"] = math.sqrt(math.fsum(lost)) if lost else 0.0
     return out
+
+
+def paired_compose_four(p, q):
+    """Paired product as four plain products, two conj operators and two
+    sums (formerly the body of ``PairedBlockOperator.compose``); each plain
+    product is ``compose_dicts``.  Each top-row entry reports the sum of its
+    two products' truncation losses (a triangle bound), the pair the max.
+    """
+
+    def entry(x, y, u, v):
+        a, b = compose_dicts(x, y), compose_dicts(u, v)
+        out = a + b
+        out.meta["truncation_loss"] = (a.meta["truncation_loss"]
+                                       + b.meta["truncation_loss"])
+        return out
+
+    a = entry(p.r1, q.r1, p.r2, q.r2.conj())
+    b = entry(p.r1, q.r2, p.r2, q.r1.conj())
+    out = PairedBlockOperator(a, b)
+    out.meta["truncation_loss"] = max(a.meta["truncation_loss"],
+                                      b.meta["truncation_loss"])
+    return out
+
+
+def rank_one_blocks_per_pair(q, g, lattice):
+    """``blockop.rank_one_blocks`` as one ``AngleFunction.product`` per
+    (j, j') pair, its nonzero modes added block by block into a dict."""
+    blocks = {}
+    for j in q.space_modes():
+        a_sq = lattice.cluster_of_point.get(j)
+        if a_sq is None:
+            continue
+        ca = lattice.cluster(a_sq)
+        r = ca.index_of[j]
+        qa = q.angle_part(j)
+        for jp in g.space_modes():
+            mjp = tuple(-x for x in jp)
+            b_sq = lattice.cluster_of_point.get(mjp)
+            if b_sq is None:
+                continue
+            cb = lattice.cluster(b_sq)
+            col = cb.index_of[mjp]
+            conv, _ = qa.product(g.angle_part(jp))
+            for ell, val in conv.modes():
+                key = (ell, a_sq, b_sq)
+                if key not in blocks:
+                    blocks[key] = np.zeros((ca.n_alpha, cb.n_alpha), dtype=complex)
+                blocks[key][r, col] += val
+    out = BlockOperator(lattice, q.nu, q.ell_max, blocks)
+    out.drop_zero_blocks()
+    return out
+
+
+def dump_blocks_rows(path, op, name=""):
+    """``reporting.dump_blocks`` as one row dict per block through
+    ``write_json``'s recursive conversion."""
+    from wavekam.reporting import write_json
+
+    rows = [{"ell": list(ell), "alpha_sq": a_sq, "beta_sq": b_sq,
+             "entries": np.stack((mat.real, mat.imag), -1).ravel().tolist()}
+            for (ell, a_sq, b_sq), mat in block_items(op)]
+    write_json(path, {"name": name, "nu": op.nu, "ell_max": op.ell_max,
+                      "rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +951,7 @@ def sobolev_action_bound_check(R, s, s0):
     (both cluster sums in the proof are equal on the truncation).
     """
     z = (0,) * R.nu
-    if any(ell != z for (ell, _, _), _ in R.items()):
+    if any(ell != z for (ell, _, _), _ in block_items(R)):
         raise ParameterError("dense action bound check expects a phi-independent operator")
     M, _, pts = to_dense(R, ell_box=0)
     weights = np.array([math.sqrt(sum(x * x for x in p)) for p in pts])
@@ -968,7 +1052,7 @@ def to_dense(op, ell_box=None):
             index[(ell, j)] = i * len(pts) + k
     n = len(ells) * len(pts)
     M = np.zeros((n, n), dtype=complex)
-    for (ell, a, b), mat in op.items():
+    for (ell, a, b), mat in block_items(op):
         ca = op.lattice.cluster(a)
         cb = op.lattice.cluster(b)
         for lp in ells:
@@ -1371,7 +1455,7 @@ class BlockMatrix2:
         """dict ell -> Frobenius norm of the full coefficient matrix at that mode."""
         acc = {}
         for e in self.entries():
-            for (ell, _, _), mat in e.items():
+            for (ell, _, _), mat in block_items(e):
                 acc[ell] = acc.get(ell, 0.0) + float(np.sum(np.abs(mat) ** 2))
         return {ell: math.sqrt(v) for ell, v in acc.items()}
 
@@ -1476,7 +1560,7 @@ def block_apply(op, u):
         if a_sq is None:
             continue
         by_cluster.setdefault(a_sq, []).append(j)
-    for (ell, a, b), mat in op.items():
+    for (ell, a, b), mat in block_items(op):
         if b not in by_cluster:
             continue
         cb = op.lattice.cluster(b)

@@ -344,6 +344,22 @@ class TestFiniteRank:
             diff = (got + want * (-1.0)).sobolev_norm(0.0)
             assert diff <= 1e-12 * max(1.0, want.sobolev_norm(0.0))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pair_products_bit_for_bit(self, lat_d2, seed):
+        rng = rng_for(f"rank-batched-{seed}")
+        q = random_space_time(lat_d2, 2, 3, rng, n_j=4, ell_support=2)
+        g = random_space_time(lat_d2, 2, 3, rng, n_j=4, ell_support=2)
+        # a mode outside the lattice, a vanishing angle part, signed zeros
+        q.set_coeff((1, 0), (5, 0), 1.0)
+        g.set_coeff((0, 0), (0, 2), 0.0)
+        g.set_coeff((1, 1), (1, 1), complex(-0.0, 2.0))
+        got = rank_one_blocks(q, g, lat_d2)
+        want = oracles.rank_one_blocks_per_pair(q, g, lat_d2)
+        assert list(got.stacks) == list(want.stacks)
+        for key, (idx, mats) in want.stacks.items():
+            assert got.stacks[key][0].tobytes() == idx.tobytes()
+            assert got.stacks[key][1].tobytes() == mats.tobytes()
+
     def test_symmetrized_operator_is_symmetric(self, lat_d2):
         rng = rng_for("rank-sym")
         b = random_space_time(lat_d2, 2, 2, rng, n_j=2, ell_support=1)

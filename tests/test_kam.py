@@ -219,7 +219,7 @@ class TestStackSolve:
                           for c in lat.clusters}
         assert len(rem.r1) and len(rem.r2)  # both signs
         assert any(max(np.linalg.norm(ell), lat.alpha(a), lat.alpha(b)) > n_cut
-                   for (ell, a, b), _ in rem.r1.items())
+                   for (ell, a, b), _ in oracles.block_items(rem.r1))
         cfg = toy_config()
         got = assemble_homological_solution(state, lat, cfg, OMEGA, n_cut)
         want = oracles.assemble_per_block(state, lat, cfg, OMEGA, n_cut)
