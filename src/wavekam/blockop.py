@@ -17,7 +17,9 @@ accessor; every other operation is a few array operations per pair.
 a sorted scatter when the triple has few block products, or angle by angle
 on the (4L+1)^nu grid that holds every product's ell.  What leaves the box
 is dropped and its HS mass reported in ``meta['truncation_loss']``;
-exactly-zero output blocks are not stored.
+exactly-zero output blocks are not stored.  This is the package's one
+ell-convolution kernel: ``_product_rows`` runs rows of scalar coefficients
+(functions, symbols, rank-one products) through its scatter as 1 x 1 blocks.
 
 PairedBlockOperator stores the top row (R1, R2) of the 2x2 arrangement
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import LatticeMismatchError, ParameterError
 from .series import truncated_series
-from .spectrum import _product_rows, ell_table
+from .spectrum import _at_angles, ell_table
 
 __all__ = [
     "BlockOperator",
@@ -382,9 +384,10 @@ def _from_grid(nu, ell_max, values):
     return x.reshape(values.shape)
 
 
-def _direct(nu, ell_max, left, right):
+def _direct(nu, ell_max, left, right, rows=False):
     """Yield (positions, blocks) of the summed products per chunk of left ell:
-    one GEMM and a sorted scatter, temporaries within ``_CHUNK_BYTES``."""
+    one GEMM, or for ``rows`` (stacks of 1 x k rows of scalars) one product
+    entry by entry, and a sorted scatter, temporaries within ``_CHUNK_BYTES``."""
     (idx1, m1), (idx2, m2) = left, right
     k2, nb, nc = m2.shape
     na = m1.shape[1]
@@ -393,9 +396,11 @@ def _direct(nu, ell_max, left, right):
     for lo in range(0, len(idx1), chunk):
         part = idx1[lo:lo + chunk]
         order, starts, pos = _scatter_pattern(nu, ell_max, part, idx2)
-        # one GEMM: prods[a, i * k2 + j, c] = (m1[lo + i] @ m2[j])[a, c]
-        lhs = m1[lo:lo + chunk].transpose(1, 0, 2).reshape(-1, nb)
-        prods = (lhs @ rhs).reshape(na, len(part) * k2, nc)
+        if rows:  # prods[0, i * k2 + j, r] = m1[lo + i, 0, r] m2[j, 0, r]
+            prods = (m1[lo:lo + chunk] * rhs.reshape(1, k2, nc)).reshape(1, -1, nc)
+        else:  # one GEMM: prods[a, i * k2 + j, c] = (m1[lo + i] @ m2[j])[a, c]
+            lhs = m1[lo:lo + chunk].transpose(1, 0, 2).reshape(-1, nb)
+            prods = (lhs @ rhs).reshape(na, len(part) * k2, nc)
         sums = np.add.reduceat(np.take(prods, order, axis=1), starts, axis=1)
         del prods  # free it before the next chunk's GEMM
         yield pos, sums.transpose(1, 0, 2)
@@ -610,6 +615,32 @@ def compose(R, T):
     return out
 
 
+def _product_rows(a, b, nu, ell_max):
+    """Row-wise products of two (k, (2L+1)^nu) coefficient stacks in box
+    order, cut to the box, and per row the l2 mass it reaches outside.
+    A row is a stack of 1 x 1 blocks; the rows with the same supports are one
+    cluster triple, summed exactly by ``_direct``'s scatter.  Chunks hold
+    whole rows, so each row comes out bit for bit as if alone, and a row
+    keeps the ell its supports reach, the others +0."""
+    n, box_of = a.shape[1], _grid(nu, ell_max)[1]
+    out, lost = np.zeros(a.shape, dtype=complex), np.zeros(len(a))
+    nz = np.concatenate([a != 0, b != 0], axis=1)
+    groups = {}
+    for r in np.flatnonzero(nz[:, :n].any(axis=1) & nz[:, n:].any(axis=1)).tolist():
+        groups.setdefault(nz[r].tobytes(), []).append(r)
+    for rows in map(np.array, groups.values()):
+        i1, i2 = np.flatnonzero(nz[rows[0], :n]), np.flatnonzero(nz[rows[0], n:])
+        step = max(1, _CHUNK_BYTES // (16 * len(i1) * len(i2)))
+        for r in np.split(rows, range(step, len(rows), step)):
+            pos, vals = functools.reduce(_add_stacks, _direct(
+                nu, ell_max, (i1, a[r][:, i1].T[:, None]),
+                (i2, b[r][:, i2].T[:, None]), rows=True))
+            inside = box_of[pos] >= 0
+            out[r[:, None], box_of[pos[inside]]] += vals[inside, 0].T
+            lost[r] = [math.fsum(x) for x in (np.abs(vals[~inside, 0].T) ** 2).tolist()]
+    return out, np.sqrt(lost).tolist()
+
+
 def smoothing_projector(R, N):
     """(Pi_N R, Pi_N^perp R): keep max{|ell|, alpha, beta} <= N; the pair sums to R."""
     if N < 1:
@@ -734,10 +765,8 @@ def _matrices_at(op, phis):
     out = np.zeros((len(phis), n, n), dtype=complex)
     box = ell_table(op.nu, op.ell_max)[0]
     for (a, b), (idx, mats) in op.stacks.items():
-        ells = box[idx].astype(float)
-        out[:, lat.slices[a], lat.slices[b]] = np.tensordot(
-            np.exp(1j * (phis @ ells.T)), mats, axes=1
-        )
+        out[:, lat.slices[a], lat.slices[b]] = _at_angles(
+            phis, box[idx], mats.reshape(len(idx), -1)).reshape((-1,) + mats.shape[1:])
     return out
 
 
@@ -764,8 +793,9 @@ def rank_one_blocks(q, g, lattice):
     """Blocks of R(phi)[h] = q <g, h>:  Rhat_j^{j'}(ell) = sum q_j(ell-ell') g_{-j'}(ell').
 
     One truncated product per (j, j') pair, all in one ``_product_rows``
-    call, then one scatter per cluster pair: each (ell, j, j') entry gets
-    exactly one value, so pairs whose product vanishes add no block.
+    call (this module's kernel, each pair's row a stack of 1 x 1 blocks),
+    then one scatter per cluster pair: each (ell, j, j') entry gets exactly
+    one value, so pairs whose product vanishes add no block.
     """
     where = lattice.cluster_of_point
     pairs = [(j, jp, tuple(-x for x in jp)) for j in q.space_modes() if j in where
@@ -773,9 +803,10 @@ def rank_one_blocks(q, g, lattice):
     out = BlockOperator(lattice, q.nu, q.ell_max)
     if not pairs:
         return out
-    prods = _product_rows(np.stack([q.angle_part(j).coeffs for j, _, _ in pairs]),
-                          np.stack([g.angle_part(jp).coeffs for _, jp, _ in pairs]))
-    prods = prods.reshape(len(pairs), -1)
+    prods, _ = _product_rows(
+        np.stack([q.angle_part(j).coeffs.ravel() for j, _, _ in pairs]),
+        np.stack([g.angle_part(jp).coeffs.ravel() for _, jp, _ in pairs]),
+        q.nu, q.ell_max)
     groups = {}
     for row in np.flatnonzero(prods.any(axis=1)).tolist():
         j, _, mjp = pairs[row]

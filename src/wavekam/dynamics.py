@@ -18,7 +18,7 @@ import numpy as np
 
 from . import blockop
 from .errors import ParameterError
-from .spectrum import ell_table
+from .spectrum import _at_angles, ell_table
 
 __all__ = [
     "EvolutionRun",
@@ -145,8 +145,7 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33):
             hs.append(min(dt, horizon - tk))
             stage_t += [tk + hs[-1] / 2, tk + hs[-1]]
         t, hs = stage_t[-1], np.asarray(hs)
-        phi = np.asarray(stage_t)[:, None] * omega
-        vals = np.exp(1j * (phi @ ells.T)) @ coef
+        vals = _at_angles(np.asarray(stage_t)[:, None] * omega, ells, coef)
         lin = -(1.0 + eps * vals[:, :1].real) * nsq
         # rows of u: eps b_k, eps c_k on C; of w: c_k, b_k at -j
         u, w = np.moveaxis(

@@ -37,7 +37,7 @@ from .hamiltonian import ExpMap, push_forward
 from .resonance import (_centres, _combo_grid, _gap, _hull_hits, _padded_sort,
                         sorted_combos)
 from .series import truncated_series
-from .spectrum import default_s0, diophantine_check, ell_box, ell_table
+from .spectrum import _omega_ell, default_s0, diophantine_check, ell_box, ell_table
 
 __all__ = [
     "KamConfig",
@@ -176,9 +176,8 @@ def _melnikov_scan(state, lattice, config, omega, n_cut, nu):
     ells = ell_box(nu, n_cut)
     ells = ells[np.sum(ells * ells, axis=1) <= n_cut * n_cut]
     zero = len(ells) // 2  # the ball is symmetric, in lexicographic order
-    ell_arr = ells.astype(float)
-    omega_ell = ell_arr @ np.asarray(omega, float)
-    bracket_tau = np.maximum(1.0, np.linalg.norm(ell_arr, axis=1)) ** config.tau
+    omega_ell = _omega_ell(ells, omega)
+    bracket_tau = np.maximum(1.0, np.linalg.norm(ells.astype(float), axis=1)) ** config.tau
 
     def threshold(ca, cb, sign, bt):
         if sign == "-":
@@ -219,7 +218,6 @@ def assemble_homological_solution(state, lattice, config, omega, n_cut):
     rem = state.remainder
     nu, ell_max = rem.r1.nu, rem.r1.ell_max
     box, norms = ell_table(nu, ell_max)
-    omega = np.asarray(omega, dtype=float)
     psi = PairedBlockOperator.zero(lattice, nu, ell_max)
     for part, out, sign in ((rem.r1, psi.r1, "-"), (rem.r2, psi.r2, "+")):
         for (a_sq, b_sq), (idx, mats) in part.stacks.items():
@@ -229,9 +227,7 @@ def assemble_homological_solution(state, lattice, config, omega, n_cut):
                 keep &= idx != len(box) // 2
             if keep.any():
                 ells = box[idx[keep]]
-                # one (1, nu) @ (nu,) product per ell rounds as np.dot
-                wl = (ells[:, None, :] @ omega)[:, 0]
-                x, _ = _solve_stack(ells, wl, a_sq, b_sq, sign,
+                x, _ = _solve_stack(ells, _omega_ell(ells, omega), a_sq, b_sq, sign,
                                     state.eig(lattice, a_sq),
                                     state.eig(lattice, b_sq, sign), mats[keep])
                 out.stacks[(a_sq, b_sq)] = (idx[keep], x)

@@ -11,12 +11,12 @@ makes any asymptotic reading of it meaningless.
 
 import numpy as np
 
-from .blockop import BlockOperator, PairedBlockOperator
+from .blockop import BlockOperator, PairedBlockOperator, _product_rows
 from .errors import ParameterError
 from .series import truncated_series
 from .spectrum import (AngleFunction, SpaceTimeFunction, _conj_rows, _omega_phase,
-                       _product_rows, _project_rows, _real_rows, _sample_rows,
-                       _sobolev_norm_rows, ell_table)
+                       _project_rows, _real_rows, _sample_rows, _sobolev_norm_rows,
+                       ell_table)
 
 __all__ = [
     "FourierMultiplier",
@@ -154,9 +154,9 @@ class FourierMultiplier:
         modes = [j for j in u.space_modes() if j in lat.cluster_of_point]
         rows = [lat.alpha_sqs.index(lat.cluster_of_point[j]) for j in modes]
         if modes:
-            prods = _product_rows(np.stack([u.comps[j].coeffs for j in modes]),
-                                  self._stack()[rows])
-            out.comps = {j: AngleFunction(u.nu, u.ell_max, p.copy())
+            prods, _ = _product_rows(np.stack([u.comps[j].coeffs.ravel() for j in modes]),
+                                     self.coeffs[rows], self.nu, self.ell_max)
+            out.comps = {j: AngleFunction(u.nu, u.ell_max, p.reshape(u.comps[j].coeffs.shape))
                          for j, p in zip(modes, prods)}
         return out
 
@@ -186,13 +186,13 @@ def multiplier_norm(r, m, s):
 def multiplier_compose(r, b):
     """Op(r) Op(b) = Op(rb), orders add, symbols ell-convolve per cluster.
 
-    All clusters go through one batched convolution, where a zero row costs
-    nothing; each row comes out bit for bit as ``AngleFunction.product`` of
-    the two rows.
+    All clusters go through one ``blockop._product_rows`` call, where a zero
+    row costs nothing; each row comes out bit for bit as
+    ``AngleFunction.product`` of the two rows.
     """
     r._check(b)
-    prod = _product_rows(r._stack(), b._stack()).reshape(r.coeffs.shape)
-    return r._like(prod, r.order + b.order)
+    return r._like(_product_rows(r.coeffs, b.coeffs, r.nu, r.ell_max)[0],
+                   r.order + b.order)
 
 
 def multiplier_to_blocks(r):

@@ -117,11 +117,6 @@ def _phi_grid(nu, grid_n):
     return pts, (grid_n,) * nu
 
 
-def _project(values, shape, ell_max):
-    f, alias = AngleFunction.from_samples(np.asarray(values).reshape(shape), ell_max)
-    return f, alias
-
-
 # ---------------------------------------------------------------------------
 # rank terms in paired form
 # ---------------------------------------------------------------------------
@@ -207,13 +202,12 @@ def symmetrize(problem, omega):
         raise ParameterError(
             f"1 + eps a reaches {np.min(vals):.3e} <= 0: fourth root undefined"
         )
-    shape = vals.shape
-    beta, al1 = _project(vals ** (-0.25), shape, problem.ell_max)
-    beta_inv, al2 = _project(vals**0.25, shape, problem.ell_max)
-    a1, al3 = _project(np.sqrt(vals), shape, problem.ell_max)
+    beta, al1 = AngleFunction.from_samples(vals ** (-0.25), problem.ell_max)
+    beta_inv, al2 = AngleFunction.from_samples(vals**0.25, problem.ell_max)
+    a1, al3 = AngleFunction.from_samples(np.sqrt(vals), problem.ell_max)
     dbeta = beta.omega_dphi(omega)
     a0_vals = dbeta.sample(grid_n) * (vals**0.25)
-    a0, al4 = _project(a0_vals, shape, problem.ell_max)
+    a0, al4 = AngleFunction.from_samples(a0_vals, problem.ell_max)
     rank1 = []
     for b, c in problem.rank_pairs:
         b1, _ = b.apply_D_power(-0.5).mul_angle(beta)
@@ -338,12 +332,12 @@ def reparametrize_time(problem, stage1, stage2, omega):
         raise ParameterError("reparametrization density rho vanished")
     # honest highest-order coefficient: (A^{-1} a1) / rho, computed on the grid
     w1_vals = stage1.a1.eval_at(shifted).real / rho_vals
-    w1, alias_w1 = _project(w1_vals, shape, L)
+    w1, alias_w1 = AngleFunction.from_samples(w1_vals.reshape(shape), L)
     w1_const = complex(w1[(0,) * nu])
     w1_fluct = w1 - AngleFunction.constant(nu, L, w1_const)
     # a2 = rho^{-1} A^{-1}[a0]
     a2_vals = stage2.field.r2.row(0).eval_at(shifted) * (-1.0) / rho_vals
-    a2, alias_a2 = _project(a2_vals, shape, L)
+    a2, alias_a2 = AngleFunction.from_samples(a2_vals.reshape(shape), L)
     # transformed rank functions: 2^{-1/2} goes in at stage 2; here the extra
     # rho^{-1} splits as rho^{-1/2} on each side of every term
     scale_vals = rho_vals ** (-0.5)
@@ -357,7 +351,7 @@ def reparametrize_time(problem, stage1, stage2, omega):
                 comp = SpaceTimeFunction(nu, L, problem.d)
                 for j in f.space_modes():
                     vals = f.angle_part(j).eval_at(shifted) * scale_vals
-                    g, al = _project(vals, shape, L)
+                    g, al = AngleFunction.from_samples(vals.reshape(shape), L)
                     comp.comps[j] = g
                     alias_rank = max(alias_rank, al)
                 fns.append(comp)

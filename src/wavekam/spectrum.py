@@ -249,14 +249,13 @@ class AngleFunction:
 
     def product(self, other):
         """Pointwise product, re-truncated to the box; the second value is the
-        discarded mass, the l2 norm of the convolution bins outside the box."""
+        discarded mass, the l2 norm of the coefficients outside the box."""
+        from .blockop import _product_rows  # blockop imports this module
+
         self._check(other)
-        full = _convolve_full(self.coeffs, other.coeffs)
-        box = (slice(self.ell_max, 3 * self.ell_max + 1),) * self.nu
-        outside = np.ones(full.shape, dtype=bool)
-        outside[box] = False
-        lost = math.sqrt(math.fsum((np.abs(full[outside]) ** 2).tolist()))
-        return AngleFunction(self.nu, self.ell_max, full[box].copy()), lost
+        prod, lost = _product_rows(self.coeffs.reshape(1, -1), other.coeffs.reshape(1, -1),
+                                   self.nu, self.ell_max)
+        return AngleFunction(self.nu, self.ell_max, prod.reshape(self.coeffs.shape)), lost[0]
 
     def mean(self):
         return complex(self[(0,) * self.nu])
@@ -299,20 +298,24 @@ class AngleFunction:
         return cls(values.ndim, ell_max, coeffs.reshape(shape)), alias[0]
 
     def eval_at(self, points):
-        """Evaluate at arbitrary angles; points shape (n, nu).  The phases are
-        one real product per chunk of points, each chunk's exp table within
-        ``blockop._CHUNK_BYTES``."""
-        from .blockop import _CHUNK_BYTES  # blockop imports this module
-
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        """Evaluate at arbitrary angles; points shape (n, nu)."""
         flat = self.coeffs.ravel()
         nz = np.flatnonzero(flat)
-        ells = ell_table(self.nu, self.ell_max)[0][nz]
-        step = max(1, _CHUNK_BYTES // (16 * max(len(nz), 1)))
-        out = np.empty(len(points), dtype=complex)
-        for i in range(0, len(points), step):
-            out[i:i + step] = np.exp(1j * (points[i:i + step] @ ells.T)) @ flat[nz]
-        return out
+        return _at_angles(np.atleast_2d(np.asarray(points, dtype=float)),
+                          ell_table(self.nu, self.ell_max)[0][nz], flat[nz])
+
+
+def _at_angles(points, ells, coef):
+    """sum over rows l of coef[l] e^(i points . ells[l]) at each point, coef
+    (len(ells),) or (len(ells), m).  The phases are one real product per
+    chunk of points, each chunk's exp table within ``blockop._CHUNK_BYTES``."""
+    from .blockop import _CHUNK_BYTES  # blockop imports this module
+
+    step = max(1, _CHUNK_BYTES // (16 * max(len(ells), 1)))
+    out = np.empty((len(points),) + coef.shape[1:], dtype=complex)
+    for i in range(0, len(points), step):
+        out[i:i + step] = np.exp(1j * (points[i:i + step] @ ells.T)) @ coef
+    return out
 
 
 # Row helpers: each acts on a (k, (2 ell_max + 1)^nu) stack of coefficient
@@ -375,77 +378,6 @@ def _project_rows(values, ell_max):
     outside[at] = False
     lost = (np.abs(spec[:, outside]) ** 2).tolist()
     return coeffs, [math.sqrt(math.fsum(row)) for row in lost]
-
-
-def _convolve_full(a, b):
-    """Full linear convolution of two equal-shape dense coefficient arrays."""
-    return _convolve_rows(a[None], b[None])[0]
-
-
-def _convolve_rows(a, b):
-    """Full linear convolutions of the rows of two (k, n, ..., n) coefficient
-    stacks, shape (k, 2n - 1, ..., 2n - 1), each row bit for bit as if alone.
-
-    A row with over 16384 products goes by FFT; the others are summed
-    directly (exact), a bincount per chunk of rows over the union of their
-    supports: index sums need no carry in the output grid, rows sit a grid
-    apart, each bin adds its row's products in (ka, kb) order and the
-    union's extra products are exact zeros.  A chunk keeps its products
-    within ``blockop._CHUNK_BYTES``.  A lone product is formed as numpy's
-    scalar loop forms it, without the fused multiply-add of its SIMD loop.
-    """
-    from .blockop import _CHUNK_BYTES  # blockop imports this module
-
-    k, box = len(a), a.shape[1:]
-    shape = tuple(2 * n - 1 for n in box)
-    size = math.prod(shape)
-    fa, fb = a.reshape(k, -1), b.reshape(k, -1)
-    nza, nzb = fa != 0, fb != 0
-    count = nza.sum(axis=1) * nzb.sum(axis=1)
-    out = np.zeros((k, size), dtype=complex)
-    if not count.any():
-        return out.reshape((k,) + shape)
-    for i in np.flatnonzero(count > 16384):
-        out[i] = _fft_convolve(a[i], b[i]).ravel()
-
-    def at(flat):  # box positions -> output grid positions
-        return np.ravel_multi_index(np.unravel_index(flat, box), shape)
-
-    lone = np.flatnonzero(count == 1)
-    ia, ib = nza[lone].argmax(axis=1), nzb[lone].argmax(axis=1)
-    x, y = fa[lone, ia], fb[lone, ib]
-    out.real[lone, at(ia) + at(ib)] += x.real * y.real - x.imag * y.imag
-    out.imag[lone, at(ia) + at(ib)] += x.real * y.imag + x.imag * y.real
-    direct = np.flatnonzero((count > 1) & (count <= 16384))
-    union = nza[direct].any(axis=0).sum() * nzb[direct].any(axis=0).sum()
-    step = max(1, _CHUNK_BYTES // (16 * max(union, 1)))
-    for rows in np.split(direct, range(step, len(direct), step)):
-        ia = np.flatnonzero(nza[rows].any(axis=0))
-        ib = np.flatnonzero(nzb[rows].any(axis=0))
-        pos = ((np.arange(len(rows)) * size)[:, None, None]
-               + at(ia)[:, None] + at(ib)).ravel()
-        prods = fa[rows[:, None], ia][:, :, None] * fb[rows[:, None], ib][:, None, :]
-        for part, w in ((out.real, prods.real), (out.imag, prods.imag)):
-            part[rows] = np.bincount(pos, w.ravel(), len(rows) * size).reshape(-1, size)
-    return out.reshape((k,) + shape)
-
-
-def _product_rows(a, b):
-    """Row-wise truncated products of two (k, n, ..., n) coefficient stacks:
-    row i is the first value of ``AngleFunction.product`` on rows i."""
-    lo, hi = (a.shape[1] - 1) // 2, 3 * (a.shape[1] - 1) // 2 + 1
-    return _convolve_rows(a, b)[(slice(None),) + (slice(lo, hi),) * (a.ndim - 1)]
-
-
-def _fft_convolve(a, b):
-    """Full linear convolution by FFT, with the FFT noise floor cut."""
-    s, axes = (2 * a.shape[0] - 1,) * a.ndim, tuple(range(a.ndim))
-    out = np.fft.ifftn(np.fft.fftn(a, s, axes) * np.fft.fftn(b, s, axes), axes=axes)
-    # inputs are exact trig polynomials; kill fft noise below the double floor
-    scale = np.max(np.abs(out))
-    if scale > 0:
-        out[np.abs(out) < 1e-15 * scale] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +557,12 @@ def omega_dphi_inverse(h, omega, gamma=None, tau=None, floor=None):
     return out
 
 
+def _omega_ell(ells, omega):
+    """omega . ell per row of ells as np.dot rounds it: one (1, nu) @ (nu,)
+    product per row (a matvec rounds differently)."""
+    return (np.asarray(ells, dtype=float)[:, None, :] @ np.asarray(omega, dtype=float))[:, 0]
+
+
 def diophantine_check(omega, gamma, tau, ell_max):
     """Check |omega . ell| >= gamma/|ell|^tau for 0 < |ell|_inf <= ell_max.
 
@@ -636,9 +574,8 @@ def diophantine_check(omega, gamma, tau, ell_max):
     omega = np.asarray(omega, dtype=float)
     ells, norms = ell_table(omega.size, ell_max)
     nonzero = ells.any(axis=1)
-    # bit for bit as the per-ell oracle: a (1, nu) @ (nu,) product per ell
-    # rounds as np.dot (a matvec does not), object pow is libm's scalar pow
-    div = np.abs(ells[nonzero][:, None, :] @ omega)[:, 0]
+    # bit for bit as the per-ell oracle; object pow is libm's scalar pow
+    div = np.abs(_omega_ell(ells[nonzero], omega))
     margin = div * (norms[nonzero].astype(object) ** tau).astype(float) / gamma
     worst = np.min(margin)
     return worst >= 1.0, worst

@@ -34,8 +34,11 @@ the package.
   block iterator ``BlockOperator.items``, which nothing else in the
   package read, is ``block_items``.
 - The Python double loop of ``spectrum._convolve_full``'s direct branch,
-  and the one-pair ``_convolve_full`` that the row-batched
-  ``spectrum._convolve_rows`` replaced.
+  the one-pair ``_convolve_full`` that the row-batched
+  ``spectrum._convolve_rows`` replaced, and ``_convolve_rows`` itself (a
+  bincount per chunk of direct rows, a row with over 16384 products by FFT
+  with its noise floor cut), before row products went through
+  ``blockop._product_rows``.
 - The dense flattening of block and paired block operators over the
   (ell, j) basis, formerly their ``to_dense`` methods.
 - The per-ell loops that ``spectrum.ell_box`` and ``ell_table`` replaced:
@@ -82,7 +85,7 @@ import math
 
 import numpy as np
 
-from wavekam import hamiltonian, multiplier
+from wavekam import blockop, hamiltonian, multiplier
 from wavekam.blockop import (BlockOperator, PairedBlockOperator, compose,
                              diagonal_part, rank_one_blocks, smoothing_projector)
 from wavekam.errors import (ContractViolation, InversionError, ParameterError,
@@ -140,7 +143,8 @@ def melnikov_scan(state, lattice, config, omega, n_cut, nu):
     if not ells:
         return True, None
     ell_arr = np.array(ells, dtype=float)
-    omega_ell = ell_arr @ omega
+    # per ell as np.dot rounds it, the one rounding of omega . ell in kam
+    omega_ell = (ell_arr[:, None, :] @ omega)[:, 0]
     bracket = np.maximum(1.0, np.linalg.norm(ell_arr, axis=1))
     eigs = {a_sq: state.eig(lattice, a_sq)[0] for a_sq in state.d_blocks}
     eigs_conj = {a_sq: state.eig(lattice, a_sq, "+")[0]
@@ -973,8 +977,9 @@ def sobolev_action_bound_check(R, s, s0):
 
 
 # ---------------------------------------------------------------------------
-# Direct convolution (formerly the loop in spectrum._convolve_full, and
-# spectrum._convolve_full itself, one pair of arrays per call)
+# Direct convolution (formerly the loop in spectrum._convolve_full,
+# spectrum._convolve_full itself, one pair of arrays per call, and the
+# row-batched spectrum._convolve_rows)
 # ---------------------------------------------------------------------------
 
 
@@ -1008,6 +1013,82 @@ def convolve_full(a, b):
     if scale > 0:
         out[np.abs(out) < 1e-15 * scale] = 0.0
     return out
+
+
+def convolve_rows(a, b):
+    """Full linear convolutions of the rows of two (k, n, ..., n) coefficient
+    stacks, shape (k, 2n - 1, ..., 2n - 1), each row bit for bit as if alone
+    (formerly ``spectrum._convolve_rows``).
+
+    A row with over 16384 products goes by FFT; the others are summed
+    directly (exact), a bincount per chunk of rows over the union of their
+    supports: index sums need no carry in the output grid, rows sit a grid
+    apart, each bin adds its row's products in (ka, kb) order and the
+    union's extra products are exact zeros.  A chunk keeps its products
+    within ``blockop._CHUNK_BYTES``.  A lone product is formed as numpy's
+    scalar loop forms it, without the fused multiply-add of its SIMD loop.
+    """
+    k, box = len(a), a.shape[1:]
+    shape = tuple(2 * n - 1 for n in box)
+    size = math.prod(shape)
+    fa, fb = a.reshape(k, -1), b.reshape(k, -1)
+    nza, nzb = fa != 0, fb != 0
+    count = nza.sum(axis=1) * nzb.sum(axis=1)
+    out = np.zeros((k, size), dtype=complex)
+    if not count.any():
+        return out.reshape((k,) + shape)
+    for i in np.flatnonzero(count > 16384):
+        out[i] = fft_convolve(a[i], b[i]).ravel()
+
+    def at(flat):  # box positions -> output grid positions
+        return np.ravel_multi_index(np.unravel_index(flat, box), shape)
+
+    lone = np.flatnonzero(count == 1)
+    ia, ib = nza[lone].argmax(axis=1), nzb[lone].argmax(axis=1)
+    x, y = fa[lone, ia], fb[lone, ib]
+    out.real[lone, at(ia) + at(ib)] += x.real * y.real - x.imag * y.imag
+    out.imag[lone, at(ia) + at(ib)] += x.real * y.imag + x.imag * y.real
+    direct = np.flatnonzero((count > 1) & (count <= 16384))
+    union = nza[direct].any(axis=0).sum() * nzb[direct].any(axis=0).sum()
+    step = max(1, blockop._CHUNK_BYTES // (16 * max(union, 1)))
+    for rows in np.split(direct, range(step, len(direct), step)):
+        ia = np.flatnonzero(nza[rows].any(axis=0))
+        ib = np.flatnonzero(nzb[rows].any(axis=0))
+        pos = ((np.arange(len(rows)) * size)[:, None, None]
+               + at(ia)[:, None] + at(ib)).ravel()
+        prods = fa[rows[:, None], ia][:, :, None] * fb[rows[:, None], ib][:, None, :]
+        for part, w in ((out.real, prods.real), (out.imag, prods.imag)):
+            part[rows] = np.bincount(pos, w.ravel(), len(rows) * size).reshape(-1, size)
+    return out.reshape((k,) + shape)
+
+
+def fft_convolve(a, b):
+    """Full linear convolution by FFT, with the FFT noise floor cut
+    (formerly ``spectrum._fft_convolve``)."""
+    s, axes = (2 * a.shape[0] - 1,) * a.ndim, tuple(range(a.ndim))
+    out = np.fft.ifftn(np.fft.fftn(a, s, axes) * np.fft.fftn(b, s, axes), axes=axes)
+    # inputs are exact trig polynomials; kill fft noise below the double floor
+    scale = np.max(np.abs(out))
+    if scale > 0:
+        out[np.abs(out) < 1e-15 * scale] = 0.0
+    return out
+
+
+# blockop._product_rows sums the same products in another order (and the
+# oracle takes rows of over 16384 products by FFT), so each coefficient of a
+# row's product stays within this times |a|_2 |b|_2, which bounds every
+# coefficient of the product
+ROW_PRODUCT_TOL = 1e-14
+
+
+def assert_row_product_close(got, a, b, full):
+    """``got``, the truncated product of coefficient arrays a and b, within
+    ROW_PRODUCT_TOL |a|_2 |b|_2 of the box part of ``full``, their full
+    convolution."""
+    L = (a.shape[0] - 1) // 2
+    want = full[(slice(L, 3 * L + 1),) * a.ndim]
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    assert np.max(np.abs(got - want), initial=0.0) <= ROW_PRODUCT_TOL * scale
 
 
 def convolve_full_loop(a, b):

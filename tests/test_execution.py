@@ -34,8 +34,6 @@ ALLOWED = {
     "spectrum.AngleFunction.zero": "config angle functions of kind `zero`, "
                                    "`modes` or `random`",
     "reporting._json_float": "non-finite block entries in r4_blocks.json",
-    "spectrum._fft_convolve": "symbol rows with over 16384 products, beyond "
-                              "the bundled configs' ell_max = 4",
     # README Public API
     "multiplier.multiplier_norm": "README Public API",
     "spectrum.sobolev_norm": "README Public API",

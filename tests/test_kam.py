@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wavekam import enumerate_clusters
+from wavekam import enumerate_clusters, kam
 from wavekam.blockop import BlockOperator, PairedBlockOperator
 from wavekam.errors import ResonanceError
 from wavekam.hamiltonian import push_forward
@@ -20,6 +20,7 @@ from wavekam.kam import (
     sylvester_solve,
 )
 from wavekam.resonance import sorted_combos
+from wavekam.spectrum import ell_box
 
 import oracles
 from conftest import random_hamiltonian_paired, rng_for
@@ -198,6 +199,33 @@ class TestMelnikov:
         assert bad
         ok, err = _melnikov_scan(state, lat, cfg, omega, cfg.n_k(0), 2)
         assert not ok and err.kind == "-"
+
+
+class TestOmegaEll:
+    @pytest.mark.parametrize("omega", [OMEGA, np.array([1.33294561, 1.80752905])])
+    def test_scan_and_solve_form_the_same_values(self, omega, monkeypatch):
+        # the Melnikov scan's omega . ell and the homological solve's, matched
+        # by ell, agree bit for bit; at the second omega a matvec over the
+        # ball rounds 2 of its 49 values differently from np.dot
+        lat = toy_lattice()
+        state = toy_state(lat, random_hamiltonian_paired(
+            lat, 2, 4, rng_for("omega-ell"), density=1.0) * 1e-3)
+        scanned, solved = [], []
+        hull, solve = kam._hull_hits, kam._solve_stack
+        monkeypatch.setattr(kam, "_hull_hits", lambda wl, *rest: (
+            scanned.append(wl), hull(wl, *rest))[1])
+        monkeypatch.setattr(kam, "_solve_stack", lambda ells, wl, *rest: (
+            solved.append((ells, wl)), solve(ells, wl, *rest))[1])
+        cfg = toy_config(gamma=1e-9)
+        assert _melnikov_scan(state, lat, cfg, omega, 4, 2) == (True, None)
+        assemble_homological_solution(state, lat, cfg, omega, 4)
+        ball = ell_box(2, 4)
+        ball = ball[np.sum(ball * ball, axis=1) <= 16]
+        at = {tuple(ell): w for ell, w in zip(ball.tolist(), scanned[0])}
+        assert len(solved) > 1
+        for ells, wl in solved:
+            assert np.array([at[tuple(ell)] for ell in ells.tolist()]).tobytes() \
+                == wl.tobytes()
 
 
 class TestStackSolve:

@@ -12,6 +12,10 @@ module calls the idioms that rebuild its order or decode a flat position.
 No ``a @ b`` has a product with a complex literal as its left operand:
 ``1j * x @ y`` parses as ``(1j * x) @ y``, a complex product where a real
 one was meant.
+
+Only ``spectrum._sample_rows`` and ``_project_rows`` call ``np.fft``:
+sampling and projection go by FFT, products through ``blockop``'s one
+ell-convolution kernel.
 """
 
 import ast
@@ -146,3 +150,52 @@ def test_complex_literal_matmul_scan_flags_the_slip():
         "a = 1j * p @ e.T\nb = -2j * p * s @ e\nc = p * 1j @ e\n"
         "ok = 1j * (p @ e.T)\nok2 = (1j * p) + q @ e\nok3 = 2 * p @ e\n"))
     assert flagged == [1, 2, 3]
+
+
+# the FFT's users: sampling on and projecting from the uniform grid
+FFT_USERS = {("spectrum", "_sample_rows"), ("spectrum", "_project_rows")}
+
+
+def _fft_uses(tree):
+    """(enclosing def, line) of each ``np.fft`` or ``numpy.fft`` reference
+    and each import from ``numpy.fft`` or of ``numpy``'s ``fft``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "fft"
+                    and getattr(child.value, "id", None) in ("np", "numpy")):
+                found.append((where, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and (
+                    (child.module or "").startswith("numpy.fft")
+                    or (child.module == "numpy"
+                        and any(a.name == "fft" for a in child.names))):
+                found.append((where, child.lineno))
+            elif isinstance(child, ast.Import) and any(
+                    a.name.startswith("numpy.fft") for a in child.names):
+                found.append((where, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_sampling_and_projection_use_the_fft():
+    stray, used = [], set()
+    for stem, tree in _modules().items():
+        for where, line in _fft_uses(tree):
+            if (stem, where) in FFT_USERS:
+                used.add((stem, where))
+            else:
+                stray.append(f"{stem}.py:{line} ({where})")
+    assert not stray, f"products go through blockop's kernel, not np.fft: {stray}"
+    assert used == FFT_USERS, "stale FFT user"
+
+
+def test_fft_scan_flags_every_spelling():
+    flagged = _fft_uses(ast.parse(
+        "def f(x):\n    return np.fft.fftn(x)\n"
+        "import numpy.fft\nfrom numpy import fft\nfrom numpy.fft import ifftn\n"
+        "y = numpy.fft.rfft(x)\nok = np.linalg.norm(x)\n"))
+    assert flagged == [("f", 2), (None, 3), (None, 4), (None, 5), (None, 6)]

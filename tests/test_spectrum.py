@@ -19,9 +19,9 @@ from wavekam import (
 from wavekam import blockop
 from wavekam.blockop import BlockOperator
 from wavekam.errors import DiophantineViolation, ParameterError
-from wavekam.spectrum import _convolve_full, ell_box, ell_table
+from wavekam.spectrum import ell_box, ell_table
 
-from conftest import rng_for
+from conftest import random_block_operator, rng_for
 from oracles import (LipschitzQuotientError, OmegaGrid, convolve_full_loop,
                      weighted_lip_norm)
 
@@ -236,8 +236,8 @@ class TestProductMass:
             prod, lost = AngleFunction(nu, L, a).product(AngleFunction(nu, L, b))
             assert lost == pytest.approx(_product_mass_direct(a, b, L),
                                          rel=1e-13, abs=0)
-            assert np.array_equal(
-                prod.coeffs, _convolve_full(a, b)[(slice(L, 3 * L + 1),) * nu])
+            oracles.assert_row_product_close(
+                prod.coeffs, a, b, oracles.convolve_rows(a[None], b[None])[0])
 
 
 def _random_angle_function(rng, nu, ell_max, fill=0.5):
@@ -291,6 +291,36 @@ class TestEvalAt:
         assert np.max(np.abs(got - whole)) <= 1e-15 * f.linf_bound()
 
 
+class TestFrozenAngleProducts:
+    # spectrum._at_angles sums with matmul; each caller's values stay those
+    # of the product that it formed inline before, bit for bit
+    def test_eval_at_one_mode_rounds_as_before(self):
+        rng = rng_for("at-angles-one-mode")
+        f = AngleFunction.zero(2, 3)
+        f[(1, -2)] = complex(*rng.standard_normal(2))
+        points = rng.uniform(-2 * np.pi, 2 * np.pi, (64, 2))
+        want = np.exp(1j * (points @ np.array([[1, -2]]).T)) @ np.array([f[(1, -2)]])
+        assert f.eval_at(points).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("one_ell", [False, True])
+    def test_block_values_round_as_tensordot(self, one_ell):
+        # a block is n_a x n_b with both even (clusters are symmetric under
+        # j -> -j); with one ell, np.dot and matmul round apart at widths
+        # that are not multiples of 4
+        lat = enumerate_clusters(2, 2)
+        op = random_block_operator(lat, 2, 2, rng_for("at-angles-blocks"), density=0.5)
+        if one_ell:
+            for key, (idx, mats) in op.stacks.items():
+                op.stacks[key] = (idx[idx != 12][:1], mats[idx != 12][:1])
+        phis = rng_for("at-angles-phis").uniform(-2 * np.pi, 2 * np.pi, (16, 2))
+        box = ell_table(2, 2)[0]
+        want = np.zeros((16, lat.n_points, lat.n_points), dtype=complex)
+        for (a, b), (idx, mats) in op.stacks.items():
+            want[:, lat.slices[a], lat.slices[b]] = np.tensordot(
+                np.exp(1j * (phis @ box[idx].astype(float).T)), mats, axes=1)
+        assert blockop._matrices_at(op, phis).tobytes() == want.tobytes()
+
+
 class TestAngleIndexing:
     # ell_max = 4: the box holds -4..4 per component; a component below -4
     # used to wrap to the far side, (-5, 0) to (4, 0) and (0, -7) to (0, 2)
@@ -338,9 +368,10 @@ class TestConvolveFull:
                          rng.standard_normal((n,) * nu)
                          + 1j * rng.standard_normal((n,) * nu), 0.0)
                 for _ in range(2))
-        got, want = _convolve_full(a, b), convolve_full_loop(a, b)
-        assert got.shape == want.shape == (2 * n - 1,) * nu
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0)
+        L = (n - 1) // 2
+        prod, lost = AngleFunction(nu, L, a).product(AngleFunction(nu, L, b))
+        oracles.assert_row_product_close(prod.coeffs, a, b, convolve_full_loop(a, b))
+        assert lost == pytest.approx(_product_mass_direct(a, b, L), rel=1e-13, abs=0)
 
 
 class TestSobolevNorm:
