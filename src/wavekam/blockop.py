@@ -17,9 +17,11 @@ accessor; every other operation is a few array operations per pair.
 a sorted scatter when the triple has few block products, or angle by angle
 on the (4L+1)^nu grid that holds every product's ell.  What leaves the box
 is dropped and its HS mass reported in ``meta['truncation_loss']``;
-exactly-zero output blocks are not stored.  This is the package's one
-ell-convolution kernel: ``_product_rows`` runs rows of scalar coefficients
-(functions, symbols, rank-one products) through its scatter as 1 x 1 blocks.
+exactly-zero output blocks are not stored.  The last right operand's tables
+are kept, so a series by one Psi takes Psi to the angles once.  This is the
+package's one ell-convolution kernel: ``_product_rows`` runs rows of scalar
+coefficients (functions, symbols, rank-one products) through its scatter as
+1 x 1 blocks.
 
 PairedBlockOperator stores the top row (R1, R2) of the 2x2 arrangement
 
@@ -49,8 +51,9 @@ __all__ = [
     "operator_exponential",
 ]
 
-# byte cap on compose's temporaries per GEMM or grid chunk and on its
-# memoized scatter plans and reach masks (_PLANS)
+# byte cap on compose's temporaries per GEMM or grid chunk, on its memoized
+# scatter plans and reach masks (_PLANS) and on its right factor's tables
+# (_RIGHTS)
 _CHUNK_BYTES = 2**24
 
 
@@ -59,14 +62,32 @@ class _PlanCache(dict):
 
     nbytes = 0
 
+    @staticmethod
+    def size(plan):
+        return sum(x.nbytes for x in plan)
+
     def add(self, key, plan):
         self[key] = plan
-        self.nbytes += sum(x.nbytes for x in plan)
+        self.nbytes += self.size(plan)
         while self.nbytes > _CHUNK_BYTES:
-            self.nbytes -= sum(x.nbytes for x in self.pop(next(iter(self))))
+            self.nbytes -= self.size(self.pop(next(iter(self))))
+
+    def clear(self):
+        super().clear()
+        self.nbytes = 0
+
+
+class _RightCache(_PlanCache):
+    """The last right operand's ``_Right`` per (nu, L, beta, gamma, ids of
+    its stacks there), oldest first."""
+
+    @staticmethod
+    def size(right):
+        return right.nbytes
 
 
 _PLANS = _PlanCache()
+_RIGHTS = _RightCache()
 
 
 def _hs_sq(mats):
@@ -460,7 +481,8 @@ def _grid_wins(products, grid, right_bytes):
 class _Right:
     """The right factor of ``compose`` at one cluster pair (beta, gamma): its
     top row [s1, s2] (or [T]) and the implied lower row (conj s2, conj s1),
-    fused and taken to the angles once for every alpha."""
+    fused and taken to the angles once for every alpha, and kept in
+    ``_RIGHTS`` for the next product by the same stacks."""
 
     def __init__(self, nu, ell_max, cb, cc, blocks):
         self.nu, self.ell_max, self.cb, self.cc = nu, ell_max, cb, cc
@@ -472,6 +494,16 @@ class _Right:
                               _conj_stack(x, cb.neg_perm[:, None], cc.neg_perm, last)
                               for x in blocks[::-1]])
         self._fused, self._angles, self._top = {}, {}, None
+
+    @property
+    def nbytes(self):
+        """Bytes of the tables built here; the operand's own stacks are not
+        counted."""
+        own = {id(x) for x in self.rows[0]}
+        arrays = [a for row in self.rows[1:] for x in row if x is not None for a in x]
+        arrays += [a for _, x in self._fused.values() if id(x) not in own for a in x]
+        arrays += [x for x in (self._top, *self._angles.values()) if x is not None]
+        return sum({id(a): a.nbytes for a in arrays}.values())
 
     def fused(self, used):
         """(live, stack): the rows ``used`` as one stack, of the column
@@ -573,6 +605,8 @@ def compose(R, T):
     inside the ambient |ell|_inf box, exactly-zero blocks dropped; the HS
     mass of the blocks it reaches outside the box is
     ``meta['truncation_loss']``, the max over a paired product's entries.
+    T's tables per cluster pair are memoized in ``_RIGHTS`` while T holds
+    the same stacks, within ``_CHUNK_BYTES``.
     """
     paired = isinstance(R, PairedBlockOperator)
     lefts, uppers = ((R.r1, R.r2), (T.r1, T.r2)) if paired else ((R,), (T,))
@@ -582,9 +616,17 @@ def compose(R, T):
     for a, b in sorted({k for op in lefts for k in op.stacks}):
         left_by_mid.setdefault(b, []).append(a)
     acc = [{} for _ in uppers]
-    for b, c in sorted({k for op in uppers for k in op.stacks}):
-        right = _Right(nu, L, lat.cluster(b), lat.cluster(c),
-                       [op.stacks.get((b, c)) for op in uppers])
+    # T's tables are reused while T holds the same stack objects, as in a
+    # series by one Psi: stacks are never written in place, and the ids of
+    # the stacks that the memo holds cannot be taken by new objects
+    rights = {(b, c): [op.stacks.get((b, c)) for op in uppers]
+              for b, c in sorted({k for op in uppers for k in op.stacks})}
+    keys = {bc: (nu, L, *bc, *map(id, blocks)) for bc, blocks in rights.items()}
+    known = {key: _RIGHTS[key] for key in keys.values() if key in _RIGHTS}
+    _RIGHTS.clear()
+    for (b, c), blocks in rights.items():
+        right = known.get(keys[(b, c)]) or _Right(nu, L, lat.cluster(b),
+                                                  lat.cluster(c), blocks)
         for a in left_by_mid.get(b, ()):
             halves = [op.stacks.get((a, b)) for op in lefts]
             if (a, b) not in fused:
@@ -595,6 +637,7 @@ def compose(R, T):
                 for part in pieces:
                     out[(a, c)] = (_add_stacks(out[(a, c)], part)
                                    if (a, c) in out else part)
+        _RIGHTS.add(keys[(b, c)], right)
     box_of = _grid(nu, L)[1]
     result = []
     for out in acc:

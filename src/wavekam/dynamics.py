@@ -47,9 +47,12 @@ def _space_norms(rows, points, s):
                      for row in rows])
 
 
-# steps per block: the forcing table holds 2 * _BLOCK_STEPS + 1 stage times,
-# so its memory does not grow with the horizon
+# steps per block: a block ends after _BLOCK_STEPS steps or at a sample
 _BLOCK_STEPS = 64
+# steps per table: the forcing and the step maps of whole blocks of up to
+# _TABLE_STEPS steps are formed at once, so their memory does not grow with
+# the horizon
+_TABLE_STEPS = 256
 
 
 def _rk4_increments(h, l1, lm, l4):
@@ -66,8 +69,9 @@ def _rk4_increments(h, l1, lm, l4):
 
 
 def _chain(e):
-    """F with I + F = (I + e[-1]) ... (I + e[0]), multiplied pairwise as
-    (I + b)(I + a) = I + a + b + b a so the increments keep their low bits."""
+    """F with I + F = (I + e[-1]) ... (I + e[0]) along the first axis,
+    multiplied pairwise as (I + b)(I + a) = I + a + b + b a so the increments
+    keep their low bits."""
     while len(e) > 1:
         a, b = e[0:-1:2], e[1::2]
         e = np.concatenate([a + b + b @ a, e[2 * len(b):]])
@@ -88,13 +92,15 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33):
     writes only the coupled set C of modes with nonzero rank columns (empty
     when eps = 0).  Every other mode is a Hill equation
     v'' = -(1 + eps a(omega t)) |j|^2 v.  Blocks of steps end after
-    ``_BLOCK_STEPS`` steps or at a sample.  Per block, the forcing is
-    tabulated at the stage times, each step's RK4 map I + E is formed in
-    closed form (one (2|C|, 2|C|) matrix, one 2 x 2 per other mode), the steps
-    are multiplied pairwise in that increment form and applied once as
-    y <- y + E y.  A step costs O(|C|^3 + n); a block's (steps, 2|C|, 2|C|)
-    stack fits ``blockop._CHUNK_BYTES``.  The states agree with the
-    stage-by-stage vector RK4 to rounding; the sampled times are its floats.
+    ``_BLOCK_STEPS`` steps or at a sample; a table holds whole blocks, up to
+    ``_TABLE_STEPS`` steps.  Per table, the forcing is tabulated at the stage
+    times and each step's RK4 map I + E is formed in closed form (one
+    (2|C|, 2|C|) matrix, one 2 x 2 per distinct |j|^2 of the other modes);
+    the blocks of one length are multiplied pairwise in that increment form
+    together, and each block is applied once as y <- y + E y.  A step costs
+    O(|C|^3 + n); a table's (steps, 2|C|, 2|C|) stack fits
+    ``blockop._CHUNK_BYTES``.  The states agree with the stage-by-stage
+    vector RK4 to rounding; the sampled times are its floats.
     """
     omega = np.asarray(omega, dtype=float)
     cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
@@ -127,8 +133,11 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33):
     keep = np.any(coef != 0, axis=1)
     coef = coef[keep]
     ells = ell_table(problem.a.nu, problem.a.ell_max)[0][keep]
-    block_steps = min(_BLOCK_STEPS,
+    table_steps = min(_TABLE_STEPS,
                       max(1, blockop._CHUNK_BYTES // (64 * max(k, 1) ** 2)))
+    block_steps = min(_BLOCK_STEPS, table_steps)
+    # the other modes' Hill maps, one per distinct |j|^2
+    nsq_hill, hill = np.unique(nsq[single], return_inverse=True)
 
     n_steps = int(math.ceil(horizon / dt))
     sample_every = max(1, n_steps // max(1, n_samples - 1))
@@ -136,31 +145,48 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33):
     yc, ys = np.r_[coupled, n + coupled], np.c_[single, n + single]
     k0 = 0
     while k0 < n_steps:
-        k1 = min(k0 + block_steps, n_steps,
-                 (k0 // sample_every + 1) * sample_every)
-        # stage times t_k, t_k + h_k / 2, t_k + h_k = t_(k+1) of the block
+        # the table's block ends, cut after block_steps steps and at samples
+        ends = [k0]
+        while ends[-1] < n_steps:
+            k1 = min(ends[-1] + block_steps, n_steps,
+                     (ends[-1] // sample_every + 1) * sample_every)
+            if k1 - k0 > table_steps:
+                break
+            ends.append(k1)
+        # stage times t_k, t_k + h_k / 2, t_k + h_k = t_(k+1) of the table
         hs, stage_t = [], [t]
-        for _ in range(k1 - k0):
+        for _ in range(ends[-1] - k0):
             tk = stage_t[-1]
             hs.append(min(dt, horizon - tk))
             stage_t += [tk + hs[-1] / 2, tk + hs[-1]]
-        t, hs = stage_t[-1], np.asarray(hs)
+        hs = np.asarray(hs)
         vals = _at_angles(np.asarray(stage_t)[:, None] * omega, ells, coef)
-        lin = -(1.0 + eps * vals[:, :1].real) * nsq
+        # L's diagonal is lin |j|^2 on each mode
+        lin = -(1.0 + eps * vals[:, :1].real)
         # rows of u: eps b_k, eps c_k on C; of w: c_k, b_k at -j
         u, w = np.moveaxis(
             vals[:, 1:].reshape(len(stage_t), 2, 2 * len(pairs), k), 1, 0)
         big = eps * np.swapaxes(u, 1, 2) @ w
-        big[:, range(k), range(k)] += lin[:, coupled]
-        small = lin[:, single, None, None]
-        for ls, idx in ((big, yc), (small, ys)):
+        big[:, range(k), range(k)] += lin * nsq[coupled]
+        small = (lin * nsq_hill)[:, :, None, None]
+        starts, lens = np.array(ends[:-1]) - k0, np.diff(ends)
+        groups = []
+        for ls, idx, take in ((big, yc, slice(None)), (small, ys, hill)):
             if len(idx):
-                step = _chain(_rk4_increments(hs, ls[0:-1:2], ls[1::2], ls[2::2]))
-                y[idx] += (step @ y[idx][..., None])[..., 0]
-        if k1 % sample_every == 0 or k1 == n_steps:
-            times.append(t)
-            rows.append(y.copy())
-        k0 = k1
+                e = _rk4_increments(hs, ls[0:-1:2], ls[1::2], ls[2::2])
+                # one map per block; the blocks of one length chain together
+                maps = np.empty((len(lens),) + e.shape[1:], dtype=complex)
+                for m in np.unique(lens):
+                    at = np.flatnonzero(lens == m)
+                    maps[at] = _chain(e[starts[at] + np.arange(m)[:, None]])
+                groups.append((maps[:, take], idx))
+        for b, k1 in enumerate(ends[1:]):
+            for maps, idx in groups:
+                y[idx] += (maps[b] @ y[idx][..., None])[..., 0]
+            if k1 % sample_every == 0 or k1 == n_steps:
+                times.append(stage_t[2 * (k1 - k0)])
+                rows.append(y.copy())
+        t, k0 = stage_t[-1], ends[-1]
     cols = np.array([lat.index[j] for j in modes], dtype=int)
     states = np.zeros((len(rows), 2 * lat.n_points), dtype=complex)
     states[:, np.r_[cols, lat.n_points + cols]] = rows
@@ -236,9 +262,11 @@ class ConjugationChain:
         self._root = np.array(
             [sum(x * x for x in j) ** 0.25 for j in problem.lattice.points])
 
-    def tau_of_t(self, t):
-        phi = (self.omega * t).reshape(1, -1)
-        return t + float(self.reg.stage3.alpha_fn.eval_at(phi).real[0])
+    def tau_of_t(self, times):
+        """tau = t + alpha(omega t) at each of ``times``."""
+        times = np.asarray(times, dtype=float)
+        return times + self.reg.stage3.alpha_fn.eval_at(
+            np.outer(times, self.omega)).real
 
     def w2(self, taus, inverse=False):
         """W2(omega tau), or W2^{-1}, for each tau: (2n, 2n) matrices, built
@@ -253,48 +281,50 @@ class ConjugationChain:
             del mat  # copies, so no matrix held keeps its chunk alive
             yield from map(np.copy, out)
 
-    def w1(self, t, inverse=False):
-        """S(omega t) C, or C^{-1} S(omega t)^{-1}, as a (2n, 2n) matrix.
+    def w1(self, times, inverse=False):
+        """S(omega t) C, or C^{-1} S(omega t)^{-1}, at each of ``times`` as
+        (scales, K): the matrix is scales[i][:, None] * K, or K * scales[i]
+        for the inverse, with K = kron(C, I_n), or kron(C^{-1}, I_n).
 
         S = diag(beta |j|^-1/2, beta_inv |j|^1/2) with beta_inv the
         pipeline's own series for 1/beta.
         """
-        phi = (self.omega * t).reshape(1, -1)
-        beta, binv = (float(f.eval_at(phi).real[0])
+        phis = np.outer(times, self.omega)
+        beta, binv = (f.eval_at(phis).real[:, None]
                       for f in (self.reg.stage1.beta, self.reg.stage1.beta_inv))
-        eye = np.eye(len(self._root))
-        if inverse:
-            return np.kron(_C_INV, eye) * np.concatenate(
-                [binv * self._root, beta / self._root])
-        return np.concatenate([beta / self._root, binv * self._root])[
-            :, None] * np.kron(_C, eye)
+        halves = [binv * self._root, beta / self._root]
+        return (np.concatenate(halves if inverse else halves[::-1], axis=1),
+                np.kron(_C_INV if inverse else _C, np.eye(len(self._root))))
 
     def solutions_from_reduced(self, u0, times):
         """(v; psi)(t) for t in times, shape (m, 2n), built from reduced data
         u(tau) at tau = t + alpha(omega t), with one reduced-flow
-        diagonalisation.
+        diagonalisation; tau and S(omega t) are evaluated at all times at
+        once.
 
-        u0 (length n) is the reduced initial datum at tau0 = tau_of_t(0).
+        u0 (length n) is the reduced initial datum at tau0 = tau(0).
         """
         lat = self.problem.lattice
-        taus = [self.tau_of_t(t) for t in times]
+        taus = self.tau_of_t(times)
         d_blocks = (
             self.kam_state.d_blocks
             if self.kam_state is not None
             else self.reg.d_blocks(lat)
         )
-        u = evolve_reduced(d_blocks, lat, u0, taus, t0=self.tau_of_t(0.0))
+        u = evolve_reduced(d_blocks, lat, u0, taus, t0=self.tau_of_t([0.0])[0])
         out = np.concatenate([u, np.conj(u[:, lat.neg_perm])], axis=1)
         del u
+        scales, kron = self.w1(times)
         # each row is read before it is overwritten by its solution
-        for row, t, w2 in zip(out, times, self.w2(taus)):
-            row[:] = self.w1(t) @ (w2 @ row)
+        for row, scale, w2 in zip(out, scales, self.w2(taus)):
+            row[:] = scale * (kron @ (w2 @ row))
         return out
 
     def initial_reduced_data(self, x0):
         """(u1; u2) at tau0 from (v; psi)(0) through the inverse chain."""
-        [w2_inv] = self.w2([self.tau_of_t(0.0)], inverse=True)
-        return w2_inv @ (self.w1(0.0, inverse=True) @ x0)
+        [w2_inv] = self.w2(self.tau_of_t([0.0]), inverse=True)
+        [scale], kron = self.w1([0.0], inverse=True)
+        return w2_inv @ (kron @ (scale * x0))
 
 
 def conjugacy_roundtrip(chain, times, x):
@@ -315,8 +345,9 @@ def conjugacy_roundtrip(chain, times, x):
     scale = pair_norm(x[0])
     solved = chain.solutions_from_reduced(u[:n], times)
     # round-trip of the maps themselves at t = 0
-    [w2] = chain.w2([chain.tau_of_t(0.0)])
-    back = chain.w1(0.0) @ (w2 @ u)
+    [w2] = chain.w2(chain.tau_of_t([0.0]))
+    [w1_scale], kron = chain.w1([0.0])
+    back = w1_scale * (kron @ (w2 @ u))
     return {
         "trajectory_residual": float(np.max(pair_norm(x - solved)) / scale),
         "inverse_residual": float(pair_norm(back - x[0]) / scale),

@@ -19,6 +19,11 @@ the package.
 - The stage-by-stage vector RK4 that the per-block step propagators of
   ``dynamics.evolve_original`` replaced: four right-hand sides per step on
   one dense mode vector, the forcing tabulated per block of 64 steps.
+- ``evolve_original_blocks``, the step maps of ``dynamics.evolve_original``
+  with one forcing table, one ``_rk4_increments`` and one ``_chain`` per
+  block of steps, before its tables held up to 256 steps of whole blocks,
+  and ``solutions_from_reduced_per_sample``, the conjugation chain's
+  solutions with tau and W1 formed per sample time.
 - The dict-based frozen-angle evaluators that
   ``PairedBlockOperator.matrix_at_phi`` replaced, for block operators, paired
   block operators, multipliers and the rank terms of the pipeline.
@@ -88,6 +93,7 @@ import numpy as np
 from wavekam import blockop, hamiltonian, multiplier
 from wavekam.blockop import (BlockOperator, PairedBlockOperator, compose,
                              diagonal_part, rank_one_blocks, smoothing_projector)
+from wavekam.dynamics import _chain, _rk4_increments, evolve_reduced
 from wavekam.errors import (ContractViolation, InversionError, ParameterError,
                             ResonanceError, WavekamError)
 from wavekam.hamiltonian import ExpMap
@@ -95,7 +101,8 @@ from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
 from wavekam.resonance import EigenData, ResonanceReport, _combo_grid, _gap
 from wavekam.series import truncated_series
-from wavekam.spectrum import AngleFunction, SpaceTimeFunction, ell_table
+from wavekam.spectrum import (AngleFunction, SpaceTimeFunction, _at_angles,
+                              ell_table)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +604,121 @@ def evolve_original_stages(problem, omega, v0, psi0, horizon, dt,
             if (k + 1) % sample_every == 0 or k == n_steps - 1:
                 record(t, y)
     return times, nv, npsi, states
+
+
+# ---------------------------------------------------------------------------
+# RK4 by step maps, one forcing table and one chain per block (formerly
+# dynamics.evolve_original)
+# ---------------------------------------------------------------------------
+
+
+def evolve_original_blocks(problem, omega, v0, psi0, horizon, dt, n_samples=33):
+    """``dynamics.evolve_original`` as it was before its tables held several
+    blocks: blocks of steps end after ``_BLOCK_STEPS`` steps or at a sample,
+    and per block the forcing is tabulated at the stage times, each step's
+    RK4 map I + E is formed in closed form (one (2|C|, 2|C|) matrix for the
+    coupled set C, one 2 x 2 per other mode), the steps are multiplied
+    pairwise in that increment form and applied once as y <- y + E y.
+    Returns (times, states) as ``evolve_original`` does.
+    """
+    omega = np.asarray(omega, dtype=float)
+    cfl = 0.5 / (float(np.linalg.norm(omega)) + problem.j_max)
+    if dt > cfl:
+        raise ParameterError(f"dt = {dt:.3e} violates the step bound {cfl:.3e}")
+    eps = problem.epsilon
+    pairs = problem.rank_pairs if eps else []
+    modes = sorted(set(v0).union(psi0, *(f.space_modes() for pair in pairs
+                                         for f in pair)))
+    lat = problem.lattice
+    for j in modes:
+        if tuple(j) not in lat.cluster_of_point:
+            raise ParameterError(f"mode {j} outside the lattice")
+    n = len(modes)
+    nsq = np.array([float(sum(x * x for x in j)) for j in modes])
+    y = np.array([v0.get(j, 0j) for j in modes]
+                 + [psi0.get(j, 0j) for j in modes], dtype=complex)
+    # columns: a, then b_j, c_j of each pair on the modes, then c_-j, b_-j;
+    # the rank columns are cut to the coupled set C
+    negs = [tuple(-x for x in j) for j in modes]
+    cols = [problem.a]
+    cols += [f.angle_part(j) for b, c in pairs for f in (b, c) for j in modes]
+    cols += [f.angle_part(j) for b, c in pairs for f in (c, b) for j in negs]
+    coef = np.stack([f.coeffs.ravel() for f in cols], axis=1)
+    rank = coef[:, 1:].reshape(len(coef), 4 * len(pairs), n)
+    coupled = np.flatnonzero(np.any(rank, axis=(0, 1)))
+    single, k = np.setdiff1d(np.arange(n), coupled), len(coupled)
+    coef = np.concatenate(
+        [coef[:, :1], rank[..., coupled].reshape(len(coef), -1)], axis=1)
+    keep = np.any(coef != 0, axis=1)
+    coef = coef[keep]
+    ells = ell_table(problem.a.nu, problem.a.ell_max)[0][keep]
+    block_steps = min(_BLOCK_STEPS,
+                      max(1, blockop._CHUNK_BYTES // (64 * max(k, 1) ** 2)))
+
+    n_steps = int(math.ceil(horizon / dt))
+    sample_every = max(1, n_steps // max(1, n_samples - 1))
+    t, times, rows = 0.0, [0.0], [y.copy()]
+    yc, ys = np.r_[coupled, n + coupled], np.c_[single, n + single]
+    k0 = 0
+    while k0 < n_steps:
+        k1 = min(k0 + block_steps, n_steps,
+                 (k0 // sample_every + 1) * sample_every)
+        # stage times t_k, t_k + h_k / 2, t_k + h_k = t_(k+1) of the block
+        hs, stage_t = [], [t]
+        for _ in range(k1 - k0):
+            tk = stage_t[-1]
+            hs.append(min(dt, horizon - tk))
+            stage_t += [tk + hs[-1] / 2, tk + hs[-1]]
+        t, hs = stage_t[-1], np.asarray(hs)
+        vals = _at_angles(np.asarray(stage_t)[:, None] * omega, ells, coef)
+        lin = -(1.0 + eps * vals[:, :1].real) * nsq
+        # rows of u: eps b_k, eps c_k on C; of w: c_k, b_k at -j
+        u, w = np.moveaxis(
+            vals[:, 1:].reshape(len(stage_t), 2, 2 * len(pairs), k), 1, 0)
+        big = eps * np.swapaxes(u, 1, 2) @ w
+        big[:, range(k), range(k)] += lin[:, coupled]
+        small = lin[:, single, None, None]
+        for ls, idx in ((big, yc), (small, ys)):
+            if len(idx):
+                step = _chain(_rk4_increments(hs, ls[0:-1:2], ls[1::2], ls[2::2]))
+                y[idx] += (step @ y[idx][..., None])[..., 0]
+        if k1 % sample_every == 0 or k1 == n_steps:
+            times.append(t)
+            rows.append(y.copy())
+        k0 = k1
+    cols = np.array([lat.index[j] for j in modes], dtype=int)
+    states = np.zeros((len(rows), 2 * lat.n_points), dtype=complex)
+    states[:, np.r_[cols, lat.n_points + cols]] = rows
+    return np.array(times), states
+
+
+def solutions_from_reduced_per_sample(chain, u0, times):
+    """``ConjugationChain.solutions_from_reduced`` as it was before it
+    evaluated tau, beta and beta_inv at all times at once: per sample time
+    three ``eval_at`` calls and one W1 = S(omega t) kron(C, I_n) matrix."""
+    reg, lat, omega = chain.reg, chain.problem.lattice, chain.omega
+
+    def tau_of_t(t):
+        phi = (omega * t).reshape(1, -1)
+        return t + float(reg.stage3.alpha_fn.eval_at(phi).real[0])
+
+    def w1(t):
+        phi = (omega * t).reshape(1, -1)
+        beta, binv = (float(f.eval_at(phi).real[0])
+                      for f in (reg.stage1.beta, reg.stage1.beta_inv))
+        root = np.array([sum(x * x for x in j) ** 0.25 for j in lat.points])
+        kron = np.kron(2.0 ** (-0.5) * np.array([[1.0, 1.0], [-1j, 1j]]),
+                       np.eye(len(root)))
+        return np.concatenate([beta / root, binv * root])[:, None] * kron
+
+    taus = [tau_of_t(t) for t in times]
+    d_blocks = (chain.kam_state.d_blocks if chain.kam_state is not None
+                else reg.d_blocks(lat))
+    u = evolve_reduced(d_blocks, lat, u0, taus, t0=tau_of_t(0.0))
+    out = np.concatenate([u, np.conj(u[:, lat.neg_perm])], axis=1)
+    for row, t, w2 in zip(out, times, chain.w2(taus)):
+        row[:] = w1(t) @ (w2 @ row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,80 @@ class TestScatterPlans:
         assert evicted > 0
 
 
+def _bit_equal(got, want):
+    """Same keys, ell and block bytes, and the same meta."""
+    pairs = (zip((got.r1, got.r2), (want.r1, want.r2))
+             if isinstance(got, PairedBlockOperator) else [(got, want)])
+    return got.meta == want.meta and all(
+        a.stacks.keys() == b.stacks.keys() and all(
+            np.array_equal(idx, b.stacks[key][0])
+            and mats.tobytes() == b.stacks[key][1].tobytes()
+            for key, (idx, mats) in a.stacks.items())
+        for a, b in pairs)
+
+
+def _operands(rng, paired):
+    """A series' operands: two left factors and one right factor Psi."""
+    def one():
+        ops = [stacked_operator(rng, 2, 2, "sparse") for _ in range(1 + paired)]
+        return PairedBlockOperator(*ops) if paired else ops[0]
+    return one(), one(), one()
+
+
+class TestRightMemo:
+    def test_repeated_right_factor_matches_cleared_memo(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_RIGHTS", blockop._RightCache())
+        rng = np.random.default_rng(21)
+        for paired in (False, True):
+            for rule in BRANCHES.values():
+                x, y, psi = _operands(rng, paired)
+                with mock.patch.object(blockop, "_grid_wins", rule):
+                    compose(x, psi)
+                    held = dict(blockop._RIGHTS)
+                    assert held
+                    again = compose(y, psi)
+                    # the same tables, taken over by the second product
+                    assert all(blockop._RIGHTS[k] is v for k, v in held.items())
+                    blockop._RIGHTS.clear()
+                    fresh = compose(y, psi)
+                assert _bit_equal(again, fresh)
+
+    def test_replaced_stacks_are_not_reused(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_RIGHTS", blockop._RightCache())
+        rng = np.random.default_rng(22)
+        for paired in (False, True):
+            x, _, psi = _operands(rng, paired)
+            for rule in BRANCHES.values():
+                with mock.patch.object(blockop, "_grid_wins", rule):
+                    before = compose(x, psi)
+                    top = psi.r1 if paired else psi
+                    key, (idx, mats) = next(iter(top.stacks.items()))
+                    top.stacks[key] = (idx, 2 * mats)  # a new stack object
+                    got = compose(x, psi)
+                    blockop._RIGHTS.clear()
+                    fresh = compose(x, psi)
+                assert _bit_equal(got, fresh)
+                assert not _bit_equal(got, before)
+
+    def test_held_tables_stay_under_cap(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_RIGHTS", blockop._RightCache())
+        rng = np.random.default_rng(23)
+        for paired in (False, True):
+            x, y, psi = _operands(rng, paired)
+            with mock.patch.object(blockop, "_grid_wins", BRANCHES["grid"]):
+                compose(x, psi)
+                sizes = [r.nbytes for r in blockop._RIGHTS.values()]
+                cap = sum(sizes) // 2
+                blockop._RIGHTS.clear()
+                with mock.patch.object(blockop, "_CHUNK_BYTES", cap):
+                    for left in (x, y, x):
+                        compose(left, psi)
+                        held = blockop._RIGHTS
+                        assert held.nbytes == sum(
+                            r.nbytes for r in held.values()) <= cap
+            assert 0 < len(held) < len(sizes)
+
+
 class TestGridMemory:
     def test_temporaries_within_cap(self, monkeypatch):
         # a tall left factor (the 30-point cluster of d = 3) over the whole

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavekam import AngleFunction, SpaceTimeFunction, blockop
-from wavekam.cli import _add_conjugate_pair, build_problem, load_config
+from wavekam import AngleFunction, SpaceTimeFunction, blockop, dynamics
+from wavekam.cli import (_add_conjugate_pair, _kam_worker, build_problem,
+                         kam_config_for, load_config)
 from wavekam.dynamics import (
     ConjugationChain,
     EvolutionRun,
@@ -22,8 +23,9 @@ from wavekam.kam import KamConfig, kam_run
 from wavekam.regularization import WaveProblem, run_pipeline
 
 from conftest import rng_for
-from oracles import (evolve_original_dicts, evolve_original_stages,
-                     lattice_vector)
+from oracles import (evolve_original_blocks, evolve_original_dicts,
+                     evolve_original_stages, lattice_vector,
+                     solutions_from_reduced_per_sample)
 from test_acceptance import desk_problem
 
 # strongly non-resonant against the toy spectrum {1, sqrt 2, 2}
@@ -174,6 +176,12 @@ class TestEvolveOriginal:
                               n_samples=33):
         times, states = evolve_original(p, omega, v0, psi0, horizon, dt,
                                         n_samples)
+        # tables of whole blocks form each block's map as the per-block loop
+        # did: the same floats in the same order
+        blocks = evolve_original_blocks(p, omega, v0, psi0, horizon, dt,
+                                        n_samples)
+        assert np.array_equal(times, blocks[0])
+        assert np.array_equal(states, blocks[1])
         want = evolve_original_stages(p, omega, v0, psi0, horizon, dt,
                                       n_samples)
         assert times.tolist() == want[0]
@@ -192,7 +200,7 @@ class TestEvolveOriginal:
 
     @pytest.mark.parametrize("horizon, n_samples", [
         (5.0, 33),
-        (5.0037, 33),  # short last step
+        (5.0037, 1), (5.0037, 2), (5.0037, 33), (5.0037, 129),  # short last step
         (2.0, 1), (2.0, 2), (2.0, 33), (2.0, 129),
         (0.5, 129),  # more samples than steps: a block per step
     ])
@@ -209,6 +217,21 @@ class TestEvolveOriginal:
     def test_matches_stage_oracle_with_every_mode_coupled(self):
         p = rank_everywhere(1e-3, 24)
         self.assert_matches_stages(p, OMEGA, every_point(p), {}, 1.0, 0.01)
+
+    def test_dense_samples_form_step_maps_per_table(self, monkeypatch):
+        # a sample after every step makes every block one step long; the
+        # step maps are still formed once per table for each mode group
+        p = desk_problem(1e-3)
+        v0 = every_point(p)
+        calls, increments = [], dynamics._rk4_increments
+        monkeypatch.setattr(dynamics, "_rk4_increments", lambda h, l1, *ls:
+                            calls.append(l1.ndim) or increments(h, l1, *ls))
+        n_steps, n_samples = 200, 201
+        times, _ = evolve_original(p, OMEGA, v0, {}, 2.0, 0.01, n_samples)
+        assert len(times) == n_samples > n_steps
+        # ndim 3: the coupled (steps, 2|C|, 2|C|) stack; 4: the Hill maps
+        for ndim in (3, 4):
+            assert 0 < calls.count(ndim) <= math.ceil(n_steps / dynamics._TABLE_STEPS)
 
     def test_state_closed_under_rank_forcing(self):
         # initial modes miss +-(0, 1), where the rank pair's c lives: a run
@@ -260,11 +283,16 @@ class TestEvolveOriginal:
         v0 = every_point(p)
         tracemalloc.start()
         try:
-            evolve_original(p, OMEGA, v0, {}, 0.7, dt=0.01, n_samples=2)
+            times, states = evolve_original(p, OMEGA, v0, {}, 0.7, dt=0.01,
+                                            n_samples=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * blockop._CHUNK_BYTES
+        # tables of two steps, each a block, as the per-block loop cut them
+        want = evolve_original_blocks(p, OMEGA, v0, {}, 0.7, 0.01, n_samples=2)
+        assert np.array_equal(times, want[0])
+        assert np.array_equal(states, want[1])
 
 
 class TestEvolveReduced:
@@ -376,6 +404,21 @@ class TestConjugacy:
         assert rep["inverse_residual"] <= 1e-9
         assert rep["trajectory_residual"] <= 1e-6
 
+    @pytest.mark.parametrize("config", ["eps0", "kirchhoff-lin"])
+    def test_batched_solutions_match_per_sample_oracle(self, config):
+        # the CLI's chain at run.omega with its `--seed 1` trajectory
+        cfg = load_config(CONFIGS / f"{config}.yaml")
+        p = build_problem(cfg, 1)
+        omega = np.asarray(cfg["run"]["omega"], dtype=float)
+        reg, out = _kam_worker((p, kam_config_for(p, cfg), omega, None))
+        chain = ConjugationChain(p, omega, reg, out.state)
+        v0, psi0 = cli_draw(p, 1)
+        times, states = evolve_original(p, omega, v0, psi0, 8.0, 0.004)
+        u0 = chain.initial_reduced_data(states[0])[:p.lattice.n_points]
+        got = chain.solutions_from_reduced(u0, times)
+        want = solutions_from_reduced_per_sample(chain, u0, times)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def roundtrip_peaks(self, monkeypatch):
         """tracemalloc peaks of conjugacy_roundtrip at 21 and 201 sample
         times, with W2 in stacks of 20 angles (10 chunks for 200 times)."""
@@ -430,12 +473,13 @@ class TestConjugacy:
         # chain's composed evaluation: encoded in solutions_from_reduced,
         # cross-checked here against a direct tau-grid
         p, res, chain = self.chain_for(1e-3, with_kam=False)
-        assert chain.tau_of_t(0.0) == pytest.approx(
+        [tau0] = chain.tau_of_t([0.0])
+        assert tau0 == pytest.approx(
             float(res.stage3.alpha_fn.eval_at(np.zeros((1, 2))).real[0]),
             abs=1e-14,
         )
         t = 1.234
-        tau = chain.tau_of_t(t)
+        [tau] = chain.tau_of_t([t])
         phi = (OMEGA * t).reshape(1, -1)
         assert tau == pytest.approx(
             t + float(res.stage3.alpha_fn.eval_at(phi).real[0]), abs=1e-14
