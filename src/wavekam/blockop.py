@@ -841,18 +841,14 @@ def rank_one_blocks(q, g, lattice):
     one value, so pairs whose product vanishes add no block.
     """
     where = lattice.cluster_of_point
-    pairs = [(j, jp, tuple(-x for x in jp)) for j in q.space_modes() if j in where
-             for jp in g.space_modes() if tuple(-x for x in jp) in where]
+    pairs = [(i, k, j, tuple(-x for x in jp)) for i, j in enumerate(q.modes) if j in where
+             for k, jp in enumerate(g.modes) if tuple(-x for x in jp) in where]
     out = BlockOperator(lattice, q.nu, q.ell_max)
-    if not pairs:
-        return out
-    prods, _ = _product_rows(
-        np.stack([q.angle_part(j).coeffs.ravel() for j, _, _ in pairs]),
-        np.stack([g.angle_part(jp).coeffs.ravel() for _, jp, _ in pairs]),
-        q.nu, q.ell_max)
+    prods, _ = _product_rows(q.coeffs[[p[0] for p in pairs]], g.coeffs[[p[1] for p in pairs]],
+                             q.nu, q.ell_max)
     groups = {}
     for row in np.flatnonzero(prods.any(axis=1)).tolist():
-        j, _, mjp = pairs[row]
+        _, _, j, mjp = pairs[row]
         a, b = where[j], where[mjp]
         groups.setdefault((a, b), []).append(
             (row, lattice.cluster(a).index_of[j], lattice.cluster(b).index_of[mjp]))

@@ -163,15 +163,16 @@ CONFIG_SCHEMA = {
                             },
                         },
                         "counts": {"type": "array",
-                                   "items": {"type": "integer"}},
+                                   "items": {"type": "integer", "minimum": 1}},
                     },
                     "required": ["box", "counts"],
                     "additionalProperties": False,
                 },
                 "gamma_list": {"type": "array", "items": {"type": "number"}},
-                "horizon": {"type": "number"},
-                "dt": {"type": "number"},
-                "s_list": {"type": "array", "items": {"type": "number"}},
+                "horizon": {"type": "number", "exclusiveMinimum": 0},
+                "dt": {"type": "number", "exclusiveMinimum": 0},
+                "s_list": {"type": "array", "items": {"type": "number"},
+                           "minItems": 1},
                 "contrast_omega": {"type": "array",
                                    "items": {"type": "number"}},
             },

@@ -108,8 +108,7 @@ def evolve_original(problem, omega, v0, psi0, horizon, dt, n_samples=33):
         raise ParameterError(f"dt = {dt:.3e} violates the step bound {cfl:.3e}")
     eps = problem.epsilon
     pairs = problem.rank_pairs if eps else []
-    modes = sorted(set(v0).union(psi0, *(f.space_modes() for pair in pairs
-                                         for f in pair)))
+    modes = sorted(set(v0).union(psi0, *(f.space_modes() for pair in pairs for f in pair)))
     lat = problem.lattice
     for j in modes:
         if tuple(j) not in lat.cluster_of_point:

@@ -14,7 +14,7 @@ import numpy as np
 from .blockop import BlockOperator, PairedBlockOperator, _product_rows
 from .errors import ParameterError
 from .series import truncated_series
-from .spectrum import (AngleFunction, SpaceTimeFunction, _conj_rows, _omega_phase,
+from .spectrum import (AngleFunction, _conj_rows, _omega_phase,
                        _project_rows, _real_rows, _sample_rows, _sobolev_norm_rows,
                        ell_table)
 
@@ -149,16 +149,11 @@ class FourierMultiplier:
         """Op(r) u: per cluster of each space mode, ell-convolution."""
         if u.nu != self.nu or u.ell_max != self.ell_max:
             raise ParameterError("angle function truncation mismatch")
-        out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
         lat = self.lattice
-        modes = [j for j in u.space_modes() if j in lat.cluster_of_point]
-        rows = [lat.alpha_sqs.index(lat.cluster_of_point[j]) for j in modes]
-        if modes:
-            prods, _ = _product_rows(np.stack([u.comps[j].coeffs.ravel() for j in modes]),
-                                     self.coeffs[rows], self.nu, self.ell_max)
-            out.comps = {j: AngleFunction(u.nu, u.ell_max, p.reshape(u.comps[j].coeffs.shape))
-                         for j, p in zip(modes, prods)}
-        return out
+        keep = [i for i, j in enumerate(u.modes) if j in lat.cluster_of_point]
+        rows = [lat.alpha_sqs.index(lat.cluster_of_point[u.modes[i]]) for i in keep]
+        prods, _ = _product_rows(u.coeffs[keep], self.coeffs[rows], self.nu, self.ell_max)
+        return u._like([u.modes[i] for i in keep], prods)
 
     def to_blocks(self):
         out = BlockOperator(self.lattice, self.nu, self.ell_max)

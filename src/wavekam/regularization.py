@@ -30,7 +30,7 @@ from .multiplier import (
 )
 from .spectrum import (
     AngleFunction,
-    SpaceTimeFunction,
+    _project_rows,
     enumerate_clusters,
     omega_dphi_inverse,
 )
@@ -93,12 +93,9 @@ def kirchhoff_linearization(v0, problem_kwargs):
     (b1, c1) = (-Lap v0, +Lap v0).
     """
     a = AngleFunction(v0.nu, v0.ell_max)
-    for j in v0.space_modes():
-        nj2 = float(sum(x * x for x in j))
-        prod, _ = v0.angle_part(j).product(
-            v0.angle_part(tuple(-x for x in j)).copy()
-        )
-        a = a + prod * nj2
+    for j in v0.modes:
+        prod, _ = v0.angle_part(j).product(v0.angle_part(tuple(-x for x in j)))
+        a = a + prod * float(sum(x * x for x in j))
     lap = v0.apply_D_power(2.0)
     b1 = lap * (-1.0)
     c1 = lap.copy()
@@ -144,15 +141,9 @@ class PairedRankTerm:
         r1, r2 = _apply_paired_multiplier_pair(tt, self.right)
         return PairedRankTerm((l1, l2), (r1, r2))
 
-    def to_paired_blocks(self, lattice, nu, ell_max):
-        from .blockop import BlockOperator
-
-        p1 = rank_one_blocks(self.left[0], self.right[0], lattice)
-        p2 = rank_one_blocks(self.left[0], self.right[1], lattice)
-        if not (len(p1) or len(p2)):
-            z = BlockOperator(lattice, nu, ell_max)
-            return PairedBlockOperator(z, z.copy())
-        return PairedBlockOperator(p1, p2)
+    def to_paired_blocks(self, lattice):
+        return PairedBlockOperator(rank_one_blocks(self.left[0], self.right[0], lattice),
+                                   rank_one_blocks(self.left[0], self.right[1], lattice))
 
 
 def _apply_paired_multiplier_pair(t, pair):
@@ -166,7 +157,7 @@ def _apply_paired_multiplier_pair(t, pair):
 def rank_terms_to_paired_blocks(terms, lattice, nu, ell_max, scale=1.0):
     out = PairedBlockOperator.zero(lattice, nu, ell_max)
     for t in terms:
-        out = out + t.to_paired_blocks(lattice, nu, ell_max) * scale
+        out = out + t.to_paired_blocks(lattice) * scale
     return out
 
 
@@ -182,7 +173,6 @@ class Stage1:
     a0: AngleFunction
     a1: AngleFunction
     rank_pairs_1: list
-    alias: float
     diagnostics: dict
 
 
@@ -213,15 +203,14 @@ def symmetrize(problem, omega):
         b1, _ = b.apply_D_power(-0.5).mul_angle(beta)
         c1, _ = c.apply_D_power(-0.5).mul_angle(beta)
         rank1.append((b1, c1))
-    alias = max(al1, al2, al3, al4)
     diag = {
         "beta_minus_1": (beta - AngleFunction.constant(problem.nu, problem.ell_max, 1.0)).sobolev_norm(0.0),
         "beta_inv_minus_1": (beta_inv - AngleFunction.constant(problem.nu, problem.ell_max, 1.0)).sobolev_norm(0.0),
         "a1_minus_1": (a1 - AngleFunction.constant(problem.nu, problem.ell_max, 1.0)).sobolev_norm(0.0),
         "a0_norm": a0.sobolev_norm(0.0),
-        "alias": alias,
+        "alias": max(al1, al2, al3, al4),
     }
-    return Stage1(beta, beta_inv, a0, a1, rank1, alias, diag)
+    return Stage1(beta, beta_inv, a0, a1, rank1, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,6 @@ def complexify_stage(problem, stage1):
 class Stage3:
     m: float
     alpha_fn: AngleFunction
-    alpha_tilde_vals: np.ndarray
     rho_vals: np.ndarray
     a2: AngleFunction
     field: PairedMultiplier
@@ -341,22 +329,16 @@ def reparametrize_time(problem, stage1, stage2, omega):
     # transformed rank functions: 2^{-1/2} goes in at stage 2; here the extra
     # rho^{-1} splits as rho^{-1/2} on each side of every term
     scale_vals = rho_vals ** (-0.5)
-    new_terms = []
-    alias_rank = 0.0
-    for term in stage2.rank_terms:
-        new_sides = []
-        for side in (term.left, term.right):
-            fns = []
-            for f in side:
-                comp = SpaceTimeFunction(nu, L, problem.d)
-                for j in f.space_modes():
-                    vals = f.angle_part(j).eval_at(shifted) * scale_vals
-                    g, al = AngleFunction.from_samples(vals.reshape(shape), L)
-                    comp.comps[j] = g
-                    alias_rank = max(alias_rank, al)
-                fns.append(comp)
-            new_sides.append(tuple(fns))
-        new_terms.append(PairedRankTerm(new_sides[0], new_sides[1]))
+    aliases = [alias_w1, alias_a2]
+
+    def reproject(f):
+        vals = [f.angle_part(j).eval_at(shifted) * scale_vals for j in f.modes]
+        rows, alias = _project_rows(np.reshape(vals, (len(vals),) + shape), L)
+        aliases.extend(alias)
+        return f._like(f.modes, rows)
+
+    new_terms = [PairedRankTerm(tuple(map(reproject, t.left)), tuple(map(reproject, t.right)))
+                 for t in stage2.rank_terms]
     g1 = FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * m * a, 1.0)
     g2 = FourierMultiplier.from_angle_function(lat, a2 * (-1.0), order=0.0)
     fld = PairedMultiplier(g1, g2)
@@ -367,12 +349,12 @@ def reparametrize_time(problem, stage1, stage2, omega):
         "w1_mean": w1_const.real,
         "w1_nonconstant": w1_fluct.sobolev_norm(0.0),
         "diffeo_roundtrip": float(np.max(np.abs(fwd_back))),
-        "alias": max(alias_w1, alias_a2, alias_rank),
+        "alias": max(aliases),
         "alpha_norm": alpha_fn.sobolev_norm(0.0),
         "a2_norm": a2.sobolev_norm(0.0),
         "rho_minus_1": float(np.max(np.abs(rho_vals - 1.0))),
     }
-    return Stage3(m, alpha_fn, atil, rho_vals, a2, fld, new_terms, diag)
+    return Stage3(m, alpha_fn, rho_vals, a2, fld, new_terms, diag)
 
 
 # ---------------------------------------------------------------------------

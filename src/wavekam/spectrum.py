@@ -11,6 +11,7 @@ normalized measure dphi/(2pi)^nu, dx/(2pi)^d, so pairings are plain
 coefficient sums.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -227,9 +228,6 @@ class AngleFunction:
             yield tuple(ell), c
 
     # -- algebra ------------------------------------------------------------
-    def copy(self):
-        return AngleFunction(self.nu, self.ell_max, self.coeffs.copy())
-
     def __add__(self, other):
         self._check(other)
         return AngleFunction(self.nu, self.ell_max, self.coeffs + other.coeffs)
@@ -259,11 +257,6 @@ class AngleFunction:
 
     def mean(self):
         return complex(self[(0,) * self.nu])
-
-    def conj(self):
-        """Pointwise complex conjugate in phi: hat(ell) -> conj(hat(-ell))."""
-        flipped = _conj_rows(self.coeffs.reshape(1, -1))
-        return AngleFunction(self.nu, self.ell_max, flipped.reshape(self.coeffs.shape))
 
     def is_real(self, tol=1e-13):
         return bool(_real_rows(self.coeffs.reshape(1, -1), tol)[0])
@@ -319,8 +312,9 @@ def _at_angles(points, ells, coef):
 
 
 # Row helpers: each acts on a (k, (2 ell_max + 1)^nu) stack of coefficient
-# rows in ``ell_box`` order, the storage of an AngleFunction (k = 1) and of a
-# multiplier's symbol table (a row per cluster).
+# rows in ``ell_box`` order, the storage of an AngleFunction (k = 1), of a
+# multiplier's symbol table (a row per cluster) and of a SpaceTimeFunction (a
+# row per space mode).
 
 
 def _conj_rows(coeffs):
@@ -364,7 +358,7 @@ def _project_rows(values, ell_max):
     alias mass: the l2 norm of the grid frequencies outside the box.
     """
     k, nu, grid_n = len(values), values.ndim - 1, values.shape[1]
-    spec = (np.fft.fftn(values, axes=tuple(range(1, nu + 1))) / grid_n**nu).reshape(k, -1)
+    spec = (np.fft.fftn(values, axes=tuple(range(1, nu + 1))) / grid_n**nu).reshape(k, grid_n**nu)
     # box rows hit by a grid frequency x <= grid_n // 2 or x - grid_n
     ells = ell_table(nu, ell_max)[0]
     at = ells % grid_n
@@ -388,29 +382,37 @@ def _project_rows(values, ell_max):
 class SpaceTimeFunction:
     """Truncated Fourier series u(phi, x) with zero average in x.
 
-    Coefficients are stored per space mode j (a tuple) as a dense angle array,
-    which suits the finite-rank data of the problem: a handful of j modes,
-    full angle boxes.
+    Stored as ``modes``, the sorted space modes j (tuples), and ``coeffs``,
+    one complex (len(modes), (2 ell_max + 1)^nu) array with a row of angle
+    coefficients per mode in ``ell_box`` order.  That suits the finite-rank
+    data of the problem: a handful of j modes, full angle boxes.
     """
 
-    __slots__ = ("nu", "ell_max", "d", "comps")
+    __slots__ = ("nu", "ell_max", "d", "modes", "coeffs")
 
     def __init__(self, nu, ell_max, d, comps=None):
+        """comps: optional dict j -> AngleFunction."""
         self.nu = int(nu)
         self.ell_max = int(ell_max)
         self.d = int(d)
-        self.comps = {}
-        if comps:
-            for j, f in comps.items():
-                self._store(j, f)
+        comps = {self._mode(j): f for j, f in (comps or {}).items()}
+        self.modes = sorted(comps)
+        self.coeffs = np.array([comps[j].coeffs.ravel() for j in self.modes], dtype=complex
+                               ).reshape(len(comps), (2 * self.ell_max + 1) ** self.nu)
 
-    def _store(self, j, f):
+    def _mode(self, j):
         j = tuple(int(x) for x in j)
         if all(x == 0 for x in j):
             raise ParameterError("space mode j = 0 violates the zero-average contract")
         if len(j) != self.d:
             raise ParameterError(f"space mode {j} has wrong dimension")
-        self.comps[j] = f
+        return j
+
+    def _like(self, modes, coeffs):
+        """A function of this truncation with the given sorted modes and rows."""
+        out = SpaceTimeFunction(self.nu, self.ell_max, self.d)
+        out.modes, out.coeffs = list(modes), coeffs
+        return out
 
     @classmethod
     def from_modes(cls, nu, ell_max, d, modes):
@@ -421,100 +423,90 @@ class SpaceTimeFunction:
         return u
 
     def set_coeff(self, ell, j, value):
-        j = tuple(int(x) for x in j)
-        f = self.comps.get(j) or AngleFunction(self.nu, self.ell_max)
+        j = self._mode(j)
+        f = self.angle_part(j)
         f[ell] = value
-        self._store(j, f)
+        if j not in self.modes:
+            i = bisect.bisect(self.modes, j)
+            self.modes.insert(i, j)
+            self.coeffs = np.insert(self.coeffs, i, f.coeffs.ravel(), axis=0)
 
     def coeff(self, ell, j):
         j = tuple(int(x) for x in j)
-        if j not in self.comps:
-            return 0j
-        return complex(self.comps[j][ell])
+        return complex(self.angle_part(j)[ell]) if j in self.modes else 0j
 
     def space_modes(self):
-        return sorted(self.comps.keys())
+        return list(self.modes)
 
     def angle_part(self, j):
+        """Mode j's angle function, viewing its row (a new zero one if absent)."""
         j = tuple(int(x) for x in j)
-        return self.comps.get(j, AngleFunction(self.nu, self.ell_max))
+        if j not in self.modes:
+            return AngleFunction(self.nu, self.ell_max)
+        return AngleFunction(self.nu, self.ell_max, self.coeffs[self.modes.index(j)].reshape(
+            (2 * self.ell_max + 1,) * self.nu))
 
     def copy(self):
-        return SpaceTimeFunction(
-            self.nu, self.ell_max, self.d, {j: f.copy() for j, f in self.comps.items()}
-        )
+        return self._like(self.modes, self.coeffs.copy())
 
     def __add__(self, other):
-        out = self.copy()
-        for j, f in other.comps.items():
-            if j in out.comps:
-                out.comps[j] = out.comps[j] + f
-            else:
-                out.comps[j] = f.copy()
-        return out
+        rows = dict(zip(self.modes, self.coeffs))
+        for j, row in zip(other.modes, other.coeffs):
+            # a row only one side holds is copied: -0.0 + 0.0 would be +0.0
+            rows[j] = rows[j] + row if j in rows else row
+        modes = sorted(rows)
+        return self._like(modes, np.array([rows[j] for j in modes], dtype=complex)
+                          .reshape(len(modes), self.coeffs.shape[1]))
 
     def __mul__(self, scalar):
-        return SpaceTimeFunction(
-            self.nu, self.ell_max, self.d,
-            {j: f * scalar for j, f in self.comps.items()},
-        )
+        return self._like(self.modes, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def mul_angle(self, g):
         """Multiply by an x-independent function g(phi); reports truncation loss."""
-        out = SpaceTimeFunction(self.nu, self.ell_max, self.d)
-        lost = 0.0
-        for j, f in self.comps.items():
-            prod, l = f.product(g)
-            out.comps[j] = prod
-            lost += l * l
-        return out, math.sqrt(lost)
+        from .blockop import _product_rows  # blockop imports this module
+
+        if (g.nu, g.ell_max) != (self.nu, self.ell_max):
+            raise ParameterError("angle function truncation mismatch")
+        rows = np.broadcast_to(g.coeffs.ravel(), self.coeffs.shape)
+        prods, lost = _product_rows(self.coeffs, rows, self.nu, self.ell_max)
+        return self._like(self.modes, prods), math.sqrt(sum(x * x for x in lost))
 
     def apply_D_power(self, p):
         """|D|^p: scale mode j by |j|^p (j never 0 here)."""
-        out = SpaceTimeFunction(self.nu, self.ell_max, self.d)
-        for j, f in self.comps.items():
-            out.comps[j] = f * (math.sqrt(sum(x * x for x in j)) ** p)
-        return out
+        w = [math.sqrt(sum(x * x for x in j)) ** p for j in self.modes]
+        return self._like(self.modes, self.coeffs * np.array(w)[:, None])
 
     def conj(self):
         """Complex conjugate of the function: hat(-ell,-j) conjugated."""
-        out = SpaceTimeFunction(self.nu, self.ell_max, self.d)
-        for j, f in self.comps.items():
-            out.comps[tuple(-x for x in j)] = f.conj()
-        return out
+        return self._like([tuple(-x for x in j) for j in reversed(self.modes)],
+                          _conj_rows(self.coeffs[::-1]))
 
     def is_real(self, tol=1e-13):
-        c = self.conj()
-        scale = max(self.linf_bound(), 1.0)
-        keys = set(self.comps) | set(c.comps)
-        return all(
-            self.angle_part(j).distance(c.angle_part(j)) <= tol * scale for j in keys
-        )
+        dist = np.abs((self + self.conj() * (-1.0)).coeffs)
+        return bool(np.all(dist <= tol * max(self.linf_bound(), 1.0)))
 
     def linf_bound(self):
-        return sum(f.linf_bound() for f in self.comps.values())
+        return sum(np.abs(self.coeffs).sum(axis=1).tolist())
 
     def x_coeffs_at_phi(self, phi):
         """dict j -> u_j(phi)."""
         phi = np.asarray(phi, dtype=float).reshape(1, -1)
-        return {j: complex(f.eval_at(phi)[0]) for j, f in self.comps.items()}
+        return {j: complex(self.angle_part(j).eval_at(phi)[0]) for j in self.modes}
 
     def sobolev_norm(self, s):
-        terms = []
-        for j, f in self.comps.items():
-            nj = math.sqrt(sum(x * x for x in j))  # >= 1: the <ell> floor is moot
-            w = np.maximum(ell_table(self.nu, self.ell_max)[1], nj) ** (2.0 * s)
-            terms.extend((w * np.abs(f.coeffs.ravel()) ** 2).tolist())
-        return math.sqrt(math.fsum(terms))
+        nj = np.sqrt([float(sum(x * x for x in j)) for j in self.modes])  # >= 1: no <ell> floor
+        w = np.maximum(ell_table(self.nu, self.ell_max)[1], nj[:, None]) ** (2.0 * s)
+        return math.sqrt(math.fsum((w * np.abs(self.coeffs) ** 2).ravel().tolist()))
 
     def to_rows(self):
-        rows = []
-        for j in self.space_modes():
-            for ell, c in self.comps[j].modes():
-                rows.append((list(ell), list(j), float(c.real), float(c.imag)))
-        return rows
+        """(ell, j, re, im) of every nonzero coefficient."""
+        i, p = np.nonzero(self.coeffs)
+        v = self.coeffs[i, p]
+        return list(zip(ell_table(self.nu, self.ell_max)[0][p].tolist(),
+                        [list(self.modes[k]) for k in i.tolist()],
+                        v.real.tolist(), v.imag.tolist()))
 
 
 def sobolev_norm(u, s):
@@ -529,13 +521,14 @@ def sobolev_norm(u, s):
 # ---------------------------------------------------------------------------
 
 
-def omega_dphi_inverse(h, omega, gamma=None, tau=None, floor=None):
+def omega_dphi_inverse(h, omega, gamma=None, tau=None):
     """(omega . d/dphi)^{-1} on a mean-free AngleFunction.
 
     The ell = 0 mode is annihilated by convention; the input must be mean
     free.  Division is refused (DiophantineViolation) whenever the divisor
-    falls below the floor, by default gamma/|ell|^tau; silent regularization
-    would corrupt every convergence diagnostic built on top of this.
+    falls below the floor gamma/|ell|^tau (0 without gamma and tau); silent
+    regularization would corrupt every convergence diagnostic built on top
+    of this.
     """
     if abs(h.mean()) > 1e-14 * max(1.0, h.linf_bound()):
         raise ParameterError("omega_dphi_inverse requires a mean-free input")
@@ -545,14 +538,9 @@ def omega_dphi_inverse(h, omega, gamma=None, tau=None, floor=None):
         if not any(ell):
             continue
         div = float(np.dot(omega, ell))
-        if floor is not None:
-            this_floor = floor
-        elif gamma is not None and tau is not None:
-            this_floor = gamma / np.linalg.norm(ell) ** tau
-        else:
-            this_floor = 0.0
-        if abs(div) <= this_floor or div == 0.0:
-            raise DiophantineViolation(ell, abs(div), this_floor)
+        floor = 0.0 if gamma is None or tau is None else gamma / np.linalg.norm(ell) ** tau
+        if abs(div) <= floor or div == 0.0:
+            raise DiophantineViolation(ell, abs(div), floor)
         out[ell] = c / (1j * div)
     return out
 

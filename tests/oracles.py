@@ -83,6 +83,9 @@ the package.
   an identically zero factor.
 - Test-only helpers that left the package: ``SpectralLattice.vector``,
   ``EigenData.from_blocks`` and ``SylvesterOperator.denominators``.
+- ``SpaceTimeFunction`` as a dict of angle functions per space mode, before
+  it kept one row stack, and ``AngleFunction.copy`` and
+  ``AngleFunction.conj``, which only tests reach.
 """
 
 import itertools
@@ -99,10 +102,11 @@ from wavekam.errors import (ContractViolation, InversionError, ParameterError,
 from wavekam.hamiltonian import ExpMap
 from wavekam.kam import (KamState, SylvesterOperator, _melnikov_scan,
                          assemble_homological_solution)
+from wavekam.regularization import WaveProblem
 from wavekam.resonance import EigenData, ResonanceReport, _combo_grid, _gap
 from wavekam.series import truncated_series
 from wavekam.spectrum import (AngleFunction, SpaceTimeFunction, _at_angles,
-                              ell_table)
+                              _conj_rows, ell_table)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,10 +1046,10 @@ def pairing(self, other):
     In coefficients: sum_j ghat_{-j}(.) conv hhat_j(.).
     """
     acc = AngleFunction(self.nu, self.ell_max)
-    for j, f in other.comps.items():
+    for j in other.space_modes():
         mj = tuple(-x for x in j)
-        if mj in self.comps:
-            prod, _ = self.comps[mj].product(f)
+        if mj in self.space_modes():
+            prod, _ = self.angle_part(mj).product(other.angle_part(j))
             acc = acc + prod
     return acc
 
@@ -1755,7 +1759,7 @@ def push_forward(x, phi, omega, phi_inverse=None):
 
 def block_apply(op, u):
     """Apply to a SpaceTimeFunction (phi-convolution, block action in x)."""
-    out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
+    comps = {}
     # group input coefficients by cluster
     by_cluster = {}
     for j in u.space_modes():
@@ -1786,12 +1790,8 @@ def block_apply(op, u):
             if coeffs is None:
                 continue
             shifted = _shift_coeffs(coeffs, ell, u.ell_max)
-            if jp in out.comps:
-                out.comps[jp].coeffs += shifted
-            else:
-                g = out.comps.setdefault(jp, AngleFunction(u.nu, u.ell_max))
-                g.coeffs += shifted
-    return out
+            comps.setdefault(jp, AngleFunction(u.nu, u.ell_max)).coeffs += shifted
+    return SpaceTimeFunction(u.nu, u.ell_max, u.d, comps)
 
 
 def _shift_coeffs(coeffs, ell, ell_max):
@@ -1830,7 +1830,7 @@ def paired_copy(p):
 def from_array(r):
     """The list-of-parts oracle of an array multiplier, with copied rows."""
     return FourierMultiplier(r.lattice, r.nu, r.ell_max, r.order,
-                             [r.row(i).copy() for i in range(len(r.coeffs))])
+                             [angle_copy(r.row(i)) for i in range(len(r.coeffs))])
 
 
 def to_array(r):
@@ -1874,7 +1874,7 @@ class FourierMultiplier:
     def from_angle_function(cls, lattice, g, order=0.0):
         """alpha-independent symbol r(phi, alpha) = g(phi)."""
         out = cls(lattice, g.nu, g.ell_max, order)
-        out.parts = [g.copy() for _ in lattice.clusters]
+        out.parts = [angle_copy(g) for _ in lattice.clusters]
         return out
 
     @classmethod
@@ -1891,7 +1891,7 @@ class FourierMultiplier:
             self.nu,
             self.ell_max,
             self.order if order is None else order,
-            [p.copy() for p in self.parts],
+            [angle_copy(p) for p in self.parts],
         )
 
     def _check(self, other):
@@ -1923,7 +1923,7 @@ class FourierMultiplier:
     def conj(self):
         return FourierMultiplier(
             self.lattice, self.nu, self.ell_max, self.order,
-            [p.conj() for p in self.parts],
+            [angle_conj(p) for p in self.parts],
         )
 
     def is_real_symbol(self, tol=1e-13):
@@ -1964,15 +1964,14 @@ class FourierMultiplier:
     # -- action ----------------------------------------------------------------
     def apply(self, u):
         """Op(r) u: per cluster of each space mode, ell-convolution."""
-        out = SpaceTimeFunction(u.nu, u.ell_max, u.d)
+        comps = {}
         for j in u.space_modes():
             a_sq = self.lattice.cluster_of_point.get(j)
             if a_sq is None:
                 continue
             i = self.lattice.alpha_sqs.index(a_sq)
-            prod, _ = u.angle_part(j).product(self.parts[i])
-            out.comps[j] = prod
-        return out
+            comps[j], _ = u.angle_part(j).product(self.parts[i])
+        return SpaceTimeFunction(u.nu, u.ell_max, u.d, comps)
 
     def to_blocks(self):
         blocks = {}
@@ -2164,3 +2163,166 @@ def sylvester_denominators(syl):
     """The (n_a, n_b) table omega.ell + lambda_k -+ mu_j of a block."""
     la, _, lb, _ = syl.eig()
     return syl.omega_ell + _combo_grid(la, lb, syl.sign)
+
+
+# ---------------------------------------------------------------------------
+# Space-time functions as a dict j -> AngleFunction (formerly
+# spectrum.SpaceTimeFunction, before its rows), and AngleFunction.copy and
+# AngleFunction.conj, which only tests reach
+# ---------------------------------------------------------------------------
+
+
+def angle_copy(f):
+    """A copy of f with its own coefficients (formerly AngleFunction.copy)."""
+    return AngleFunction(f.nu, f.ell_max, f.coeffs.copy())
+
+
+def kirchhoff_linearization_dicts(v0, problem_kwargs):
+    """``regularization.kirchhoff_linearization`` as it read a space-time
+    function mode by mode, one copied angle part per product."""
+    a = AngleFunction(v0.nu, v0.ell_max)
+    for j in v0.space_modes():
+        nj2 = float(sum(x * x for x in j))
+        prod, _ = v0.angle_part(j).product(angle_copy(v0.angle_part(tuple(-x for x in j))))
+        a = a + prod * nj2
+    lap = v0.apply_D_power(2.0)
+    return WaveProblem(a=a, rank_pairs=[(lap * (-1.0), lap.copy())], **problem_kwargs)
+
+
+def angle_conj(f):
+    """Pointwise complex conjugate in phi: hat(ell) -> conj(hat(-ell))
+    (formerly AngleFunction.conj)."""
+    flipped = _conj_rows(f.coeffs.reshape(1, -1))
+    return AngleFunction(f.nu, f.ell_max, flipped.reshape(f.coeffs.shape))
+
+
+class SpaceTimeFunctionDict:
+    """Truncated Fourier series u(phi, x) with zero average in x.
+
+    Coefficients are stored per space mode j (a tuple) as a dense angle array,
+    ``parts`` a dict j -> AngleFunction in insertion order, which suits the
+    finite-rank data of the problem: a handful of j modes, full angle boxes.
+    """
+
+    __slots__ = ("nu", "ell_max", "d", "parts")
+
+    def __init__(self, nu, ell_max, d, comps=None):
+        self.nu = int(nu)
+        self.ell_max = int(ell_max)
+        self.d = int(d)
+        self.parts = {}
+        if comps:
+            for j, f in comps.items():
+                self._store(j, f)
+
+    def _store(self, j, f):
+        j = tuple(int(x) for x in j)
+        if all(x == 0 for x in j):
+            raise ParameterError("space mode j = 0 violates the zero-average contract")
+        if len(j) != self.d:
+            raise ParameterError(f"space mode {j} has wrong dimension")
+        self.parts[j] = f
+
+    @classmethod
+    def from_modes(cls, nu, ell_max, d, modes):
+        """modes: dict (ell-tuple, j-tuple) -> complex."""
+        u = cls(nu, ell_max, d)
+        for (ell, j), v in modes.items():
+            u.set_coeff(ell, j, v)
+        return u
+
+    def set_coeff(self, ell, j, value):
+        j = tuple(int(x) for x in j)
+        f = self.parts.get(j) or AngleFunction(self.nu, self.ell_max)
+        f[ell] = value
+        self._store(j, f)
+
+    def coeff(self, ell, j):
+        j = tuple(int(x) for x in j)
+        if j not in self.parts:
+            return 0j
+        return complex(self.parts[j][ell])
+
+    def space_modes(self):
+        return sorted(self.parts.keys())
+
+    def angle_part(self, j):
+        j = tuple(int(x) for x in j)
+        return self.parts.get(j, AngleFunction(self.nu, self.ell_max))
+
+    def copy(self):
+        return SpaceTimeFunctionDict(
+            self.nu, self.ell_max, self.d, {j: angle_copy(f) for j, f in self.parts.items()}
+        )
+
+    def __add__(self, other):
+        out = self.copy()
+        for j, f in other.parts.items():
+            if j in out.parts:
+                out.parts[j] = out.parts[j] + f
+            else:
+                out.parts[j] = angle_copy(f)
+        return out
+
+    def __mul__(self, scalar):
+        return SpaceTimeFunctionDict(
+            self.nu, self.ell_max, self.d,
+            {j: f * scalar for j, f in self.parts.items()},
+        )
+
+    __rmul__ = __mul__
+
+    def mul_angle(self, g):
+        """Multiply by an x-independent function g(phi); reports truncation loss."""
+        out = SpaceTimeFunctionDict(self.nu, self.ell_max, self.d)
+        lost = 0.0
+        for j, f in self.parts.items():
+            prod, l = f.product(g)
+            out.parts[j] = prod
+            lost += l * l
+        return out, math.sqrt(lost)
+
+    def apply_D_power(self, p):
+        """|D|^p: scale mode j by |j|^p (j never 0 here)."""
+        out = SpaceTimeFunctionDict(self.nu, self.ell_max, self.d)
+        for j, f in self.parts.items():
+            out.parts[j] = f * (math.sqrt(sum(x * x for x in j)) ** p)
+        return out
+
+    def conj(self):
+        """Complex conjugate of the function: hat(-ell,-j) conjugated."""
+        out = SpaceTimeFunctionDict(self.nu, self.ell_max, self.d)
+        for j, f in self.parts.items():
+            out.parts[tuple(-x for x in j)] = angle_conj(f)
+        return out
+
+    def is_real(self, tol=1e-13):
+        c = self.conj()
+        scale = max(self.linf_bound(), 1.0)
+        keys = set(self.parts) | set(c.parts)
+        return all(
+            self.angle_part(j).distance(c.angle_part(j)) <= tol * scale for j in keys
+        )
+
+    def linf_bound(self):
+        return sum(f.linf_bound() for f in self.parts.values())
+
+    def x_coeffs_at_phi(self, phi):
+        """dict j -> u_j(phi)."""
+        phi = np.asarray(phi, dtype=float).reshape(1, -1)
+        return {j: complex(f.eval_at(phi)[0]) for j, f in self.parts.items()}
+
+    def sobolev_norm(self, s):
+        terms = []
+        for j, f in self.parts.items():
+            nj = math.sqrt(sum(x * x for x in j))  # >= 1: the <ell> floor is moot
+            w = np.maximum(ell_table(self.nu, self.ell_max)[1], nj) ** (2.0 * s)
+            terms.extend((w * np.abs(f.coeffs.ravel()) ** 2).tolist())
+        return math.sqrt(math.fsum(terms))
+
+    def to_rows(self):
+        rows = []
+        for j in self.space_modes():
+            for ell, c in self.parts[j].modes():
+                rows.append((list(ell), list(j), float(c.real), float(c.imag)))
+        return rows

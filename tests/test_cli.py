@@ -10,7 +10,7 @@ import yaml
 
 from wavekam import cli
 from wavekam.cli import CONFIG_SCHEMA, main
-from wavekam.kam import MAX_SCAN_ELLS
+from wavekam.kam import MAX_SCAN_ELLS, KamConfig
 from wavekam.resonance import classify_omega
 from wavekam.verify import SUITES
 
@@ -83,6 +83,14 @@ class TestConfigValidation:
         ("eps0", "run/contrast_omega", [1.5], "run/contrast_omega"),
         ("kirchhoff-lin", "run/omega_grid/box", [[1.0, 2.0]], "run/omega_grid/box"),
         ("kirchhoff-lin", "run/omega_grid/counts", [40], "run/omega_grid/counts"),
+        # schema-valid before the bounds: a traceback, or a one-sample run
+        # reported as bounded
+        ("kirchhoff-lin", "run/omega_grid/counts", [0, 40], "run/omega_grid/counts/0"),
+        ("kirchhoff-lin", "run/omega_grid/counts", [-3, 40], "run/omega_grid/counts/0"),
+        ("kirchhoff-lin", "run/dt", 0, "run/dt"),
+        ("kirchhoff-lin", "run/dt", -0.004, "run/dt"),
+        ("kirchhoff-lin", "run/horizon", -1.0, "run/horizon"),
+        ("kirchhoff-lin", "run/s_list", [], "run/s_list"),
     ]
 
     @pytest.mark.parametrize("base,path,value,key", SIZE_CASES)
@@ -358,3 +366,22 @@ class TestKirchhoffGolden:
         eig = json.loads((out / "d_infinity_0.json").read_text())
         n_total = sum(c["n_alpha"] for c in eig["clusters"].values())
         assert n_total == 12
+
+    def test_d3_pipeline_and_kam_converge(self, tmp_path):
+        # pipeline and KAM only, the bundled phases: measure and dynamics
+        # were never timed on the 256-point d = 3 lattice
+        out = tmp_path / "kir3"
+        rc = run_cli("run", "--config",
+                     str(CONFIG_DIR / "kirchhoff-3d.yaml"), "--out", str(out))
+        assert rc == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["phases"] == ["pipeline", "kam"]
+        with open(out / "kam_convergence_0.csv") as fh:
+            final = list(csv.DictReader(fh))[-1]
+        assert final["verdict"] == "converged"
+        assert float(final["residual"]) < KamConfig.target_residual
+        pred = json.loads((out / "predicate_report.json").read_text())
+        assert pred["r4_hamiltonian_residual"] <= 1e-10
+        assert pred["stage_map_symplectic_residual"] <= 1e-10
+        eig = json.loads((out / "d_infinity_0.json").read_text())
+        assert sum(len(c["eigenvalues"]) for c in eig["clusters"].values()) == 256

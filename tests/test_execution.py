@@ -1,6 +1,6 @@
 """Every function defined in ``src/wavekam`` runs under the CLI verbs.
 
-One process runs ``wavekam run`` on both bundled configs, ``verify
+One process runs ``wavekam run`` on eps0 and kirchhoff-lin, ``verify
 hamiltonian``, ``sweep`` and ``dump`` under ``sys.setprofile`` and records
 every code object entered.  A function, method or nested function of
 ``src/wavekam`` that is never entered must be listed in ``ALLOWED`` with the
@@ -53,6 +53,7 @@ ALLOWED = {
     "verify._random_space_time": SUITE.format("norms"),
     "verify._verify_problem": SUITE.format("pipeline|dynamics"),
     "blockop.block_decay_norm": SUITE.format("norms"),
+    "spectrum.AngleFunction.distance": SUITE.format("norms"),
     "blockop.BlockOperator.hs_total": SUITE.format("norms"),
     "multiplier.multiplier_to_blocks": SUITE.format("norms"),
     "spectrum.SpectralLattice.cluster_gap_constant": SUITE.format("norms"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from wavekam import AngleFunction, enumerate_clusters
+from wavekam import AngleFunction, SpaceTimeFunction, enumerate_clusters
 from wavekam import blockop
 from wavekam.blockop import block_decay_norm
 from wavekam.multiplier import (
@@ -304,12 +304,11 @@ class TestArrayMatchesListOracle:
             assert _bits(a.norm(m, s)) == _bits(la.norm(m, s))
         _assert_same_blocks(a.to_blocks(), la.to_blocks())
         assert a.to_rows() == la.to_rows()
-        u = random_space_time(lat, nu, L, rng, n_j=4, ell_support=L)
-        u.comps[(4, 4)] = AngleFunction(nu, L, rng.standard_normal(box))  # off the lattice
+        u = random_space_time(lat, nu, L, rng, n_j=4, ell_support=L) + SpaceTimeFunction(
+            nu, L, lat.d, {(4, 4): AngleFunction(nu, L, rng.standard_normal(box))})  # off the lattice
         got, want = a.apply(u), la.apply(u)
-        assert list(got.comps) == list(want.comps)
-        for j, f in want.comps.items():
-            assert _bits(got.comps[j].coeffs) == _bits(f.coeffs)
+        assert got.modes == want.modes
+        assert _bits(got.coeffs) == _bits(want.coeffs)
         grid_n = 2 * L + 1 + int(rng.integers(0, 4))
         fns = [lambda v: np.exp(1j * v), lambda v: np.exp(-1j * v)]
         for fn, (got, alias) in zip(fns, a.map_pointwise(fns, grid_n, -1.0)):

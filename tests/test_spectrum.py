@@ -17,8 +17,10 @@ from wavekam import (
     sobolev_norm,
 )
 from wavekam import blockop
-from wavekam.blockop import BlockOperator
+from wavekam.blockop import BlockOperator, rank_one_blocks
 from wavekam.errors import DiophantineViolation, ParameterError
+from wavekam.multiplier import FourierMultiplier
+from wavekam.regularization import kirchhoff_linearization
 from wavekam.spectrum import ell_box, ell_table
 
 from conftest import random_block_operator, rng_for
@@ -420,7 +422,7 @@ class TestWeightedLipNorm:
     def test_constant_family_equals_sup(self):
         g = self.grid()
         f = AngleFunction.cosine(1, 3, (1,))
-        vals = [f.copy() for _ in range(len(g))]
+        vals = [f] * len(g)
         assert weighted_lip_norm(vals, g, s=1.0) == pytest.approx(
             f.sobolev_norm(1.0)
         )
@@ -504,3 +506,141 @@ class TestDiophantineCheck:
             for ell in range(-50, 51) if ell
         )
         assert worst >= 1.0
+
+
+# ---------------------------------------------------------------------------
+# SpaceTimeFunction's row stack against the dict-of-angle-functions oracle
+# ---------------------------------------------------------------------------
+
+
+SIGNED_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+def _random_angle(nu, L, rng, fill):
+    """A coefficient box, dense with probability fill, signed zeros elsewhere."""
+    n = (2 * L + 1) ** nu
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    zeros = rng.choice(SIGNED_ZEROS, n)
+    return np.where(rng.random(n) < fill, vals, zeros).reshape((2 * L + 1,) * nu)
+
+
+def _random_comps(lat, nu, L, kind, rng):
+    """dict j -> coefficient box in a random insertion order: no mode, a few
+    sparse modes, every lattice point with a full box, or a few lattice
+    points and two modes off the lattice."""
+    pts, d = lat.points, lat.d
+    picks = [pts[k] for k in rng.choice(len(pts), min(3, len(pts)), replace=False)]
+    modes = {"empty": [], "sparse": picks, "full": pts,
+             "off": picks[:2] + [(lat.j_max + 1,) + (0,) * (d - 1), (-lat.j_max - 1,) * d]}[kind]
+    fill = 1.0 if kind == "full" else 0.3
+    return {tuple(modes[k]): _random_angle(nu, L, rng, fill)
+            for k in rng.permutation(len(modes))}
+
+
+def _both(nu, L, d, comps):
+    """The row function and the dict oracle of comps, each with its own copies."""
+    return tuple(cls(nu, L, d, {j: AngleFunction(nu, L, c.copy()) for j, c in comps.items()})
+                 for cls in (SpaceTimeFunction, oracles.SpaceTimeFunctionDict))
+
+
+def _assert_same(got, want):
+    """Same modes and bit-identical rows; want is a row or dict function."""
+    rows = [want.angle_part(j).coeffs.ravel() for j in got.modes]
+    assert got.modes == want.space_modes()
+    assert got.coeffs.shape == (len(rows), (2 * got.ell_max + 1) ** got.nu)
+    assert _bits(got.coeffs) == _bits(np.reshape(rows, got.coeffs.shape).astype(complex))
+
+
+class TestSpaceTimeRows:
+    """Every method of the row stack, and the code that reads it, equals the
+    former dict of angle functions bit for bit, signed zeros included.
+    Sums over modes now run in sorted order: ``linf_bound`` and
+    ``mul_angle``'s loss match an oracle filled in that order."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from(["empty", "sparse", "full", "off"]), st.integers(0, 2**16))
+    def test_rows_match_dict_oracle(self, nu, d, L, kind, seed):
+        rng = np.random.default_rng(seed)
+        lat = enumerate_clusters(d, 2)
+        comps = _random_comps(lat, nu, L, kind, rng)
+        u, ref = _both(nu, L, d, comps)
+        _, ordered = _both(nu, L, d, dict(sorted(comps.items())))
+        _assert_same(u, ref)
+        assert u.to_rows() == ref.to_rows()
+        _assert_same(u.copy(), ref.copy())
+        for scalar in (-1.0, 0.5, 1j, -1j / 3.0):
+            _assert_same(u * scalar, ref * scalar)
+            _assert_same(scalar * u, scalar * ref)
+        for p in (2.0, -0.5, 0.0):
+            _assert_same(u.apply_D_power(p), ref.apply_D_power(p))
+        _assert_same(u.conj(), ref.conj())
+        for s in (0.0, 1.0, 2.5):
+            assert _bits(u.sobolev_norm(s)) == _bits(ref.sobolev_norm(s))
+        assert _bits(u.linf_bound()) == _bits(ordered.linf_bound())
+        assert u.linf_bound() == pytest.approx(ref.linf_bound(), rel=1e-13)
+        real, real_ref = u + u.conj(), ref + ref.conj()
+        _assert_same(real, real_ref)
+        for f, g in ((u, ref), (real, real_ref)):
+            for tol in (1e-13, 1.0):
+                assert f.is_real(tol) == g.is_real(tol)
+        v, vref = _both(nu, L, d, _random_comps(lat, nu, L, "sparse", rng))
+        _assert_same(u + v, ref + vref)
+        _assert_same(v + u, vref + ref)
+        phi = rng.uniform(0.0, 2.0 * np.pi, nu)
+        assert ({j: _bits(z) for j, z in u.x_coeffs_at_phi(phi).items()}
+                == {j: _bits(z) for j, z in ref.x_coeffs_at_phi(phi).items()})
+        for fill in (0.0, 0.3, 1.0):
+            g = AngleFunction(nu, L, _random_angle(nu, L, rng, fill))
+            (got, lost), (want, lost_ref) = u.mul_angle(g), ordered.mul_angle(g)
+            _assert_same(got, want)
+            assert _bits(lost) == _bits(lost_ref)
+        # per-entry reads and writes, on held, absent and new modes
+        ells = [tuple(e) for e in ell_box(nu, L)[rng.choice((2 * L + 1) ** nu, 3)]]
+        js = list(comps)[:2] + [pts for pts in lat.points[:2]]
+        for j in js:
+            assert _bits(u.angle_part(j).coeffs) == _bits(ref.angle_part(j).coeffs)
+            for ell in ells:
+                assert _bits(u.coeff(ell, j)) == _bits(ref.coeff(ell, j))
+        writes = {(ell, j): complex(rng.standard_normal(), -0.0) for ell in ells for j in js}
+        for (ell, j), value in writes.items():
+            u.set_coeff(ell, j, value)
+            ref.set_coeff(ell, j, value)
+        _assert_same(u, ref)
+        _assert_same(SpaceTimeFunction.from_modes(nu, L, d, writes),
+                     oracles.SpaceTimeFunctionDict.from_modes(nu, L, d, writes))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from(["empty", "sparse", "full", "off"]), st.integers(0, 2**16))
+    def test_readers_match_dict_oracle(self, nu, d, L, kind, seed):
+        rng = np.random.default_rng(seed)
+        lat = enumerate_clusters(d, 2)
+        u, ref = _both(nu, L, d, _random_comps(lat, nu, L, kind, rng))
+        v, vref = _both(nu, L, d, _random_comps(lat, nu, L, "sparse", rng))
+        shape = (len(lat.clusters), (2 * L + 1) ** nu)
+        r = FourierMultiplier(lat, nu, L, 0.0, _random_angle(nu, L, rng, 0.5).ravel()
+                              * rng.standard_normal(shape[0])[:, None])
+        _assert_same(r.apply(u), oracles.from_array(r).apply(ref))
+        got = rank_one_blocks(u, v, lat)
+        want = oracles.rank_one_blocks_per_pair(ref, vref, lat)
+        assert list(got.stacks) == list(want.stacks)
+        for key, (idx, mats) in want.stacks.items():
+            assert _bits(got.stacks[key][0]) == _bits(idx)
+            assert _bits(got.stacks[key][1]) == _bits(mats)
+        # the Kirchhoff data of a real v0
+        kw = dict(d=d, nu=nu, epsilon=1e-3, j_max=2, ell_max=L, lattice=lat)
+        p = kirchhoff_linearization(u + u.conj(), kw)
+        q = oracles.kirchhoff_linearization_dicts(ref + ref.conj(), kw)
+        assert _bits(p.a.coeffs) == _bits(q.a.coeffs)
+        for got, want in zip(p.rank_pairs[0], q.rank_pairs[0]):
+            _assert_same(got, want)
+
+    def test_mode_contract(self):
+        f = AngleFunction.cosine(2, 2, (1, 0))
+        for cls in (SpaceTimeFunction, oracles.SpaceTimeFunctionDict):
+            for j in ((0, 0), (1, 0, 0)):
+                with pytest.raises(ParameterError):
+                    cls(2, 2, 2, {j: f})
+                with pytest.raises(ParameterError):
+                    cls(2, 2, 2).set_coeff((0, 0), j, 1.0)
