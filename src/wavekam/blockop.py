@@ -23,13 +23,13 @@ package's one ell-convolution kernel: ``_product_rows`` runs rows of scalar
 coefficients (functions, symbols, rank-one products) through its scatter as
 1 x 1 blocks.
 
-PairedBlockOperator stores the top row (R1, R2) of the 2x2 arrangement
+``Paired`` stores the top row (R1, R2) of the 2x2 arrangement
 
     ( R1       R2     )
     ( conj R2  conj R1)
 
 which is closed under composition, inversion and exponentials; the bottom row
-is implied and never stored.
+is implied and never stored.  It serves block operators and multipliers.
 """
 
 import functools
@@ -43,6 +43,7 @@ from .spectrum import _at_angles, ell_table
 
 __all__ = [
     "BlockOperator",
+    "Paired",
     "PairedBlockOperator",
     "block_decay_norm",
     "compose",
@@ -713,8 +714,10 @@ def diagonal_part(R):
     return out
 
 
-class PairedBlockOperator:
-    """Top row (r1, r2) of ( r1  r2 ; conj r2  conj r1 )."""
+class Paired:
+    """Top row (r1, r2) of ( r1  r2 ; conj r2  conj r1 ) in either algebra,
+    block operators or Fourier multipliers: a subclass names the class of r1
+    and r2 as ``_part`` and adds its product ``compose``."""
 
     __slots__ = ("r1", "r2", "meta")
 
@@ -726,27 +729,24 @@ class PairedBlockOperator:
 
     @classmethod
     def zero(cls, lattice, nu, ell_max):
-        return cls(BlockOperator(lattice, nu, ell_max), BlockOperator(lattice, nu, ell_max))
+        return cls(cls._part(lattice, nu, ell_max), cls._part(lattice, nu, ell_max))
 
     @classmethod
     def identity(cls, lattice, nu, ell_max):
-        return cls(
-            BlockOperator.identity(lattice, nu, ell_max),
-            BlockOperator(lattice, nu, ell_max),
-        )
+        return cls(cls._part.identity(lattice, nu, ell_max), cls._part(lattice, nu, ell_max))
 
     @property
     def lattice(self):
         return self.r1.lattice
 
     def copy(self):
-        return PairedBlockOperator(self.r1.copy(), self.r2.copy())
+        return type(self)(self.r1.copy(), self.r2.copy())
 
     def __add__(self, other):
-        return PairedBlockOperator(self.r1 + other.r1, self.r2 + other.r2)
+        return type(self)(self.r1 + other.r1, self.r2 + other.r2)
 
     def __sub__(self, other):
-        return PairedBlockOperator(self.r1 - other.r1, self.r2 - other.r2)
+        return type(self)(self.r1 - other.r1, self.r2 - other.r2)
 
     def __mul__(self, scalar):
         if isinstance(scalar, complex) and scalar.imag != 0:
@@ -754,27 +754,32 @@ class PairedBlockOperator:
                 "scaling a paired operator by a non-real scalar breaks the "
                 "conjugate-row structure"
             )
-        return PairedBlockOperator(self.r1 * scalar, self.r2 * scalar)
+        return type(self)(self.r1 * scalar, self.r2 * scalar)
 
     __rmul__ = __mul__
 
-    def compose(self, other):
-        """Paired product; the module-level ``compose`` forms it."""
-        return compose(self, other)
-
     def omega_dphi(self, omega):
-        return PairedBlockOperator(
-            self.r1.omega_dphi(omega), self.r2.omega_dphi(omega)
-        )
-
-    def decay_norm(self, s):
-        return self.r1.decay_norm(s) + self.r2.decay_norm(s)
+        return type(self)(self.r1.omega_dphi(omega), self.r2.omega_dphi(omega))
 
     def sigma(self):
         """M^sigma = S M* S, S = diag(I, -I): top row (r1*, -r2^T).  An involution
         with (A B)^sigma = B^sigma A^sigma; -M on Hamiltonian fields, M^-1 on
         symplectic maps."""
-        return PairedBlockOperator(self.r1.adjoint(), self.r2.transpose() * (-1.0))
+        return type(self)(self.r1.adjoint(), self.r2.transpose() * (-1.0))
+
+
+class PairedBlockOperator(Paired):
+    """Paired top row of block operators."""
+
+    __slots__ = ()
+    _part = BlockOperator
+
+    def compose(self, other):
+        """Paired product; the module-level ``compose`` forms it."""
+        return compose(self, other)
+
+    def decay_norm(self, s):
+        return self.r1.decay_norm(s) + self.r2.decay_norm(s)
 
     def hamiltonian_residual(self, s=0.0):
         """|M^sigma + M|_s: zero exactly when r1* = -r1 and r2^T = r2, the

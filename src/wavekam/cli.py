@@ -130,7 +130,7 @@ CONFIG_SCHEMA = {
                 "ell_max": {"type": "integer", "minimum": 1},
                 "q": {"type": "integer", "minimum": 2},
                 "M": {"type": "integer", "minimum": 1},
-                "gamma": {"type": ["number", "null"]},
+                "gamma": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "tau": {"type": ["number", "null"]},
                 "dd": {"type": ["number", "null"]},
                 "n0": {"type": "integer", "minimum": 2},
@@ -168,7 +168,8 @@ CONFIG_SCHEMA = {
                     "required": ["box", "counts"],
                     "additionalProperties": False,
                 },
-                "gamma_list": {"type": "array", "items": {"type": "number"}},
+                "gamma_list": {"type": "array",
+                               "items": {"type": "number", "exclusiveMinimum": 0}},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "s_list": {"type": "array", "items": {"type": "number"},
@@ -545,6 +546,15 @@ def phase_dynamics(problem, cfg, kam_results, omegas, outdir, summary,
 
 
 def cmd_run(args):
+    gamma_list = None
+    if args.gamma_list:
+        try:
+            gamma_list = [float(x) for x in args.gamma_list.split(",")]
+        except ValueError:
+            gamma_list = [np.nan]  # rejected below
+        if not all(0 < g < np.inf for g in gamma_list):
+            raise ConfigError("--gamma-list takes finite numbers > 0, got "
+                              f"{args.gamma_list!r}")
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["problem"].get("seed", 0)
     outdir = Path(args.out or cfg.get("output", "out"))
@@ -554,11 +564,6 @@ def cmd_run(args):
     for ph in phases:
         if ph not in PHASES:
             raise ConfigError(f"unknown phase {ph!r}")
-    gamma_list = (
-        [float(x) for x in args.gamma_list.split(",")]
-        if args.gamma_list
-        else None
-    )
     t_start = time.time()
     problem = build_problem(cfg, seed)
     summary = {}

@@ -5,7 +5,7 @@ In complex coordinates every Hamiltonian field is a paired operator whose top
 row (r1, r2) satisfies r1* = -r1 and r2^T = r2 (equivalently, the field is
 i(H1 H2; -conj H2 -conj H1) with H1 self-adjoint, H2 symmetric), that is
 M^sigma = -M for the involution M^sigma = S M* S, S = diag(I, -I)
-(``PairedBlockOperator.sigma``).  A paired map Phi is symplectic when
+(``blockop.Paired.sigma``).  A paired map Phi is symplectic when
 Phi^sigma Phi = I; in real coordinates this is Phi^T J Phi = J, since
 Phi^T J Phi - J = -KS(Phi^sigma Phi - I) with K the row swap.
 """
@@ -28,7 +28,7 @@ __all__ = [
 
 class ExpMap:
     """Invertible map Phi with its inverse: ``from_generator`` sums exp(Psi)
-    and exp(-Psi); ``then`` takes Phi^-1 = Phi^sigma (``PairedBlockOperator.
+    and exp(-Psi); ``then`` takes Phi^-1 = Phi^sigma (``blockop.Paired.
     sigma``), exact when every factor is symplectic, as exp(Psi) is for
     Hamiltonian Psi."""
 

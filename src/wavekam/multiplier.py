@@ -11,7 +11,7 @@ makes any asymptotic reading of it meaningless.
 
 import numpy as np
 
-from .blockop import BlockOperator, PairedBlockOperator, _product_rows
+from .blockop import BlockOperator, Paired, PairedBlockOperator, _product_rows
 from .errors import ParameterError
 from .series import truncated_series
 from .spectrum import (AngleFunction, _conj_rows, _omega_phase,
@@ -24,7 +24,6 @@ __all__ = [
     "multiplier_norm",
     "multiplier_compose",
     "multiplier_exponential",
-    "multiplier_to_blocks",
 ]
 
 
@@ -92,13 +91,13 @@ class FourierMultiplier:
         return FourierMultiplier(self.lattice, self.nu, self.ell_max,
                                  self.order if order is None else order, coeffs)
 
-    def _check(self, other):
+    def _check_compat(self, other):
         if self.lattice != other.lattice or self.ell_max != other.ell_max:
             raise ParameterError("multiplier truncation mismatch")
 
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other):
-        self._check(other)
+        self._check_compat(other)
         return self._like(self.coeffs + other.coeffs, max(self.order, other.order))
 
     def __sub__(self, other):
@@ -117,6 +116,12 @@ class FourierMultiplier:
         """Pointwise complex conjugate in phi: hat(ell) -> conj(hat(-ell))."""
         return self._like(_conj_rows(self.coeffs))
 
+    # a symbol of |j| is its own transpose under j -> -j
+    adjoint = conj
+
+    def transpose(self):
+        return self
+
     def is_real_symbol(self, tol=1e-13):
         return bool(np.all(_real_rows(self.coeffs, tol)))
 
@@ -127,15 +132,15 @@ class FourierMultiplier:
     def mean_per_cluster(self):
         return self.coeffs[:, self._center].copy()
 
-    def map_pointwise(self, fns, grid_n, order):
-        """Apply each scalar function to the symbol, sampled once on a
-        grid_n^nu phi-grid, and re-project to a multiplier of the given order.
+    def map_pointwise(self, fn, grid_n, order):
+        """Apply a scalar function to the symbol on a grid_n^nu phi-grid and
+        re-project to a multiplier of the given order.
 
-        Returns one (multiplier, largest alias mass of a cluster) per function.
+        Returns (multiplier, largest alias mass of a cluster).
         """
         vals = _sample_rows(self.coeffs, self.nu, self.ell_max, grid_n)
-        out = [_project_rows(fn(vals), self.ell_max) for fn in fns]
-        return [(self._like(c, order), max(alias, default=0.0)) for c, alias in out]
+        coeffs, alias = _project_rows(fn(vals), self.ell_max)
+        return self._like(coeffs, order), max(alias, default=0.0)
 
     # -- norms -----------------------------------------------------------------
     def norm(self, m=None, s=0.0):
@@ -185,55 +190,20 @@ def multiplier_compose(r, b):
     row costs nothing; each row comes out bit for bit as
     ``AngleFunction.product`` of the two rows.
     """
-    r._check(b)
+    r._check_compat(b)
     return r._like(_product_rows(r.coeffs, b.coeffs, r.nu, r.ell_max)[0],
                    r.order + b.order)
 
 
-def multiplier_to_blocks(r):
-    return r.to_blocks()
-
-
-class PairedMultiplier:
+class PairedMultiplier(Paired):
     """Top row (r1, r2) of the multiplier arrangement (Op r1, Op r2; conj row)."""
 
-    __slots__ = ("r1", "r2")
-
-    def __init__(self, r1, r2):
-        r1._check(r2)
-        self.r1 = r1
-        self.r2 = r2
-
-    @classmethod
-    def zero(cls, lattice, nu, ell_max, order=0.0):
-        z = FourierMultiplier.zero(lattice, nu, ell_max, order)
-        return cls(z, z.copy())
-
-    @classmethod
-    def identity(cls, lattice, nu, ell_max):
-        return cls(FourierMultiplier.identity(lattice, nu, ell_max),
-                   FourierMultiplier.zero(lattice, nu, ell_max))
+    __slots__ = ()
+    _part = FourierMultiplier
 
     @classmethod
     def diagonal(cls, r):
         return cls(r, FourierMultiplier.zero(r.lattice, r.nu, r.ell_max, r.order))
-
-    @property
-    def lattice(self):
-        return self.r1.lattice
-
-    def __add__(self, other):
-        return PairedMultiplier(self.r1 + other.r1, self.r2 + other.r2)
-
-    def __sub__(self, other):
-        return PairedMultiplier(self.r1 - other.r1, self.r2 - other.r2)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, complex) and scalar.imag != 0:
-            raise ParameterError("non-real scaling breaks the conjugate row")
-        return PairedMultiplier(self.r1 * scalar, self.r2 * scalar)
-
-    __rmul__ = __mul__
 
     def compose(self, other):
         """Paired product.  A product with an identically zero factor is not
@@ -242,7 +212,7 @@ class PairedMultiplier:
         def mul(x, y):
             if x.coeffs.any() and y.coeffs.any():
                 return multiplier_compose(x, y)
-            x._check(y)
+            x._check_compat(y)
             return x._like(np.zeros_like(x.coeffs), x.order + y.order)
 
         a = mul(self.r1, other.r1) + mul(self.r2, other.r2.conj())
@@ -252,15 +222,12 @@ class PairedMultiplier:
     def transpose(self):
         return PairedMultiplier(self.r1.copy(), self.r2.conj())
 
-    def omega_dphi(self, omega):
-        return PairedMultiplier(self.r1.omega_dphi(omega), self.r2.omega_dphi(omega))
-
     def norm(self, m, s):
         return self.r1.norm(m=m, s=s) + self.r2.norm(m=m, s=s)
 
     def is_hamiltonian(self, tol=1e-12):
-        """r1* = -r1 (symbols: conj r1 = -r1) and r2 symmetric (automatic)."""
-        res = (self.r1.conj() + self.r1).norm(m=0.0, s=0.0)
+        """M^sigma = -M, read on r1: conj r1 = -r1 (every symbol is symmetric)."""
+        res = (self.sigma() + self).r1.norm(m=0.0, s=0.0)
         scale = max(self.r1.norm(m=0.0, s=0.0), 1.0)
         return res <= tol * scale
 
@@ -269,31 +236,21 @@ class PairedMultiplier:
 
 
 def multiplier_exponential(psi, tol=1e-16, max_terms=60, s0=None):
-    """exp(Psi) for a paired multiplier, with the order >= 2 tail and the inverse.
+    """exp(Psi) for a paired multiplier, with the order >= 2 tail.
 
-    Returns (Phi, Phi_ge2, Phi_inv) with Phi_ge2 = sum_{k>=2} Psi^k / k! of
-    order 2m and Phi_inv = exp(-Psi), summed from the same terms times
-    (-1)^k: negation is exact, so it is bit for bit the series of -Psi.  The
-    smallness |||Psi|||_{-m, s0} <= 1 is not checked; divergence past
+    Returns (Phi, Phi_ge2) with Phi_ge2 = sum_{k>=2} Psi^k / k! of order 2m.
+    For Hamiltonian Psi, Phi is symplectic and ``Phi.sigma()`` is exp(-Psi).
+    The smallness |||Psi|||_{-m, s0} <= 1 is not checked; divergence past
     ``max_terms`` raises DivergenceError.
     """
     m = psi.r1.order
     nrm = psi.norm(m, 0.0 if s0 is None else s0)
     lat, nu, L = psi.lattice, psi.r1.nu, psi.r1.ell_max
-    terms = []
-
-    def step(t, k):
-        terms.append(t.compose(psi) * (1.0 / k))
-        return terms[-1]
-
     ge2 = truncated_series(
-        psi, step, tol, max_terms,
+        psi, lambda t, k: t.compose(psi) * (1.0 / k), tol, max_terms,
         norm=lambda t: t.norm(0.0, 0.0), rate=lambda k: nrm / k, bound=nrm, k0=1,
         total=PairedMultiplier.zero(lat, nu, L),
         name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
     phi = PairedMultiplier.identity(lat, nu, L) + psi + ge2
     ge2.r1.order = ge2.r2.order = 2 * m
-    neg = PairedMultiplier.zero(lat, nu, L)
-    for k, t in enumerate(terms, 2):
-        neg = neg + (t if k % 2 == 0 else t * (-1.0))
-    return phi, ge2, PairedMultiplier.identity(lat, nu, L) + psi * (-1.0) + neg
+    return phi, ge2

@@ -378,8 +378,8 @@ def decouple_step(fld, n, m, omega, problem):
 
     v_n = -i q_n / (2 m alpha); the conjugation by exp(i V_n) is an exact
     push-forward in the paired multiplier algebra.  Returns the new field,
-    the transformation data and diagnostics (including the exact homological
-    residual [i m T |D|, i V_n] + Q_n).
+    the stage map exp(i V_n) with its inverse by sigma, V_n and diagnostics
+    (including the exact homological residual [i m T |D|, i V_n] + Q_n).
     """
     if m == 0.0:
         raise ParameterError("decoupling undefined at m = 0")
@@ -389,8 +389,9 @@ def decouple_step(fld, n, m, omega, problem):
     gen = PairedMultiplier(
         FourierMultiplier.zero(lat, nu, L, order=-(n + 1.0)), vn * 1j
     )
-    fwd, _, bwd = multiplier_exponential(gen)
-    new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)
+    fwd, _ = multiplier_exponential(gen)
+    stage = ExpMap(fwd, fwd.sigma())
+    new_fld = push_forward(fld, stage, omega)
     # exact homological residual on stored symbols
     dmult = PairedMultiplier.diagonal(
         FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * m * a, 1.0)
@@ -410,7 +411,7 @@ def decouple_step(fld, n, m, omega, problem):
         "q_next_norm": q_new.norm(-(n + 1.0), 0.0),
         "r_next_norm": r_new.norm(-1.0, 0.0),
     }
-    return new_fld, (fwd, bwd), vn, diag
+    return new_fld, stage, vn, diag
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +436,10 @@ def reduce_diagonal(fld, m, omega, problem):
     e = FourierMultiplier(lat, nu, L, -1.0, [
         omega_dphi_inverse(h.row(i), omega, problem.gamma, problem.tau).coeffs
         for i in range(len(lat.clusters))])
-    (exp_pos, alias1), (exp_neg, alias2) = e.map_pointwise(
-        [lambda v: np.exp(1j * v), lambda v: np.exp(-1j * v)], grid_n, order=0.0)
-    fwd = PairedMultiplier.diagonal(exp_pos)
-    bwd = PairedMultiplier.diagonal(exp_neg)
-    new_fld = push_forward(fld, ExpMap(fwd, bwd), omega)
+    exp_ie, alias = e.map_pointwise(lambda v: np.exp(1j * v), grid_n, order=0.0)
+    fwd = PairedMultiplier.diagonal(exp_ie)
+    stage = ExpMap(fwd, fwd.sigma())
+    new_fld = push_forward(fld, stage, omega)
     # residual of the homological equation, worst cluster
     lhs = (e.omega_dphi(omega) * (-1.0) + r_m).plus_mean(-c_raw)
     resid = lhs.norm(0.0, 0.0)
@@ -451,9 +451,9 @@ def reduce_diagonal(fld, m, omega, problem):
         "c_raw_max": float(np.max(np.abs(c_raw))) if len(c_raw) else 0.0,
         "homological_residual": resid,
         "diagonal_fluctuation": fluct,
-        "alias": max(alias1, alias2),
+        "alias": alias,
     }
-    return new_fld, (fwd, bwd), c_raw, e, mu, diag
+    return new_fld, stage, c_raw, e, mu, diag
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +496,16 @@ def run_pipeline(problem, omega):
     s3 = reparametrize_time(problem, s1, s2, omega)
     log.append({"stage": "reparametrize", "diagnostics": s3.diagnostics})
     fld = s3.field
-    t_fwd = PairedMultiplier.identity(lat, nu, L)
-    t_bwd = PairedMultiplier.identity(lat, nu, L)
+    eye = PairedMultiplier.identity(lat, nu, L)
+    t = ExpMap(eye, eye)
     decouple_diag = []
     for n in range(problem.M):
-        fld, (fwd, bwd), vn, dg = decouple_step(fld, n, s3.m, omega, problem)
-        t_fwd = t_fwd.compose(fwd)
-        t_bwd = bwd.compose(t_bwd)
+        fld, stage, vn, dg = decouple_step(fld, n, s3.m, omega, problem)
+        t = t.then(stage)
         decouple_diag.append(dg)
         log.append({"stage": f"decouple_{n}", "diagnostics": dg})
-    fld, (efwd, ebwd), c_raw, e_sym, mu, dg5 = reduce_diagonal(
-        fld, s3.m, omega, problem
-    )
-    t_fwd = t_fwd.compose(efwd)
-    t_bwd = ebwd.compose(t_bwd)
+    fld, stage, c_raw, e_sym, mu, dg5 = reduce_diagonal(fld, s3.m, omega, problem)
+    t = t.then(stage)
     log.append({"stage": "reduce_diagonal", "diagnostics": dg5})
     # off-diagonal multiplier remainder of the reduced field
     _, q_m4 = split_multiplier_state(fld, s3.m)
@@ -518,7 +514,7 @@ def run_pipeline(problem, omega):
         FourierMultiplier.zero(lat, nu, L, order=-float(problem.M)), q_m4 * 1j
     )
     # finite-rank part conjugated through T
-    rank_terms = [t.conjugate(t_fwd, t_bwd) for t in s3.rank_terms]
+    rank_terms = [term.conjugate(t.forward, t.inverse) for term in s3.rank_terms]
     r4 = r4_mult.to_paired_blocks() + rank_terms_to_paired_blocks(
         rank_terms, lat, nu, L, scale=problem.epsilon
     )
@@ -541,8 +537,8 @@ def run_pipeline(problem, omega):
         r4=r4,
         r4_multiplier=r4_mult,
         r4_rank_terms=rank_terms,
-        t_fwd=t_fwd,
-        t_bwd=t_bwd,
+        t_fwd=t.forward,
+        t_bwd=t.inverse,
         stage1=s1,
         stage3=s3,
         transformation_log=log,

@@ -26,7 +26,7 @@ from .blockop import (
 from .dynamics import evolve_original, evolve_reduced, reduced_norm_drift
 from .hamiltonian import ExpMap, push_forward, symplectic_check
 from .kam import KamConfig, SylvesterOperator, kam_run, sylvester_solve
-from .multiplier import FourierMultiplier, multiplier_to_blocks
+from .multiplier import FourierMultiplier
 from .regularization import (
     WaveProblem,
     run_pipeline,
@@ -181,7 +181,7 @@ def suite_norms(seed=0, trials=20):
                 ell = tuple(int(x) for x in rng.integers(-2, 3, 2))
                 f[ell] = rng.standard_normal() + 1j * rng.standard_normal()
         r = r.scaled([c.alpha**m for c in lat.clusters])
-        lhs = block_decay_norm(multiplier_to_blocks(r), s)
+        lhs = block_decay_norm(r.to_blocks(), s)
         rhs = c_trunc * r.norm(m, s)
         worst = max(worst, lhs / rhs)
     rows.append(_row("multiplier-block-comparison", worst, 1.0 + 1e-12))

@@ -86,6 +86,10 @@ the package.
 - ``SpaceTimeFunction`` as a dict of angle functions per space mode, before
   it kept one row stack, and ``AngleFunction.copy`` and
   ``AngleFunction.conj``, which only tests reach.
+- The pipeline's second inverse chain, before its stage maps took their
+  inverse as the forward map's sigma: exp(-Psi) from the negated terms of
+  the exp(Psi) series, diag(exp(-ie)) from a second sampling, and ``t_bwd``
+  composed by hand from them.
 """
 
 import itertools
@@ -93,7 +97,7 @@ import math
 
 import numpy as np
 
-from wavekam import blockop, hamiltonian, multiplier
+from wavekam import blockop, hamiltonian, multiplier, regularization
 from wavekam.blockop import (BlockOperator, PairedBlockOperator, compose,
                              diagonal_part, rank_one_blocks, smoothing_projector)
 from wavekam.dynamics import _chain, _rk4_increments, evolve_reduced
@@ -2326,3 +2330,56 @@ class SpaceTimeFunctionDict:
             for ell, c in self.parts[j].modes():
                 rows.append((list(ell), list(j), float(c.real), float(c.imag)))
         return rows
+
+
+# ---------------------------------------------------------------------------
+# The pipeline's inverse chain as it was composed by hand (formerly the third
+# return value of multiplier.multiplier_exponential and run_pipeline's t_bwd)
+# ---------------------------------------------------------------------------
+
+
+def multiplier_exponential_with_inverse(psi, tol=1e-16, max_terms=60, s0=None):
+    """(Phi, Phi_ge2, Phi_inv) with Phi_inv = exp(-Psi) summed from the same
+    terms times (-1)^k: negation is exact, so it is bit for bit the series
+    of -Psi."""
+    m = psi.r1.order
+    nrm = psi.norm(m, 0.0 if s0 is None else s0)
+    lat, nu, L = psi.lattice, psi.r1.nu, psi.r1.ell_max
+    terms = []
+
+    def step(t, k):
+        terms.append(t.compose(psi) * (1.0 / k))
+        return terms[-1]
+
+    ge2 = truncated_series(
+        psi, step, tol, max_terms,
+        norm=lambda t: t.norm(0.0, 0.0), rate=lambda k: nrm / k, bound=nrm, k0=1,
+        total=multiplier.PairedMultiplier.zero(lat, nu, L),
+        name=f"multiplier exponential series (|Psi| = {nrm:.3e})")
+    phi = multiplier.PairedMultiplier.identity(lat, nu, L) + psi + ge2
+    ge2.r1.order = ge2.r2.order = 2 * m
+    neg = multiplier.PairedMultiplier.zero(lat, nu, L)
+    for k, t in enumerate(terms, 2):
+        neg = neg + (t if k % 2 == 0 else t * (-1.0))
+    return phi, ge2, multiplier.PairedMultiplier.identity(lat, nu, L) + psi * (-1.0) + neg
+
+
+def pipeline_inverse_chain(problem, omega):
+    """T^-1 = exp(-iE) exp(-iV_{M-1}) ... exp(-iV_0) composed by hand, each
+    decoupling inverse the negated-term series of its generator and exp(-iE)
+    sampled from e on the phi-grid.  The fields, V_n and e come from the
+    package's stages."""
+    lat, nu, L = problem.lattice, problem.nu, problem.ell_max
+    s1 = regularization.symmetrize(problem, omega)
+    s2 = regularization.complexify_stage(problem, s1)
+    s3 = regularization.reparametrize_time(problem, s1, s2, omega)
+    fld = s3.field
+    t_bwd = multiplier.PairedMultiplier.identity(lat, nu, L)
+    for n in range(problem.M):
+        fld, _, vn, _ = regularization.decouple_step(fld, n, s3.m, omega, problem)
+        gen = multiplier.PairedMultiplier(
+            multiplier.FourierMultiplier.zero(lat, nu, L, order=-(n + 1.0)), vn * 1j)
+        t_bwd = multiplier_exponential_with_inverse(gen)[2].compose(t_bwd)
+    e = regularization.reduce_diagonal(fld, s3.m, omega, problem)[3]
+    exp_neg, _ = e.map_pointwise(lambda v: np.exp(-1j * v), problem.grid_n, order=0.0)
+    return multiplier.PairedMultiplier.diagonal(exp_neg).compose(t_bwd)

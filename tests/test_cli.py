@@ -91,6 +91,12 @@ class TestConfigValidation:
         ("kirchhoff-lin", "run/dt", -0.004, "run/dt"),
         ("kirchhoff-lin", "run/horizon", -1.0, "run/horizon"),
         ("kirchhoff-lin", "run/s_list", [], "run/s_list"),
+        # gamma <= 0: a divide by zero reported as converged, a sweep of
+        # fraction 0.0 with a nan fit
+        ("eps0", "numerics/gamma", 0, "numerics/gamma"),
+        ("eps0", "numerics/gamma", -0.01, "numerics/gamma"),
+        ("kirchhoff-lin", "run/gamma_list", [0.01, 0.0], "run/gamma_list/1"),
+        ("kirchhoff-lin", "run/gamma_list", [-0.01, 0.01], "run/gamma_list/0"),
     ]
 
     @pytest.mark.parametrize("base,path,value,key", SIZE_CASES)
@@ -107,6 +113,14 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(bad), "--out", str(out)) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0.01,", "-0.01,0.0", "nan,0.01", "inf"])
+    def test_bad_gamma_list_flag_exit_2(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", str(CONFIG_DIR / "kirchhoff-lin.yaml"),
+                       "--out", str(out), f"--gamma-list={value}") == 2
+        assert "--gamma-list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_schema_is_a_valid_schema(self):

@@ -55,7 +55,6 @@ ALLOWED = {
     "blockop.block_decay_norm": SUITE.format("norms"),
     "spectrum.AngleFunction.distance": SUITE.format("norms"),
     "blockop.BlockOperator.hs_total": SUITE.format("norms"),
-    "multiplier.multiplier_to_blocks": SUITE.format("norms"),
     "spectrum.SpectralLattice.cluster_gap_constant": SUITE.format("norms"),
     "kam.KamState.hermitian_residual": SUITE.format("kam"),
     "kam.SylvesterOperator.__init__": SUITE.format("kam"),

@@ -18,7 +18,6 @@ from wavekam.multiplier import (
     multiplier_compose,
     multiplier_exponential,
     multiplier_norm,
-    multiplier_to_blocks,
 )
 
 from conftest import random_space_time, rng_for
@@ -130,7 +129,7 @@ class TestCompose:
 class TestExponential:
     def test_zero_gives_identity(self, lat_d2):
         z = PairedMultiplier.zero(lat_d2, 2, 2)
-        phi, ge2, _ = multiplier_exponential(z)
+        phi, ge2 = multiplier_exponential(z)
         assert ge2.norm(0.0, 0.0) == 0.0
         eye = PairedMultiplier.identity(lat_d2, 2, 2)
         assert (phi - eye).norm(0.0, 0.0) == 0.0
@@ -141,7 +140,7 @@ class TestExponential:
             lat_d2, 2, 2, lambda a: 0.3 / a, order=-1.0
         )
         psi = PairedMultiplier.diagonal(r)
-        phi, _, _ = multiplier_exponential(psi)
+        phi, _ = multiplier_exponential(psi)
         for i, c in enumerate(lat_d2.clusters):
             want = math.exp(0.3 / c.alpha)
             assert phi.r1.row(i).mean() == pytest.approx(want, rel=1e-12)
@@ -152,8 +151,8 @@ class TestExponential:
         r1 = random_multiplier(lat_d2, 2, 5, rng, order=-1.0, scale=0.005, support=1)
         r2 = random_multiplier(lat_d2, 2, 5, rng, order=-1.0, scale=0.005, support=1)
         psi = PairedMultiplier(r1, r2)
-        fwd, _, _ = multiplier_exponential(psi)
-        bwd, _, _ = multiplier_exponential(psi * (-1.0))
+        fwd, _ = multiplier_exponential(psi)
+        bwd, _ = multiplier_exponential(psi * (-1.0))
         eye = PairedMultiplier.identity(lat_d2, 2, 5)
         assert (fwd.compose(bwd) - eye).norm(0.0, 0.0) <= 1e-12
 
@@ -163,7 +162,7 @@ class TestExponential:
             random_multiplier(lat_d2, 2, 2, rng, order=-1.0, scale=0.05),
             random_multiplier(lat_d2, 2, 2, rng, order=-1.0, scale=0.05),
         )
-        phi, ge2, _ = multiplier_exponential(psi, s0=1.5)
+        phi, ge2 = multiplier_exponential(psi, s0=1.5)
         s = 2.0
         lhs = ge2.norm(-2.0, s)
         rhs = psi.norm(-1.0, s) * psi.norm(-1.0, 1.5)
@@ -176,7 +175,7 @@ class TestExponential:
 class TestBlocksConversion:
     def test_constant_one_gives_identity(self, lat_d2):
         r = FourierMultiplier.identity(lat_d2, 2, 2)
-        blocks = multiplier_to_blocks(r)
+        blocks = r.to_blocks()
         from wavekam.blockop import BlockOperator
 
         eye = BlockOperator.identity(lat_d2, 2, 2)
@@ -186,7 +185,7 @@ class TestBlocksConversion:
         r = FourierMultiplier.zero(lat_d2, 2, 2)
         i5 = lat_d2.alpha_sqs.index(5)
         r.row(i5)[(1, 0)] = 2.5
-        blocks = multiplier_to_blocks(r)
+        blocks = r.to_blocks()
         assert len(blocks) == 1
         m = blocks.block((1, 0), 5, 5)
         assert np.allclose(m, 2.5 * np.eye(8))
@@ -203,7 +202,7 @@ class TestBlocksConversion:
         for s in (0.0, 1.0, 2.0):
             m = -s - (d - 1) / 2.0
             r = random_multiplier(lat_d2, 2, 2, rng, order=m)
-            lhs = block_decay_norm(multiplier_to_blocks(r), s)
+            lhs = block_decay_norm(r.to_blocks(), s)
             rhs = multiplier_norm(r, m, s)
             assert lhs <= c_trunc * rhs * (1 + 1e-12)
 
@@ -212,7 +211,7 @@ class TestBlocksConversion:
         r = random_multiplier(lat_d2, 2, 3, rng)
         u = random_space_time(lat_d2, 2, 3, rng, n_j=4, ell_support=1)
         direct = r.apply(u)
-        via_blocks = block_apply(multiplier_to_blocks(r), u)
+        via_blocks = block_apply(r.to_blocks(), u)
         diff = (direct + via_blocks * (-1.0)).sobolev_norm(0.0)
         assert diff <= 1e-13 * max(1.0, direct.sobolev_norm(0.0))
 
@@ -222,19 +221,19 @@ class TestAdjointness:
         g_real = AngleFunction.cosine(2, 2, (1, 1), 0.7)
         r = FourierMultiplier.from_angle_function(lat_d2, g_real)
         assert r.is_real_symbol()
-        blocks = multiplier_to_blocks(r)
+        blocks = r.to_blocks()
         assert oracles.is_selfadjoint(blocks, 1e-13)
         g_cplx = oracles.angle_from_modes(2, 2, {(1, 0): 1.0j})
         rc = FourierMultiplier.from_angle_function(lat_d2, g_cplx)
         assert not rc.is_real_symbol()
-        assert not oracles.is_selfadjoint(multiplier_to_blocks(rc), 1e-13)
+        assert not oracles.is_selfadjoint(rc.to_blocks(), 1e-13)
 
     def test_multipliers_commute_as_blocks(self, lat_d2):
         from wavekam.blockop import compose
 
         rng = rng_for("mult-comm-blocks")
-        a = multiplier_to_blocks(random_multiplier(lat_d2, 2, 2, rng))
-        b = multiplier_to_blocks(random_multiplier(lat_d2, 2, 2, rng))
+        a = random_multiplier(lat_d2, 2, 2, rng).to_blocks()
+        b = random_multiplier(lat_d2, 2, 2, rng).to_blocks()
         comm = compose(a, b) - compose(b, a)
         assert comm.hs_total() <= 1e-12 * max(1.0, a.hs_total() * b.hs_total())
 
@@ -310,8 +309,8 @@ class TestArrayMatchesListOracle:
         assert got.modes == want.modes
         assert _bits(got.coeffs) == _bits(want.coeffs)
         grid_n = 2 * L + 1 + int(rng.integers(0, 4))
-        fns = [lambda v: np.exp(1j * v), lambda v: np.exp(-1j * v)]
-        for fn, (got, alias) in zip(fns, a.map_pointwise(fns, grid_n, -1.0)):
+        for fn in (lambda v: np.exp(1j * v), lambda v: np.exp(-1j * v)):
+            got, alias = a.map_pointwise(fn, grid_n, -1.0)
             want, alias_ref = la.map_pointwise(fn, grid_n, -1.0)
             _assert_same(got, want)
             assert _bits(alias) == _bits(alias_ref)
@@ -361,14 +360,56 @@ class TestArrayMatchesListOracle:
             psi = PairedMultiplier(
                 _random_rows(lat_d2, nu, L, rng, order=-1.0, scale=0.05),
                 _random_rows(lat_d2, nu, L, rng, order=-1.0, scale=0.05))
-            fwd, ge2, bwd = multiplier_exponential(psi)
+            fwd, ge2 = multiplier_exponential(psi)
             lfwd, lge2 = oracles.multiplier_exponential(oracles.PairedMultiplier(
                 oracles.from_array(psi.r1), oracles.from_array(psi.r2)))
-            lbwd, _ = oracles.multiplier_exponential(oracles.PairedMultiplier(
-                oracles.from_array(psi.r1), oracles.from_array(psi.r2)) * (-1.0))
-            for x, y in ((fwd, lfwd), (ge2, lge2), (bwd, lbwd)):
+            for x, y in ((fwd, lfwd), (ge2, lge2)):
                 _assert_same(x.r1, y.r1)
                 _assert_same(x.r2, y.r2)
+
+
+class TestSigma:
+    """One sigma for both algebras: M^sigma has top row (r1*, -r2^T), for a
+    multiplier (conj r1, -r2)."""
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_sigma_agrees_across_algebras(self, lat_d2, nu):
+        # equal on every index and value; an off-diagonal zero of a block
+        # (a symbol times the identity) may carry either sign of zero
+        rng = rng_for("mult-sigma", nu)
+        for L in (0, 1, 2):
+            pm = PairedMultiplier(_random_rows(lat_d2, nu, L, rng),
+                                  _random_rows(lat_d2, nu, L, rng))
+            got, want = pm.sigma().to_paired_blocks(), pm.to_paired_blocks().sigma()
+            for x, y in ((got.r1, want.r1), (got.r2, want.r2)):
+                assert list(x.stacks) == list(y.stacks)
+                for key, (idx, mats) in x.stacks.items():
+                    assert _bits(idx) == _bits(y.stacks[key][0])
+                    assert np.array_equal(mats, y.stacks[key][1])
+                    diag = np.arange(mats.shape[1])
+                    assert _bits(mats[:, diag, diag]) == _bits(y.stacks[key][1][:, diag, diag])
+
+    @pytest.mark.parametrize("nu,L", [(1, 6), (2, 5), (3, 5)])
+    def test_exponential_sigma_is_the_inverse_series(self, lat_d2, nu, L):
+        # supports of one step in a box of L steps keep the series' products
+        # off the box edge, so only rounding separates exp(Psi)^sigma from
+        # exp(-Psi) when Psi is Hamiltonian (conj r1 = -r1)
+        rng = rng_for("mult-sigma-exp", nu, L)
+        x = random_multiplier(lat_d2, nu, L, rng, order=-1.0, scale=0.005, support=1)
+        r2 = random_multiplier(lat_d2, nu, L, rng, order=-1.0, scale=0.005, support=1)
+        for r1, hamiltonian in (((x - x.conj()) * 0.5, True), (x, False)):
+            psi = PairedMultiplier(r1, r2)
+            assert psi.is_hamiltonian() == hamiltonian
+            got = multiplier_exponential(psi)[0].sigma()
+            inv = oracles.multiplier_exponential_with_inverse(psi)[2]
+            err = max(np.abs(got.r1.coeffs - inv.r1.coeffs).max(),
+                      np.abs(got.r2.coeffs - inv.r2.coeffs).max())
+            assert (err <= 1e-14) == hamiltonian, err
+            # the oracle's negated terms are bit for bit the series of -Psi
+            lbwd, _ = oracles.multiplier_exponential(oracles.PairedMultiplier(
+                oracles.from_array(psi.r1), oracles.from_array(psi.r2)) * (-1.0))
+            _assert_same(inv.r1, lbwd.r1)
+            _assert_same(inv.r2, lbwd.r2)
 
 
 def test_desk_pipeline_multiplier_calls(monkeypatch):

@@ -16,6 +16,10 @@ one was meant.
 Only ``spectrum._sample_rows`` and ``_project_rows`` call ``np.fft``:
 sampling and projection go by FFT, products through ``blockop``'s one
 ell-convolution kernel.
+
+Only ``blockop.Paired`` stores a paired top row: no other class assigns
+both ``self.r1`` and ``self.r2``, so block operators and multipliers share
+one arithmetic and one sigma.
 """
 
 import ast
@@ -199,3 +203,37 @@ def test_fft_scan_flags_every_spelling():
         "import numpy.fft\nfrom numpy import fft\nfrom numpy.fft import ifftn\n"
         "y = numpy.fft.rfft(x)\nok = np.linalg.norm(x)\n"))
     assert flagged == [("f", 2), (None, 3), (None, 4), (None, 5), (None, 6)]
+
+
+def _top_row_stores(tree):
+    """Name of each class that assigns both ``self.r1`` and ``self.r2``."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        targets = [t for node in ast.walk(cls) if isinstance(node, ast.Assign)
+                   for t in node.targets] + [
+            node.target for node in ast.walk(cls)
+            if isinstance(node, (ast.AnnAssign, ast.AugAssign))]
+        stored = {node.attr for t in targets for node in ast.walk(t)
+                  if isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == "self"}
+        if {"r1", "r2"} <= stored:
+            found.append(cls.name)
+    return found
+
+
+def test_only_paired_stores_the_top_row():
+    stores = [f"{stem}.{name}" for stem, tree in _modules().items()
+              for name in _top_row_stores(tree)]
+    assert stores == ["blockop.Paired"], (
+        f"subclass blockop.Paired instead of storing (r1, r2): {stores}")
+
+
+def test_top_row_scan_flags_a_second_store():
+    flagged = _top_row_stores(ast.parse(
+        "class A:\n    def __init__(self, a, b):\n        self.r1 = a\n        self.r2 = b\n"
+        "class B:\n    def f(self, a, b):\n        self.r1, self.r2 = a, b\n"
+        "class C:\n    def f(self, a):\n        self.r1 = a\n        x.r2 = a\n"
+        "class D:\n    r1 = 1\n    r2 = 2\n"))
+    assert flagged == ["A", "B"]

@@ -291,7 +291,7 @@ class TestDecoupling:
 
     def test_zero_offdiagonal_is_fixed_point(self):
         p, s3 = self.setup_stage3(0.0)
-        fld, (fwd, bwd), vn, diag = decouple_step(s3.field, 0, s3.m, OMEGA, p)
+        fld, stage, vn, diag = decouple_step(s3.field, 0, s3.m, OMEGA, p)
         assert vn.norm(-1.0, 0.0) == 0.0
         assert (fld - s3.field).norm(0.0, 0.0) <= 1e-14
 
@@ -303,7 +303,7 @@ class TestDecoupling:
         i0 = 1
         q_val = 0.37 - 0.11j
         fld.r2.row(i0)[(1, -1)] = 1j * q_val  # g2 = i q
-        _, (fw, bw), vn, diag = decouple_step(fld, 0, s3.m, OMEGA, p)
+        _, stage, vn, diag = decouple_step(fld, 0, s3.m, OMEGA, p)
         alpha0 = lat.clusters[i0].alpha
         assert vn.row(i0)[(1, -1)] == pytest.approx(
             -1j * q_val / (2 * s3.m * alpha0)
@@ -323,10 +323,11 @@ class TestDecoupling:
         p, s3 = self.setup_stage3(2e-3)
         lat, nu, L = p.lattice, p.nu, p.ell_max
         fld = s3.field
-        new_fld, (fwd, bwd), vn, _ = decouple_step(fld, 0, s3.m, OMEGA, p)
+        new_fld, stage, vn, _ = decouple_step(fld, 0, s3.m, OMEGA, p)
+        fwd, bwd = stage.forward, stage.inverse
         r, q = split_multiplier_state(fld, s3.m)
         gen = PairedMultiplier(FourierMultiplier.zero(lat, nu, L), vn * 1j)
-        _, ge2, _ = multiplier_exponential(gen)
+        _, ge2 = multiplier_exponential(gen)
         dmult = PairedMultiplier.diagonal(
             FourierMultiplier.from_alpha_symbol(lat, nu, L, lambda a: -1j * s3.m * a, 1.0)
         )
@@ -506,6 +507,25 @@ class TestRunPipeline:
         assert oracles.is_hamiltonian(res.r4, 1e-10)
         assert res.r4_multiplier.r1.norm(0.0, 0.0) == 0.0
         assert res.r4.decay_norm(0.0) <= 0.1
+
+    @pytest.mark.parametrize("case", ["eps0", "kirchhoff-lin", "desk"])
+    def test_inverse_by_sigma_matches_hand_composed_chain(self, case):
+        # t_bwd is t_fwd^sigma; the chain of negated-term series and the
+        # exp(-ie) sampling gives the same map up to rounding of unit entries
+        from test_acceptance import OMEGA_REF, desk_problem
+        from test_cli import CONFIG_DIR
+        from wavekam import cli
+
+        if case == "desk":
+            p, omega = desk_problem(1e-3), OMEGA_REF
+        else:
+            cfg = cli.load_config(CONFIG_DIR / f"{case}.yaml")
+            p = cli.build_problem(cfg, cfg["problem"]["seed"])
+            omega = np.asarray(cfg["run"]["omega"], dtype=float)
+        res = run_pipeline(p, omega)
+        want = oracles.pipeline_inverse_chain(p, omega)
+        for got, ref in ((res.t_bwd.r1, want.r1), (res.t_bwd.r2, want.r2)):
+            assert np.abs(got.coeffs - ref.coeffs).max() <= 1e-15
 
     def test_stage_maps_symplectic(self):
         from wavekam.hamiltonian import symplectic_check
